@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -72,7 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve an instance")
     solve.add_argument("--method", choices=("est", "bnb"), required=True)
     solve.add_argument("--time-limit", type=float, default=3600.0)
-    solve.add_argument("--threads", type=int, default=1)
+    solve.add_argument(
+        "--threads", type=int, default=1, help="accepted and ignored: the search runs on one thread"
+    )
     solve.add_argument("--in", dest="infile", required=True)
     solve.add_argument("--out")
 
@@ -132,18 +135,20 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.infile)
     if args.method == "est":
+        t0 = time.monotonic()
         sol, sched = earliest_start_heuristic(instance)
+        elapsed = time.monotonic() - t0
         meta = {
             "method": "est",
             "status": "feasible",
             "lower_bound": makespan_lower_bound(instance),
             "upper_bound": sched.makespan,
-            "elapsed": 0.0,
+            "elapsed": elapsed,
         }
         status = "feasible"
         value_cell = str(sched.makespan)
     else:
-        result = solve_branch_and_bound(instance, time_limit=args.time_limit, threads=args.threads)
+        result = solve_branch_and_bound(instance, time_limit=args.time_limit)
         sol, sched = result.solution, result.schedule
         meta = {
             "method": "bnb",
@@ -151,6 +156,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "lower_bound": result.lower_bound,
             "upper_bound": result.upper_bound,
             "nodes_explored": result.nodes_explored,
+            "duplicates_skipped": result.duplicates_skipped,
             "elapsed": result.elapsed,
         }
         status = result.status

@@ -124,7 +124,8 @@ class Instance:
         arcs = []
         for arc in self.arcs:
             u, w = arc
-            if not (isinstance(u, int) and isinstance(w, int)) or not (0 <= u < n and 0 <= w < n):
+            ids = isinstance(u, int) and isinstance(w, int) and not (isinstance(u, bool) or isinstance(w, bool))
+            if not ids or not (0 <= u < n and 0 <= w < n):
                 raise InstanceError("dangling-arc", f"arc {arc!r} references an unknown operation id")
             if u == w:
                 raise InstanceError("self-loop", f"arc ({u}, {w}) is a self-loop")

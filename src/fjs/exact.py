@@ -7,12 +7,19 @@ and every admissible per-machine ordering, and is the ground truth for tests;
 completion among ready candidates.  Every schedule it leaves out can be
 improved by inserting that earliest-completing candidate, so the explored
 set of active schedules always contains an optimum for makespan.
+
+The same partial schedule is reached through many insertion orders.  Its
+per-machine operation sequences fix every start time, and with them the
+whole subtree below it.  The branch and bound therefore remembers the
+sequences of each partial schedule it keeps and skips any later child with
+the same ones.  The memory for this is capped at ``DUPLICATE_CAP`` partial
+schedules; once the cap is reached, children are still looked up but no
+longer remembered.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from dataclasses import dataclass, replace
 
@@ -32,7 +39,9 @@ __all__ = ["SolveResult", "CapError", "brute_force", "solve_branch_and_bound"]
 
 STATUS_OPTIMAL = "optimal"
 STATUS_BOUND_PAIR = "bound-pair"
-STATUS_TIMEOUT = "timeout"
+
+DUPLICATE_CAP = 1 << 18
+"""Most partial schedules remembered for duplicate skipping (about 50 MiB)."""
 
 
 class CapError(Exception):
@@ -44,9 +53,10 @@ class SolveResult:
     """Outcome of an exact run.
 
     ``status`` is ``optimal`` when the search space was exhausted (then
-    ``lower_bound == upper_bound == schedule makespan``), ``bound-pair`` when
-    the time limit was hit with a proven gap, and ``timeout`` is reserved for
-    a limit hit before any bound improved on the initial incumbent.
+    ``lower_bound == upper_bound == schedule makespan``) and ``bound-pair``
+    when the time limit was hit with a proven gap.  ``duplicates_skipped``
+    counts the children the branch and bound left out because it had
+    already kept the same partial schedule.
     """
 
     solution: SolutionPair
@@ -56,6 +66,7 @@ class SolveResult:
     status: str
     nodes_explored: int
     elapsed: float
+    duplicates_skipped: int = 0
 
 
 def _selection_from_sequences(sequences: dict[int, tuple[int, ...]]) -> Selection:
@@ -154,7 +165,7 @@ class BnbNode:
 
 
 class _Search:
-    """Shared state of a (possibly multi-threaded) branch-and-bound run."""
+    """State of one depth-first branch-and-bound run."""
 
     def __init__(self, instance: Instance, deadline: float):
         self.instance = instance
@@ -167,15 +178,13 @@ class _Search:
         for v in range(n):
             if len(instance.eligible[v]) == 1:
                 self.single_machine_ops[instance.eligible[v][0]].append(v)
-        self.lock = threading.Lock()
-        self.condition = threading.Condition(self.lock)
         self.stack: list[BnbNode] = []
-        self.active = 0
         self.timed_out = False
         self.nodes = 0
+        self.duplicates = 0
+        self.seen: set[tuple[tuple[int, ...], ...]] = set()
         self.best_value: Rational = None  # set before search starts
         self.best_leaf = None
-        self.inflight_lbs: dict[int, Rational] = {}
 
     def lower_bound(self, node_completion, node_ready, mask, avail, partial_mks) -> Rational:
         """Max of the path bound with minimum times and the machine workload bound."""
@@ -221,11 +230,19 @@ class _Search:
                 if theta is None or ect < theta:
                     theta = ect
         children = []
-        with self.lock:
-            cutoff = self.best_value
+        cutoff = self.best_value
+        seen = self.seen
         for est, ect, v, k in candidates:
             if est >= theta:
                 continue  # starting v at est would idle past an achievable completion
+            seqs = list(node.machine_seq)
+            seqs[k - 1] = seqs[k - 1] + (v,)
+            machine_seq = tuple(seqs)
+            if machine_seq in seen:
+                # the sequences fix every start, so this subtree was already
+                # pushed, or pruned by an incumbent at least as large
+                self.duplicates += 1
+                continue
             mask = node.scheduled_mask | (1 << v)
             completion = list(node.completion)
             completion[v] = ect
@@ -237,21 +254,20 @@ class _Search:
                     ready[w] = ect
             avail = list(node.machine_avail)
             avail[k - 1] = ect
-            seqs = list(node.machine_seq)
-            seqs[k - 1] = seqs[k - 1] + (v,)
             machine_of = list(node.machine_of)
             machine_of[v] = k
             partial = node.partial_makespan if node.partial_makespan > ect else ect
             if node.n_scheduled + 1 == self.n:
-                with self.lock:
-                    if partial < self.best_value:
-                        self.best_value = partial
-                        self.best_leaf = (tuple(machine_of), tuple(seqs))
-                        cutoff = partial
+                if partial < self.best_value:
+                    self.best_value = partial
+                    self.best_leaf = (tuple(machine_of), machine_seq)
+                    cutoff = partial
                 continue
             lb = self.lower_bound(completion, ready, mask, avail, partial)
             if lb >= cutoff:
                 continue
+            if len(seen) < DUPLICATE_CAP:
+                seen.add(machine_seq)
             children.append(
                 BnbNode(
                     lower_bound=lb,
@@ -262,47 +278,29 @@ class _Search:
                     ready_time=tuple(ready),
                     pending=tuple(pending),
                     machine_avail=tuple(avail),
-                    machine_seq=tuple(seqs),
+                    machine_seq=machine_seq,
                     partial_makespan=partial,
                 )
             )
         children.sort(key=lambda c: c.lower_bound, reverse=True)
         return children
 
-    def worker(self, ident: int) -> None:
-        while True:
-            with self.condition:
-                while not self.stack and self.active > 0 and not self.timed_out:
-                    self.condition.wait(0.05)
-                if self.timed_out or not self.stack:
-                    # empty stack here implies no expansion in flight
-                    self.condition.notify_all()
-                    return
-                node = self.stack.pop()
-                if node.lower_bound >= self.best_value:
-                    continue
-                self.active += 1
-                self.nodes += 1
-                self.inflight_lbs[ident] = node.lower_bound
+    def run(self) -> None:
+        """Expand nodes depth first until the stack empties or the deadline passes."""
+        stack = self.stack
+        while stack:
+            node = stack.pop()
+            if node.lower_bound >= self.best_value:
+                continue
             if time.monotonic() > self.deadline:
-                with self.condition:
-                    self.timed_out = True
-                    self.stack.append(node)
-                    self.active -= 1
-                    del self.inflight_lbs[ident]
-                    self.condition.notify_all()
-                    return
-            children = self.expand(node)
-            with self.condition:
-                self.stack.extend(children)
-                self.active -= 1
-                del self.inflight_lbs[ident]
-                self.condition.notify_all()
+                self.timed_out = True
+                stack.append(node)
+                return
+            self.nodes += 1
+            stack.extend(self.expand(node))
 
 
-def solve_branch_and_bound(
-    instance: Instance, time_limit: float = 3600.0, threads: int = 1
-) -> SolveResult:
+def solve_branch_and_bound(instance: Instance, time_limit: float = 3600.0) -> SolveResult:
     """Exact branch and bound over forward-built active schedules.
 
     The incumbent is initialised with the earliest-start heuristic.  On
@@ -312,8 +310,6 @@ def solve_branch_and_bound(
     """
     if time_limit <= 0:
         raise ValueError("time_limit must be positive")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     t0 = time.monotonic()
     n = instance.n_ops
     est_sol, est_sched = earliest_start_heuristic(instance)
@@ -338,18 +334,11 @@ def solve_branch_and_bound(
     root_lb = search.lower_bound(root.completion, root.ready_time, 0, root.machine_avail, 0)
     search.stack.append(replace(root, lower_bound=root_lb))
 
-    if threads == 1:
-        search.worker(0)
-    else:
-        pool = [threading.Thread(target=search.worker, args=(i,)) for i in range(threads)]
-        for th in pool:
-            th.start()
-        for th in pool:
-            th.join()
+    search.run()
 
     elapsed = time.monotonic() - t0
     upper = search.best_value
-    if search.timed_out and search.stack:
+    if search.timed_out:
         open_lbs = [nd.lower_bound for nd in search.stack]
         lower = min(open_lbs)
         if lower > upper:
@@ -366,4 +355,4 @@ def solve_branch_and_bound(
         sequences = {k + 1: seqs[k] for k in range(instance.machines)}
         sol = SolutionPair(MachineAssignment(machine_of), _selection_from_sequences(sequences))
         sched = tight_schedule(instance, sol)
-    return SolveResult(sol, sched, lower, upper, status, search.nodes, elapsed)
+    return SolveResult(sol, sched, lower, upper, status, search.nodes, elapsed, search.duplicates)

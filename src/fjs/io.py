@@ -147,9 +147,15 @@ def parse_instance(text: str) -> Instance:
         ptimes[v] = row
     if sorted(ptimes) != list(range(len(ptimes))):
         raise InstanceError("bad-id", "operation ids must be dense integers 0..n-1")
+    if not isinstance(document["arcs"], list):
+        raise InstanceError("bad-format", "arcs must be a list of [from, to] pairs")
     arcs = []
     for arc in document["arcs"]:
-        if not (isinstance(arc, list) and len(arc) == 2 and all(isinstance(x, int) for x in arc)):
+        if not (
+            isinstance(arc, list)
+            and len(arc) == 2
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in arc)
+        ):
             raise InstanceError("bad-format", f"arc entry {arc!r} must be a pair of ids")
         arcs.append((arc[0], arc[1]))
     return Instance.from_tables(str(document["name"]), machines, ptimes, arcs)
@@ -224,7 +230,7 @@ def parse_solution(text: str, instance: Instance) -> tuple[SolutionPair, Schedul
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise SolutionError(f"{what} entries must be [id, value] pairs")
             v, value = pair
-            if not isinstance(v, int) or v in out:
+            if not isinstance(v, int) or isinstance(v, bool) or v in out:
                 raise SolutionError(f"{what}: id {v!r} is not a fresh integer")
             out[v] = value
         if sorted(out) != list(instance.ops):

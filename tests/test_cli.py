@@ -34,10 +34,25 @@ def test_solve_bnb_prints_makespan(ex1_file, tmp_path, capsys):
     assert meta["lower_bound"] == 8
 
 
+def test_solve_bnb_reports_duplicates_and_ignores_threads(tmp_path, capsys):
+    from fjs.generate import YfjsParams, generate_yfjs
+
+    inst = generate_yfjs(YfjsParams(3, 4, 3, 2, 2))
+    path, out = tmp_path / "y.fjs.json", tmp_path / "y.sol.json"
+    path.write_text(serialize_instance(inst))
+    code = main(["solve", "--method", "bnb", "--threads", "4", "--in", str(path), "--out", str(out)])
+    assert code == 0
+    _, _, meta = parse_solution(out.read_text(), inst)
+    assert meta["status"] == "optimal"
+    assert meta["duplicates_skipped"] > 0
+
+
 def test_solve_est(ex1_file, tmp_path, capsys):
     out = tmp_path / "est.sol.json"
     assert main(["solve", "--method", "est", "--in", str(ex1_file), "--out", str(out)]) == 0
     assert "mks 8" in capsys.readouterr().out
+    _, _, meta = parse_solution(out.read_text(), make_ex1())
+    assert meta["elapsed"] > 0  # measured, not a placeholder
 
 
 def test_solve_timeout_exit_code(tmp_path, capsys):
@@ -63,6 +78,17 @@ def test_validate_cyclic_instance_fails(tmp_path, capsys):
     path.write_text(json.dumps(document))
     assert main(["validate", "--in", str(path)]) == 1
     assert "cycle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("arcs", [5, [[True, 0]]])
+def test_malformed_arcs_exit_one(tmp_path, capsys, arcs):
+    document = json.loads(serialize_instance(make_ex1()))
+    document["arcs"] = arcs
+    path = tmp_path / "bad.fjs.json"
+    path.write_text(json.dumps(document))
+    for command in (["validate"], ["solve", "--method", "bnb"]):
+        assert main([*command, "--in", str(path)]) == 1
+        assert "bad-format" in capsys.readouterr().err
 
 
 def test_validate_solution_roundtrip(ex1_file, tmp_path, capsys):

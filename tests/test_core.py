@@ -233,6 +233,11 @@ class TestInstanceValidation:
             Instance.from_tables("bad", 1, {0: {1: 1}}, [(0, 3)])
         assert err.value.code == "dangling-arc"
 
+    def test_bool_arc_endpoint_rejected(self):
+        with pytest.raises(InstanceError) as err:
+            Instance.from_tables("bad", 1, {0: {1: 1}, 1: {1: 1}}, [(True, 0)])
+        assert err.value.code == "dangling-arc"
+
     def test_self_loop(self):
         with pytest.raises(InstanceError) as err:
             Instance.from_tables("bad", 1, {0: {1: 1}}, [(0, 0)])

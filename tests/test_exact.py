@@ -1,11 +1,13 @@
-"""Exact solvers: worked examples, oracle agreement, bounds, thread safety."""
+"""Exact solvers: worked examples, oracle agreement, bounds, duplicate skipping."""
 
 from __future__ import annotations
 
 import pytest
 
+from fjs import exact
 from fjs.core import Instance, validate_solution
 from fjs.exact import CapError, brute_force, solve_branch_and_bound
+from fjs.generate import DafjsParams, YfjsParams, generate_dafjs, generate_yfjs
 from fjs.heuristic import earliest_start_heuristic
 
 from conftest import small_random_instance
@@ -50,8 +52,6 @@ def test_brute_force_caps():
 def test_time_limit_must_be_positive(ex1):
     with pytest.raises(ValueError):
         solve_branch_and_bound(ex1, time_limit=0)
-    with pytest.raises(ValueError):
-        solve_branch_and_bound(ex1, threads=0)
 
 
 def test_oracle_agreement_on_random_instances():
@@ -66,13 +66,56 @@ def test_oracle_agreement_on_random_instances():
             assert validate_solution(inst, result.solution, result.schedule).ok
 
 
-def test_value_independent_of_thread_count():
-    for seed in range(15):
-        inst = small_random_instance(seed + 500)
-        values = {
-            solve_branch_and_bound(inst, 60, threads=t).upper_bound for t in (1, 2, 4)
-        }
-        assert len(values) == 1
+def test_oracle_agreement_with_a_small_duplicate_cap(monkeypatch):
+    cap = 50
+    peak = 0
+    skipped_when_full = 0
+
+    class Recording(exact._Search):
+        def expand(self, node):
+            nonlocal peak, skipped_when_full
+            full = len(self.seen) == cap
+            before = self.duplicates
+            children = super().expand(node)
+            peak = max(peak, len(self.seen))
+            if full:
+                skipped_when_full += self.duplicates - before
+            return children
+
+    monkeypatch.setattr(exact, "DUPLICATE_CAP", cap)
+    monkeypatch.setattr(exact, "_Search", Recording)
+    for seed in range(60):
+        inst = small_random_instance(seed)
+        bb = solve_branch_and_bound(inst, 60)
+        assert bb.status == "optimal"
+        assert brute_force(inst).upper_bound == bb.upper_bound, inst.name
+        assert validate_solution(inst, bb.solution, bb.schedule).ok
+    assert peak == cap  # the cap was reached and never exceeded
+    assert skipped_when_full > 0  # a full set is still looked up
+
+
+def test_counters_repeat_exactly():
+    inst = generate_yfjs(YfjsParams(3, 4, 3, 2, 2))
+    first = solve_branch_and_bound(inst, 60)
+    second = solve_branch_and_bound(inst, 60)
+    assert first.status == second.status == "optimal"
+    assert first.duplicates_skipped > 0
+    assert (first.nodes_explored, first.duplicates_skipped) == (second.nodes_explored, second.duplicates_skipped)
+
+
+@pytest.mark.parametrize(
+    "instance, optimum",
+    [
+        (generate_yfjs(YfjsParams(4, 5, 5, 3, 1)), 537),
+        (generate_dafjs(DafjsParams(3, 4, 3)), 212),
+    ],
+    ids=lambda x: getattr(x, "name", x),
+)
+def test_closes_instances_beyond_the_old_reach(instance, optimum):
+    result = solve_branch_and_bound(instance, time_limit=60)
+    assert result.status == "optimal"
+    assert result.lower_bound == result.upper_bound == result.schedule.makespan == optimum
+    assert validate_solution(instance, result.solution, result.schedule).ok
 
 
 def test_timeout_returns_est_incumbent_and_sound_bounds():
@@ -85,7 +128,7 @@ def test_timeout_returns_est_incumbent_and_sound_bounds():
     result = solve_branch_and_bound(inst, time_limit=1e-9)
     assert result.upper_bound == est_sched.makespan
     assert result.lower_bound <= optimum <= result.upper_bound
-    assert result.status in ("bound-pair", "timeout", "optimal")
+    assert result.status in ("bound-pair", "optimal")
     full = solve_branch_and_bound(inst, time_limit=60)
     assert full.status == "optimal"
     assert full.upper_bound == 6

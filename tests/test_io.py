@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,14 @@ class TestInstanceFormat:
             parse_instance(text)
         assert err.value.code == "bad-time"
 
+    @pytest.mark.parametrize("arcs", [5, "0,1", [[True, 0]], [[0, False]]])
+    def test_malformed_arcs_rejected(self, ex1, arcs):
+        document = json.loads(serialize_instance(ex1))
+        document["arcs"] = arcs
+        with pytest.raises(InstanceError) as err:
+            parse_instance(json.dumps(document))
+        assert err.value.code == "bad-format"
+
     def test_fractional_times_cannot_be_serialized(self):
         inst = Instance.from_tables("frac", 1, {0: {1: Fraction(3, 2)}}, [])
         with pytest.raises(InstanceError) as err:
@@ -132,6 +141,13 @@ class TestSolutionFormat:
         bad = Schedule(start=(0, 1, 3), makespan=8, critical_path=())
         with pytest.raises(SolutionError, match="refusing"):
             serialize_solution(ex1, EX1_SOL, bad)
+
+    @pytest.mark.parametrize("field", ["assignment", "starts"])
+    def test_bool_operation_id_rejected(self, ex1, field):
+        document = json.loads(serialize_solution(ex1, EX1_SOL, tight_schedule(ex1, EX1_SOL)))
+        document[field][1][0] = True
+        with pytest.raises(SolutionError, match="fresh integer"):
+            parse_solution(json.dumps(document), ex1)
 
     def test_wrong_instance_name(self, ex1):
         sched = tight_schedule(ex1, EX1_SOL)
