@@ -3,21 +3,23 @@
 Output is deterministic: variables and rows appear in model order, numbers
 are printed as integers whenever possible, and any row with fractional
 coefficients is scaled by the least common denominator first (scaling a row
-by a positive integer does not change the feasible set).  Standalone values
-such as bounds fall back to exact decimals.
+by a positive integer does not change the feasible set).  A row whose
+denominators are all 1, which is every row of a model built from integral
+data, is written as it is, without multiplying.  Standalone values such as
+bounds fall back to exact decimals.  Objective coefficients must be integral.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
+from .core import Rational
 from .milp import BINARY, LinearConstraint, MilpModel
 
 __all__ = ["write_lp", "write_mps"]
 
 
-def _exact_decimal(value: Fraction) -> str:
+def _exact_decimal(value: Rational) -> str:
     """Exact decimal representation; only terminating expansions allowed."""
     if value.denominator == 1:
         return str(value.numerator)
@@ -39,11 +41,21 @@ def _exact_decimal(value: Fraction) -> str:
     return f"{sign}{whole}.{frac}"
 
 
-def _scaled_row(row: LinearConstraint) -> tuple[tuple[tuple[int, str], ...], int]:
-    """Row with integer coefficients: (terms, rhs) after clearing denominators."""
-    scale = lcm(row.rhs.denominator, *(coef.denominator for coef, _ in row.terms))
+def _scaled_row(row: LinearConstraint) -> tuple[tuple[tuple[Rational, str], ...], Rational]:
+    """Row with integral coefficients: (terms, rhs) after clearing denominators."""
+    scale = lcm(row.rhs.denominator, *[coef.denominator for coef, _ in row.terms])
+    if scale == 1:
+        return row.terms, row.rhs
     terms = tuple((int(coef * scale), name) for coef, name in row.terms)
     return terms, int(row.rhs * scale)
+
+
+def _objective(model: MilpModel) -> tuple[tuple[int, str], ...]:
+    """Objective terms as ints; a fractional coefficient is refused, not truncated."""
+    for coef, name in model.objective:
+        if coef.denominator != 1:
+            raise ValueError(f"objective coefficient {coef} of {name} is not integral")
+    return tuple((int(coef), name) for coef, name in model.objective)
 
 
 def _lp_expression(terms: tuple[tuple[int, str], ...]) -> str:
@@ -65,7 +77,7 @@ def _lp_expression(terms: tuple[tuple[int, str], ...]) -> str:
 def write_lp(model: MilpModel) -> str:
     """Render the model in CPLEX LP format."""
     lines = [f"\\ Problem: {model.name}", "Minimize"]
-    lines.append(" obj: " + _lp_expression(tuple((int(c), n) for c, n in model.objective)))
+    lines.append(" obj: " + _lp_expression(_objective(model)))
     lines.append("Subject To")
     for row in model.constraints:
         terms, rhs = _scaled_row(row)
@@ -75,11 +87,11 @@ def write_lp(model: MilpModel) -> str:
     for var in model.variables:
         if var.kind == BINARY:
             continue
-        lower = _exact_decimal(Fraction(var.lower))
+        lower = _exact_decimal(var.lower)
         if var.upper is None:
             lines.append(f" {lower} <= {var.name}")
         else:
-            lines.append(f" {lower} <= {var.name} <= {_exact_decimal(Fraction(var.upper))}")
+            lines.append(f" {lower} <= {var.name} <= {_exact_decimal(var.upper)}")
     lines.append("Binaries")
     for var in model.variables:
         if var.kind == BINARY:
@@ -91,18 +103,19 @@ def write_lp(model: MilpModel) -> str:
 def write_mps(model: MilpModel) -> str:
     """Render the model in MPS format (column-aligned, markers for binaries)."""
     row_kind = {"<=": "L", ">=": "G", "=": "E"}
-    scaled = {row.name: _scaled_row(row) for row in model.constraints}
-
-    by_column: dict[str, list[tuple[str, int]]] = {v.name: [] for v in model.variables}
-    for coef, name in model.objective:
-        by_column[name].append(("obj", int(coef)))
-    for row in model.constraints:
-        for coef, name in scaled[row.name][0]:
-            if coef != 0:
-                by_column[name].append((row.name, coef))
-
     names = [v.name for v in model.variables] + [r.name for r in model.constraints]
     width = max(len(n) for n in names + ["'MARKER'"]) + 2
+    # Every name is padded once here, not once per line that mentions it.
+    scaled = [(row.name.ljust(width), *_scaled_row(row)) for row in model.constraints]
+
+    by_column: dict[str, list[str]] = {v.name: [] for v in model.variables}
+    obj = "obj".ljust(width)
+    for coef, name in _objective(model):
+        by_column[name].append(f"{obj}{coef}")
+    for row_name, terms, _ in scaled:
+        for coef, name in terms:
+            if coef != 0:
+                by_column[name].append(f"{row_name}{coef}")
 
     def entry(col: str, row: str, val: object) -> str:
         return f"    {col:<{width}}{row:<{width}}{val}"
@@ -119,18 +132,26 @@ def write_mps(model: MilpModel) -> str:
         if var.kind != BINARY and in_integer_block:
             lines.append(entry("MARKER2", "'MARKER'", "'INTEND'"))
             in_integer_block = False
-        for row_name, coef in by_column[var.name]:
-            lines.append(entry(var.name, row_name, coef))
+        column = f"    {var.name:<{width}}"
+        lines.extend(column + cell for cell in by_column[var.name])
     if in_integer_block:
         lines.append(entry("MARKER2", "'MARKER'", "'INTEND'"))
     lines.append("RHS")
-    for row in model.constraints:
-        rhs = scaled[row.name][1]
+    rhs_column = f"    {'RHS':<{width}}"
+    for row_name, _, rhs in scaled:
         if rhs != 0:
-            lines.append(entry("RHS", row.name, rhs))
+            lines.append(f"{rhs_column}{row_name}{rhs}")
     lines.append("BOUNDS")
+    bound_name = f"{'BND':<{width}}"
     for var in model.variables:
         if var.kind == BINARY:
-            lines.append(f" BV {'BND':<{width}}{var.name}")
+            lines.append(f" BV {bound_name}{var.name}")
+            continue
+        # MPS defaults a column to [0, +inf); a negative upper bound alone
+        # would make some readers drop the lower bound, so LO is then explicit.
+        if var.lower != 0 or (var.upper is not None and var.upper < 0):
+            lines.append(f" LO {bound_name}{var.name:<{width}}{_exact_decimal(var.lower)}")
+        if var.upper is not None:
+            lines.append(f" UP {bound_name}{var.name:<{width}}{_exact_decimal(var.upper)}")
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"

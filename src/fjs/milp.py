@@ -8,7 +8,8 @@ and machine, and zeroes out the timing variables of unchosen machines.  Both
 minimise a single makespan variable ``z``.
 
 Feasible solutions translate to feasible model points and back; the codecs
-here implement both directions exactly (rational arithmetic throughout).
+here implement both directions exactly (exact arithmetic: ``int``
+coefficients for integral data, ``Fraction`` only where needed).
 ``check_feasible`` evaluates a point against a model with tolerance 0 by
 default, which also serves the LP-relaxation checks: it never enforces
 integrality, so a fractional point can be certified against the relaxed
@@ -82,9 +83,9 @@ class Variable:
 @dataclass(frozen=True)
 class LinearConstraint:
     name: str
-    terms: tuple[tuple[Fraction, str], ...]
+    terms: tuple[tuple[Rational, str], ...]
     relation: str  # "<=", "=", ">="
-    rhs: Fraction
+    rhs: Rational
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ class ModelStats:
 class MilpModel:
     name: str
     variables: tuple[Variable, ...]
-    objective: tuple[tuple[Fraction, str], ...]
+    objective: tuple[tuple[Rational, str], ...]
     constraints: tuple[LinearConstraint, ...]
     stats: ModelStats
 
@@ -118,10 +119,6 @@ class ModelPoint:
 
     def __getitem__(self, name: str) -> Rational:
         return self.values[name]
-
-
-def _frac(x: Rational) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _sizes(instance: Instance):
@@ -149,7 +146,6 @@ def build_compact_model(instance: Instance, L: Rational) -> MilpModel:
     """
     _check_horizon(L)
     pairs, phi, phi_hat, _ = _sizes(instance)
-    Lf = _frac(L)
 
     variables = [Variable("z", CONTINUOUS)]
     variables += [Variable(f"s_{v}", CONTINUOUS) for v in instance.ops]
@@ -158,35 +154,31 @@ def build_compact_model(instance: Instance, L: Rational) -> MilpModel:
     ]
     variables += [Variable(f"y_{v}_{w}", BINARY, 0, 1) for v, w in pairs.pairs]
 
-    def ptime_terms(v: int) -> list[tuple[Fraction, str]]:
-        return [(_frac(instance.ptime(v, k)), f"x_{v}_{k}") for k in instance.eligible[v]]
+    # Built once per operation and shared by every row that charges its time.
+    ptime_terms = [[(instance.ptime(v, k), f"x_{v}_{k}") for k in instance.eligible[v]] for v in instance.ops]
 
     rows: list[LinearConstraint] = []
     for v in instance.ops:
-        terms = [(Fraction(1), f"s_{v}")] + ptime_terms(v) + [(Fraction(-1), "z")]
-        rows.append(LinearConstraint(f"cmax_{v}", tuple(terms), "<=", Fraction(0)))
+        terms = [(1, f"s_{v}")] + ptime_terms[v] + [(-1, "z")]
+        rows.append(LinearConstraint(f"cmax_{v}", tuple(terms), "<=", 0))
     for v in instance.ops:
-        terms = [(Fraction(1), f"x_{v}_{k}") for k in instance.eligible[v]]
-        rows.append(LinearConstraint(f"assign_{v}", tuple(terms), "=", Fraction(1)))
+        terms = [(1, f"x_{v}_{k}") for k in instance.eligible[v]]
+        rows.append(LinearConstraint(f"assign_{v}", tuple(terms), "=", 1))
     for k in range(1, instance.machines + 1):
         for v, w in pairs.by_machine[k]:
             terms = (
-                (Fraction(1), f"y_{v}_{w}"),
-                (Fraction(1), f"y_{w}_{v}"),
-                (Fraction(-1), f"x_{v}_{k}"),
-                (Fraction(-1), f"x_{w}_{k}"),
+                (1, f"y_{v}_{w}"),
+                (1, f"y_{w}_{v}"),
+                (-1, f"x_{v}_{k}"),
+                (-1, f"x_{w}_{k}"),
             )
-            rows.append(LinearConstraint(f"sel_{k}_{v}_{w}", terms, ">=", Fraction(-1)))
+            rows.append(LinearConstraint(f"sel_{k}_{v}_{w}", terms, ">=", -1))
     for u, v in instance.arcs:
-        terms = [(Fraction(1), f"s_{u}")] + ptime_terms(u) + [(Fraction(-1), f"s_{v}")]
-        rows.append(LinearConstraint(f"pprec_{u}_{v}", tuple(terms), "<=", Fraction(0)))
+        terms = [(1, f"s_{u}")] + ptime_terms[u] + [(-1, f"s_{v}")]
+        rows.append(LinearConstraint(f"pprec_{u}_{v}", tuple(terms), "<=", 0))
     for v, w in pairs.pairs:
-        terms = (
-            [(Fraction(1), f"s_{v}")]
-            + ptime_terms(v)
-            + [(Lf, f"y_{v}_{w}"), (Fraction(-1), f"s_{w}")]
-        )
-        rows.append(LinearConstraint(f"disj_{v}_{w}", tuple(terms), "<=", Lf))
+        terms = [(1, f"s_{v}")] + ptime_terms[v] + [(L, f"y_{v}_{w}"), (-1, f"s_{w}")]
+        rows.append(LinearConstraint(f"disj_{v}_{w}", tuple(terms), "<=", L))
 
     n_binary = phi + len(pairs.pairs)
     stats = ModelStats(
@@ -201,7 +193,7 @@ def build_compact_model(instance: Instance, L: Rational) -> MilpModel:
     return MilpModel(
         name=f"{instance.name}-compact",
         variables=tuple(variables),
-        objective=((Fraction(1), "z"),),
+        objective=((1, "z"),),
         constraints=tuple(rows),
         stats=stats,
     )
@@ -218,7 +210,6 @@ def build_machine_indexed_model(instance: Instance, L: Rational) -> MilpModel:
     """
     _check_horizon(L)
     pairs, phi, phi_hat, terminal = _sizes(instance)
-    Lf = _frac(L)
 
     variables = [Variable("z", CONTINUOUS)]
     variables += [Variable(f"s_{v}_{k}", CONTINUOUS) for v in instance.ops for k in instance.eligible[v]]
@@ -230,44 +221,44 @@ def build_machine_indexed_model(instance: Instance, L: Rational) -> MilpModel:
     rows: list[LinearConstraint] = []
     for v in terminal:
         for k in instance.eligible[v]:
-            terms = ((Fraction(1), f"t_{v}_{k}"), (Fraction(-1), "z"))
-            rows.append(LinearConstraint(f"cmax_{v}_{k}", terms, "<=", Fraction(0)))
+            terms = ((1, f"t_{v}_{k}"), (-1, "z"))
+            rows.append(LinearConstraint(f"cmax_{v}_{k}", terms, "<=", 0))
     for v in instance.ops:
-        terms = [(Fraction(1), f"x_{v}_{k}") for k in instance.eligible[v]]
-        rows.append(LinearConstraint(f"assign_{v}", tuple(terms), "=", Fraction(1)))
+        terms = [(1, f"x_{v}_{k}") for k in instance.eligible[v]]
+        rows.append(LinearConstraint(f"assign_{v}", tuple(terms), "=", 1))
     for v in instance.ops:
         for k in instance.eligible[v]:
             terms = (
-                (Fraction(1), f"s_{v}_{k}"),
-                (Fraction(1), f"t_{v}_{k}"),
-                (-2 * Lf, f"x_{v}_{k}"),
+                (1, f"s_{v}_{k}"),
+                (1, f"t_{v}_{k}"),
+                (-2 * L, f"x_{v}_{k}"),
             )
-            rows.append(LinearConstraint(f"link_{v}_{k}", terms, "<=", Fraction(0)))
+            rows.append(LinearConstraint(f"link_{v}_{k}", terms, "<=", 0))
     for k in range(1, instance.machines + 1):
         for v, w in pairs.by_machine[k]:
-            terms = ((Fraction(1), f"y_{v}_{w}_{k}"), (Fraction(1), f"y_{w}_{v}_{k}"))
-            rows.append(LinearConstraint(f"sel_{k}_{v}_{w}", terms, "=", Fraction(1)))
+            terms = ((1, f"y_{v}_{w}_{k}"), (1, f"y_{w}_{v}_{k}"))
+            rows.append(LinearConstraint(f"sel_{k}_{v}_{w}", terms, "=", 1))
     for v in instance.ops:
         for k in instance.eligible[v]:
             terms = (
-                (Fraction(1), f"s_{v}_{k}"),
-                (Fraction(-1), f"t_{v}_{k}"),
-                (Lf, f"x_{v}_{k}"),
+                (1, f"s_{v}_{k}"),
+                (-1, f"t_{v}_{k}"),
+                (L, f"x_{v}_{k}"),
             )
-            rhs = Lf - _frac(instance.ptime(v, k))
+            rhs = L - instance.ptime(v, k)
             rows.append(LinearConstraint(f"comp_{v}_{k}", terms, "<=", rhs))
     for k in range(1, instance.machines + 1):
         for v, w in pairs.by_machine[k]:
             terms = (
-                (Fraction(1), f"t_{v}_{k}"),
-                (Fraction(-1), f"s_{w}_{k}"),
-                (Lf, f"y_{v}_{w}_{k}"),
+                (1, f"t_{v}_{k}"),
+                (-1, f"s_{w}_{k}"),
+                (L, f"y_{v}_{w}_{k}"),
             )
-            rows.append(LinearConstraint(f"disj_{k}_{v}_{w}", terms, "<=", Lf))
+            rows.append(LinearConstraint(f"disj_{k}_{v}_{w}", terms, "<=", L))
     for u, v in instance.arcs:
-        terms = [(Fraction(1), f"t_{u}_{k}") for k in instance.eligible[u]]
-        terms += [(Fraction(-1), f"s_{v}_{k}") for k in instance.eligible[v]]
-        rows.append(LinearConstraint(f"pprec_{u}_{v}", tuple(terms), "<=", Fraction(0)))
+        terms = [(1, f"t_{u}_{k}") for k in instance.eligible[u]]
+        terms += [(-1, f"s_{v}_{k}") for k in instance.eligible[v]]
+        rows.append(LinearConstraint(f"pprec_{u}_{v}", tuple(terms), "<=", 0))
 
     stats = ModelStats(
         n_constraints=len(rows),
@@ -281,7 +272,7 @@ def build_machine_indexed_model(instance: Instance, L: Rational) -> MilpModel:
     return MilpModel(
         name=f"{instance.name}-machine-indexed",
         variables=tuple(variables),
-        objective=((Fraction(1), "z"),),
+        objective=((1, "z"),),
         constraints=tuple(rows),
         stats=stats,
     )
@@ -524,7 +515,7 @@ def machine_indexed_gap_witness(instance: Instance, L: Rational) -> ModelPoint:
         for k in instance.eligible[v]:
             if 2 * instance.ptime(v, k) > L:
                 raise WitnessError(
-                    f"processing time p({v},{k}) = {instance.ptime(v, k)} exceeds L/2 = {_frac(L) / 2}"
+                    f"processing time p({v},{k}) = {instance.ptime(v, k)} exceeds L/2 = {Fraction(L) / 2}"
                 )
     values: dict[str, Rational] = {"z": 0}
     for v in instance.ops:

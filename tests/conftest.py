@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from fjs.core import Instance, MachineAssignment, Selection, SolutionPair
+from fjs.generate import DafjsParams, YfjsParams, generate_dafjs, generate_yfjs
+from fjs.milp import MilpModel
 from fjs.rng import Xoshiro256StarStar
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -85,3 +89,31 @@ def random_admissible_solution(instance: Instance, seed: int) -> SolutionPair:
             for w in ops_k[i + 1:]:
                 pairs.add((v, w))
     return SolutionPair(MachineAssignment(machine), Selection(frozenset(pairs)))
+
+
+def integral_instances() -> list[Instance]:
+    """EX1 plus one small generated instance of each family."""
+    return [
+        make_ex1(),
+        generate_yfjs(YfjsParams(3, 4, 3, 2, 2)),
+        generate_dafjs(DafjsParams(2, 4, 1)),
+    ]
+
+
+def with_fraction_rows(model: MilpModel, divisor: int = 1) -> MilpModel:
+    """The same model with every row coefficient and right-hand side a Fraction.
+
+    Each row is divided by ``divisor``, which leaves its feasible set alone.
+    Every row the builders make has a coefficient of +-1, so a divisor above
+    1 gives every row a denominator to clear.
+    """
+    rows = tuple(
+        replace(
+            row,
+            terms=tuple((Fraction(coef) / divisor, name) for coef, name in row.terms),
+            rhs=Fraction(row.rhs) / divisor,
+        )
+        for row in model.constraints
+    )
+    objective = tuple((Fraction(coef), name) for coef, name in model.objective)
+    return replace(model, constraints=rows, objective=objective)

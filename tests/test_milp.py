@@ -12,6 +12,7 @@ import pytest
 
 from fjs.core import Instance, MachineAssignment, Selection, SolutionPair, tight_schedule
 from fjs.exact import brute_force
+from fjs.heuristic import earliest_start_heuristic
 from fjs.milp import (
     ModelPoint,
     PointError,
@@ -28,7 +29,13 @@ from fjs.milp import (
     makespan_lower_bound,
 )
 
-from conftest import make_ex1, random_admissible_solution, small_random_instance
+from conftest import (
+    integral_instances,
+    make_ex1,
+    random_admissible_solution,
+    small_random_instance,
+    with_fraction_rows,
+)
 
 EX1_SOL = SolutionPair(MachineAssignment((1, 1, 2)), Selection(frozenset({(0, 1)})))
 
@@ -280,6 +287,44 @@ class TestCheckFeasible:
         values["s_0"] = -1
         report = check_feasible(model, ModelPoint(values))
         assert any(i.kind == "bound" for i in report.issues)
+
+
+MODELS = [
+    (build_compact_model, encode_compact),
+    (build_machine_indexed_model, encode_machine_indexed),
+]
+
+
+def all_coefficients(model):
+    for coef, _ in model.objective:
+        yield coef
+    for row in model.constraints:
+        yield row.rhs
+        for coef, _ in row.terms:
+            yield coef
+
+
+class TestIntegerCoefficients:
+    @pytest.mark.parametrize("instance", integral_instances(), ids=lambda inst: inst.name)
+    @pytest.mark.parametrize("build, encode", MODELS, ids=["compact", "machine-indexed"])
+    def test_integral_data_give_int_coefficients_and_same_checks(self, instance, build, encode):
+        sol, sched = earliest_start_heuristic(instance)
+        model = build(instance, default_horizon(instance, sched.makespan))
+        assert all(type(c) is int for c in all_coefficients(model))
+        as_fraction = with_fraction_rows(model)
+        assert all(type(c) is Fraction for c in all_coefficients(as_fraction))
+        point = encode(instance, sol)
+        lowered = ModelPoint({**point.values, "z": sched.makespan - 1})
+        assert check_feasible(model, point).ok
+        assert not check_feasible(model, lowered).ok
+        for p in (point, lowered):
+            assert check_feasible(model, p).issues == check_feasible(as_fraction, p).issues
+
+    @pytest.mark.parametrize("build", [build_compact_model, build_machine_indexed_model])
+    def test_fractional_data_keep_fractions(self, ex1, build):
+        assert any(type(c) is Fraction for c in all_coefficients(build(ex1, Fraction(19, 2))))
+        frac = Instance.from_tables("frac", 1, {0: {1: Fraction(3, 2)}, 1: {1: 2}}, [(0, 1)])
+        assert any(type(c) is Fraction for c in all_coefficients(build(frac, 8)))
 
 
 class TestGapWitness:
