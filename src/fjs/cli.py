@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .core import FjsError, Instance, validate_solution
+from .core import FjsError, Instance, Rational, validate_solution
 from .emit import write_lp, write_mps
 from .exact import STATUS_OPTIMAL, solve_branch_and_bound
 from .generate import DafjsParams, YfjsParams, generate_dafjs, generate_yfjs
@@ -237,6 +237,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         instance = parse_instance(path.read_text(encoding="utf-8"))
         instances[instance.name] = instance
     rows = []
+    est_makespan: dict[str, Rational] = {}
     for path in sorted(directory.glob("*.sol.json")):
         document = json.loads(path.read_text(encoding="utf-8"))
         name = document.get("instance")
@@ -244,7 +245,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
             return _fail(f"{path.name}: no instance file named {name!r} in {directory}", 2)
         instance = instances[name]
         sol, sched, meta = parse_solution(path.read_text(encoding="utf-8"), instance)
-        _, est_sched = earliest_start_heuristic(instance)
+        if name not in est_makespan:
+            est_makespan[name] = earliest_start_heuristic(instance)[1].makespan
         n_jobs, ops_min, ops_max, machines = instance_size(instance)
         rows.append(
             ReportRow(
@@ -253,7 +255,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 ops_min=ops_min,
                 ops_max=ops_max,
                 machines=machines,
-                est_makespan=est_sched.makespan,
+                est_makespan=est_makespan[name],
                 method=str(meta.get("method", "?")),
                 status=str(meta.get("status", "?")),
                 lower_bound=_report_bound(meta, "lower_bound", sched.makespan),

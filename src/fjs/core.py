@@ -4,9 +4,9 @@ An instance is a set of operations, a precedence DAG over them, a pool of
 machines, and for each operation the set of machines that can process it
 together with exact rational processing times.  A solution fixes one machine
 per operation (assignment) and an orientation of every pair of operations
-that share a machine (selection); the tight schedule then starts every
-operation at its longest incoming path length, which is the minimum-makespan
-schedule for that assignment and selection.
+that share a machine (selection, stored as one sequence per machine); the
+tight schedule starts every operation at its longest incoming path length,
+which is the minimum-makespan schedule for that assignment and selection.
 
 Operation ids are dense integers ``0 .. n_ops-1``; machines are numbered
 ``1 .. machines``.  Processing times are ``int`` or ``fractions.Fraction``
@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from collections.abc import Set
 from typing import Iterable, Mapping, Sequence
 
 Rational = int | Fraction
@@ -39,7 +40,6 @@ __all__ = [
     "check_time",
     "certified_critical_path",
     "disjunctive_pairs",
-    "same_machine_pairs",
     "is_admissible",
     "topological_order",
     "tight_schedule",
@@ -61,7 +61,7 @@ class InstanceError(FjsError):
 
 
 class SelectionError(FjsError):
-    """Malformed selection: a shared-machine pair is unoriented or doubly oriented."""
+    """Malformed selection: the sequences are not a permutation of each machine's operations."""
 
 
 class InadmissibleError(FjsError):
@@ -229,11 +229,47 @@ class MachineAssignment:
         return instance.ptime(v, self.machine[v])
 
 
+class _PairView(Set):
+    """The ordered same-machine pairs of a selection, as a read-only set built on use."""
+
+    _from_iterable = frozenset  # results of set operations
+
+    def __init__(self, sequences: tuple[tuple[int, ...], ...]):
+        self._sequences = sequences
+
+    def __len__(self) -> int:
+        return sum(len(seq) * (len(seq) - 1) // 2 for seq in self._sequences)
+
+    def __iter__(self):
+        return ((v, w) for seq in self._sequences for i, v in enumerate(seq) for w in seq[i + 1:])
+
+    def __contains__(self, pair: object) -> bool:
+        return pair in frozenset(self)
+
+
 @dataclass(frozen=True)
 class Selection:
-    """An orientation of the shared-machine pairs, as a set of ordered pairs."""
+    """The processing order on each machine, in linear space.
 
-    pairs: frozenset[tuple[int, int]]
+    ``sequences[k - 1]`` lists every operation assigned to machine ``k`` in
+    processing order; ``v`` precedes ``w`` iff it comes first on their
+    machine.  Sequences are stored as tuples, so two selections that order
+    the same pairs under the same assignment compare equal.
+    """
+
+    sequences: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sequences", tuple(tuple(seq) for seq in self.sequences))
+
+    @property
+    def pairs(self) -> Set[tuple[int, int]]:
+        """Every ordered same-machine pair ``(v, w)`` with ``v`` first; only ``len`` is cheap."""
+        return _PairView(self.sequences)
+
+    def positions(self) -> dict[int, tuple[int, int]]:
+        """``(machine, index)`` of each operation listed in the sequences."""
+        return {v: (k, i) for k, seq in enumerate(self.sequences, 1) for i, v in enumerate(seq)}
 
 
 @dataclass(frozen=True)
@@ -282,25 +318,31 @@ class ValidationReport:
         return "; ".join(f"{i.kind}: {i.message}" for i in self.issues)
 
 
-def _find_cycle(n: int, preds: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Return a directed cycle as a node tuple, or () if the graph is acyclic."""
+def _kahn(n: int, preds: Sequence[Sequence[int]]) -> list[int]:
+    """Kahn topological order with a min-id frontier; incomplete iff there is a cycle."""
     indeg = [len(p) for p in preds]
     succs: list[list[int]] = [[] for _ in range(n)]
     for w in range(n):
         for u in preds[w]:
             succs[u].append(w)
-    stack = [v for v in range(n) if indeg[v] == 0]
-    seen = 0
-    while stack:
-        v = stack.pop()
-        seen += 1
+    frontier = [v for v in range(n) if indeg[v] == 0]  # ascending, hence a heap
+    order = []
+    while frontier:
+        v = heapq.heappop(frontier)
+        order.append(v)
         for w in succs[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                stack.append(w)
-    if seen == n:
+                heapq.heappush(frontier, w)
+    return order
+
+
+def _find_cycle(n: int, preds: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Return a directed cycle as a node tuple, or () if the graph is acyclic."""
+    order = _kahn(n, preds)
+    if len(order) == n:
         return ()
-    remaining = {v for v in range(n) if indeg[v] > 0}
+    remaining = set(range(n)).difference(order)
     v = min(remaining)
     trail, pos = [], {}
     while v not in pos:
@@ -318,42 +360,36 @@ def _check_assignment(instance: Instance, assignment: MachineAssignment) -> None
             raise SelectionError(f"operation {v} assigned to ineligible machine {k}")
 
 
-def same_machine_pairs(instance: Instance, assignment: MachineAssignment) -> tuple[tuple[int, int], ...]:
-    """Ordered pairs of distinct operations placed on the same machine."""
-    f = assignment.machine
-    by_machine: dict[int, list[int]] = {}
-    for v in instance.ops:
-        by_machine.setdefault(f[v], []).append(v)
-    pairs = []
-    for ops_k in by_machine.values():
-        pairs.extend((v, w) for v in ops_k for w in ops_k if v != w)
-    return tuple(sorted(pairs))
-
-
 def _check_selection(instance: Instance, sol: SolutionPair) -> None:
-    """Raise SelectionError unless the selection orients each shared pair exactly once."""
+    """Raise SelectionError unless each machine's sequence lists exactly its operations once."""
     _check_assignment(instance, sol.assignment)
-    shared = same_machine_pairs(instance, sol.assignment)
-    shared_set = set(shared)
-    for v, w in sol.selection.pairs:
-        if (v, w) not in shared_set:
-            raise SelectionError(f"pair ({v}, {w}) is not on a shared machine for this assignment")
-    for v, w in shared:
-        if v < w:
-            fwd = (v, w) in sol.selection.pairs
-            bwd = (w, v) in sol.selection.pairs
-            if fwd and bwd:
-                raise SelectionError(f"pair {{{v}, {w}}} oriented in both directions")
-            if not fwd and not bwd:
-                raise SelectionError(f"pair {{{v}, {w}}} shares a machine but is not oriented")
+    f = sol.assignment.machine
+    sequences = sol.selection.sequences
+    if len(sequences) != instance.machines:
+        raise SelectionError(f"selection has {len(sequences)} sequences for {instance.machines} machines")
+    seen = [False] * instance.n_ops
+    for k, seq in enumerate(sequences, 1):
+        for v in seq:
+            if not (isinstance(v, int) and 0 <= v < instance.n_ops and f[v] == k):
+                raise SelectionError(f"operation {v!r} is sequenced on machine {k} but not assigned to it")
+            if seen[v]:
+                raise SelectionError(f"operation {v} appears twice in the sequence of machine {k}")
+            seen[v] = True
+    for v in instance.ops:
+        if not seen[v]:
+            raise SelectionError(f"operation {v} is missing from the sequence of machine {f[v]}")
 
 
 def _combined_preds(instance: Instance, selection: Selection) -> list[list[int]]:
+    """Precedence predecessors plus the operation just before each one on its machine.
+
+    These arcs reach what the full orientation reaches, and with positive
+    times no other same-machine pair is ever tight.
+    """
     preds = [list(instance.predecessors(v)) for v in instance.ops]
-    arc_set = set(instance.arcs)
-    for v, w in selection.pairs:
-        if (v, w) not in arc_set:
-            preds[w].append(v)
+    for seq in selection.sequences:
+        for a, b in zip(seq, seq[1:]):
+            preds[b].append(a)
     return preds
 
 
@@ -370,24 +406,9 @@ def is_admissible(instance: Instance, sol: SolutionPair) -> bool:
 
 def topological_order(n: int, preds: Sequence[Sequence[int]]) -> list[int]:
     """Kahn topological order with a min-id frontier; raises on cycles."""
-    indeg = [len(p) for p in preds]
-    succs: list[list[int]] = [[] for _ in range(n)]
-    for w in range(n):
-        for u in preds[w]:
-            succs[u].append(w)
-    frontier = [v for v in range(n) if indeg[v] == 0]
-    heapq.heapify(frontier)
-    order = []
-    while frontier:
-        v = heapq.heappop(frontier)
-        order.append(v)
-        for w in succs[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(frontier, w)
+    order = _kahn(n, preds)
     if len(order) != n:
-        cycle = _find_cycle(n, preds)
-        raise InadmissibleError(cycle)
+        raise InadmissibleError(_find_cycle(n, preds))
     return order
 
 
@@ -401,25 +422,14 @@ def tight_schedule(instance: Instance, sol: SolutionPair) -> Schedule:
     """
     _check_selection(instance, sol)
     preds = _combined_preds(instance, sol.selection)
-    order = topological_order(instance.n_ops, preds)
     f = sol.assignment.machine
-    p = [instance.ptime(v, f[v]) for v in instance.ops]
     start: list[Rational] = [0] * instance.n_ops
-    for v in order:
-        if preds[v]:
-            start[v] = max(start[u] + p[u] for u in preds[v])
-    if instance.n_ops == 0:
-        return Schedule(start=(), makespan=0, critical_path=())
-    makespan = max(start[v] + p[v] for v in instance.ops)
-    tail = min(v for v in instance.ops if start[v] + p[v] == makespan)
-    path = [tail]
-    while True:
-        v = path[-1]
-        tight_preds = [u for u in preds[v] if start[u] + p[u] == start[v]]
-        if not tight_preds:
-            break
-        path.append(min(tight_preds))
-    return Schedule(start=tuple(start), makespan=makespan, critical_path=tuple(reversed(path)))
+    finish: list[Rational] = [0] * instance.n_ops
+    for v in topological_order(instance.n_ops, preds):
+        start[v] = max([finish[u] for u in preds[v]], default=0)
+        finish[v] = start[v] + instance.ptime(v, f[v])
+    path = certified_critical_path(instance, sol, start)
+    return Schedule(start=tuple(start), makespan=max(finish, default=0), critical_path=path)
 
 
 def certified_critical_path(
@@ -436,20 +446,14 @@ def certified_critical_path(
     if instance.n_ops == 0:
         return ()
     f = sol.assignment.machine
-    p = [instance.ptime(v, f[v]) for v in instance.ops]
     preds = _combined_preds(instance, sol.selection)
-    makespan = max(start[v] + p[v] for v in instance.ops)
-    tail = min(v for v in instance.ops if start[v] + p[v] == makespan)
-    path = [tail]
-    while True:
-        v = path[-1]
-        tight = [u for u in preds[v] if start[u] + p[u] == start[v]]
-        if not tight:
-            break
-        path.append(min(tight))
-    if start[path[-1]] != 0:
-        return ()
-    return tuple(reversed(path))
+    finish = [start[v] + instance.ptime(v, f[v]) for v in instance.ops]
+    path, tight = [], [finish.index(max(finish))]
+    while tight:
+        v = min(tight)
+        path.append(v)
+        tight = [u for u in preds[v] if finish[u] == start[v]]
+    return tuple(reversed(path)) if start[v] == 0 else ()
 
 
 def weakly_connected_components(instance: Instance) -> tuple[tuple[int, ...], ...]:
@@ -503,8 +507,10 @@ def validate_solution(instance: Instance, sol: SolutionPair, sched: Schedule) ->
         issues.append(ValidationIssue("selection", str(exc)))
     else:
         preds = _combined_preds(instance, sol.selection)
-        cycle = _find_cycle(instance.n_ops, preds)
-        if cycle:
+        if _find_cycle(instance.n_ops, preds):
+            for v, w in sol.selection.pairs:  # name the cycle the full orientation gives
+                preds[w].append(v)
+            cycle = _find_cycle(instance.n_ops, preds)
             issues.append(
                 ValidationIssue("admissibility", f"cycle {'->'.join(map(str, cycle))}", cycle)
             )
@@ -545,8 +551,14 @@ def validate_solution(instance: Instance, sol: SolutionPair, sched: Schedule) ->
         issues.append(ValidationIssue("makespan", "empty instance must have makespan 0"))
     if sched.critical_path:
         path = sched.critical_path
-        edges = set(instance.arcs) | sol.selection.pairs
-        if any((a, b) not in edges for a, b in zip(path, path[1:])):
+        arcs = set(instance.arcs)
+        pos = sol.selection.positions()
+
+        def is_edge(a: int, b: int) -> bool:
+            pa, pb = pos.get(a), pos.get(b)
+            return (a, b) in arcs or bool(pa and pb and pa[0] == pb[0] and pa < pb)
+
+        if not all(is_edge(a, b) for a, b in zip(path, path[1:])):
             issues.append(ValidationIssue("critical-path", "not a path of the combined graph", path))
         elif sum(p[v] for v in path) != sched.makespan:
             issues.append(

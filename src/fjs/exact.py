@@ -32,6 +32,7 @@ from .core import (
     SolutionPair,
     tight_schedule,
     topological_order,
+    _kahn,
 )
 from .heuristic import earliest_start_heuristic
 
@@ -69,15 +70,6 @@ class SolveResult:
     duplicates_skipped: int = 0
 
 
-def _selection_from_sequences(sequences: dict[int, tuple[int, ...]]) -> Selection:
-    pairs = set()
-    for seq in sequences.values():
-        for i, v in enumerate(seq):
-            for w in seq[i + 1:]:
-                pairs.add((v, w))
-    return Selection(frozenset(pairs))
-
-
 def brute_force(instance: Instance, max_ops: int = 9, max_assignments: int = 100_000) -> SolveResult:
     """Exhaustive optimum by enumerating assignments and per-machine orders.
 
@@ -96,7 +88,7 @@ def brute_force(instance: Instance, max_ops: int = 9, max_assignments: int = 100
         raise CapError(f"{n_assignments} assignments exceed the cap of {max_assignments}")
 
     if n == 0:
-        sol = SolutionPair(MachineAssignment(()), Selection(frozenset()))
+        sol = SolutionPair(MachineAssignment(()), Selection(((),) * instance.machines))
         sched = Schedule((), 0, ())
         return SolveResult(sol, sched, 0, 0, STATUS_OPTIMAL, 1, time.monotonic() - t0)
 
@@ -106,45 +98,26 @@ def brute_force(instance: Instance, max_ops: int = 9, max_assignments: int = 100
     examined = 0
     for assignment in itertools.product(*instance.eligible):
         p = [instance.ptime(v, assignment[v]) for v in range(n)]
-        groups: dict[int, list[int]] = {}
+        groups: list[list[int]] = [[] for _ in range(instance.machines)]
         for v in range(n):
-            groups.setdefault(assignment[v], []).append(v)
-        machines = sorted(groups)
-        for perms in itertools.product(*(itertools.permutations(groups[k]) for k in machines)):
+            groups[assignment[v] - 1].append(v)
+        for sequences in itertools.product(*map(itertools.permutations, groups)):
             examined += 1
             preds = [list(ps) for ps in base_preds]
-            for seq in perms:
+            for seq in sequences:
                 for a, b in zip(seq, seq[1:]):
                     preds[b].append(a)
-            indeg = [len(ps) for ps in preds]
-            succs: list[list[int]] = [[] for _ in range(n)]
-            for w in range(n):
-                for u in preds[w]:
-                    succs[u].append(w)
-            stack = [v for v in range(n) if indeg[v] == 0]
-            start = [0] * n
-            seen = 0
-            mks = 0
-            while stack:
-                v = stack.pop()
-                seen += 1
-                c = start[v] + p[v]
-                if c > mks:
-                    mks = c
-                for w in succs[v]:
-                    if c > start[w]:
-                        start[w] = c
-                    indeg[w] -= 1
-                    if indeg[w] == 0:
-                        stack.append(w)
-            if seen != n:
-                continue
+            order = _kahn(n, preds)
+            if len(order) < n:
+                continue  # the sequences close a cycle with the arcs
+            finish = [0] * n
+            for v in order:
+                finish[v] = max([finish[u] for u in preds[v]], default=0) + p[v]
+            mks = max(finish)
             if best_mks is None or mks < best_mks:
                 best_mks = mks
-                best = (assignment, dict(zip(machines, perms)))
-    assignment, sequences = best
-    sol = SolutionPair(MachineAssignment(tuple(assignment)), _selection_from_sequences(sequences))
-    sched = tight_schedule(instance, sol)
+                best = SolutionPair(MachineAssignment(assignment), Selection(sequences))
+    sol, sched = best, tight_schedule(instance, best)
     return SolveResult(sol, sched, best_mks, best_mks, STATUS_OPTIMAL, examined, time.monotonic() - t0)
 
 
@@ -155,7 +128,6 @@ class BnbNode:
     lower_bound: Rational
     n_scheduled: int
     scheduled_mask: int
-    machine_of: tuple[int, ...]
     completion: tuple[Rational, ...]
     ready_time: tuple[Rational, ...]
     pending: tuple[int, ...]
@@ -254,13 +226,11 @@ class _Search:
                     ready[w] = ect
             avail = list(node.machine_avail)
             avail[k - 1] = ect
-            machine_of = list(node.machine_of)
-            machine_of[v] = k
             partial = node.partial_makespan if node.partial_makespan > ect else ect
             if node.n_scheduled + 1 == self.n:
                 if partial < self.best_value:
                     self.best_value = partial
-                    self.best_leaf = (tuple(machine_of), machine_seq)
+                    self.best_leaf = machine_seq
                     cutoff = partial
                 continue
             lb = self.lower_bound(completion, ready, mask, avail, partial)
@@ -273,7 +243,6 @@ class _Search:
                     lower_bound=lb,
                     n_scheduled=node.n_scheduled + 1,
                     scheduled_mask=mask,
-                    machine_of=tuple(machine_of),
                     completion=tuple(completion),
                     ready_time=tuple(ready),
                     pending=tuple(pending),
@@ -323,7 +292,6 @@ def solve_branch_and_bound(instance: Instance, time_limit: float = 3600.0) -> So
         lower_bound=0,
         n_scheduled=0,
         scheduled_mask=0,
-        machine_of=(0,) * n,
         completion=(0,) * n,
         ready_time=(0,) * n,
         pending=tuple(len(instance.predecessors(v)) for v in range(n)),
@@ -351,8 +319,10 @@ def solve_branch_and_bound(instance: Instance, time_limit: float = 3600.0) -> So
     if search.best_leaf is None:
         sol, sched = est_sol, est_sched
     else:
-        machine_of, seqs = search.best_leaf
-        sequences = {k + 1: seqs[k] for k in range(instance.machines)}
-        sol = SolutionPair(MachineAssignment(machine_of), _selection_from_sequences(sequences))
+        machine = [0] * n
+        for k, seq in enumerate(search.best_leaf, 1):
+            for v in seq:
+                machine[v] = k
+        sol = SolutionPair(MachineAssignment(tuple(machine)), Selection(search.best_leaf))
         sched = tight_schedule(instance, sol)
     return SolveResult(sol, sched, lower, upper, status, search.nodes, elapsed, search.duplicates)

@@ -4,8 +4,8 @@ Operations are appended one at a time: among the ready operations (all
 predecessors already placed) and their eligible machines, pick the pair that
 can start earliest.  Ties are broken by the largest mean-processing-time path
 weight hanging off the operation, then by lowest operation id, then lowest
-machine id.  The per-machine insertion order doubles as the selection, which
-is admissible by construction; the final schedule is tight.
+machine id.  The per-machine insertion order is the selection, which is
+admissible by construction; the final schedule is tight.
 """
 
 from __future__ import annotations
@@ -52,11 +52,13 @@ def earliest_start_heuristic(instance: Instance) -> tuple[SolutionPair, Schedule
     Deterministic for a given instance; runs in O(|V||A| + |V|^2 * m).
     """
     n = instance.n_ops
-    neg_tail = [-t for t in tail_weights(instance)]
+    tail = tail_weights(instance)
+    rank_of = {t: r for r, t in enumerate(sorted(set(tail), reverse=True))}
+    rank = [rank_of[t] for t in tail]  # a heavier tail gets a smaller rank
     pending = [len(instance.predecessors(v)) for v in instance.ops]
     ready_time: list[Rational] = [0] * n
-    machine_avail: dict[int, Rational] = {k: 0 for k in range(1, instance.machines + 1)}
-    machine_seq: dict[int, list[int]] = {k: [] for k in machine_avail}
+    machine_avail: list[Rational] = [0] * (instance.machines + 1)
+    machine_seq: list[list[int]] = [[] for _ in range(instance.machines)]
     ready = sorted(v for v in instance.ops if pending[v] == 0)
     chosen_machine = [0] * n
 
@@ -66,14 +68,14 @@ def earliest_start_heuristic(instance: Instance) -> tuple[SolutionPair, Schedule
             rt = ready_time[w]
             for k in instance.eligible[w]:
                 start = machine_avail[k] if machine_avail[k] > rt else rt
-                key = (start, neg_tail[w], w, k)
+                key = (start, rank[w], w, k)
                 if best is None or key < best:
                     best = key
         start, _, w, k = best
         chosen_machine[w] = k
         completion = start + instance.ptime(w, k)
         machine_avail[k] = completion
-        machine_seq[k].append(w)
+        machine_seq[k - 1].append(w)
         ready.remove(w)
         for succ in instance.successors(w):
             if completion > ready_time[succ]:
@@ -83,10 +85,5 @@ def earliest_start_heuristic(instance: Instance) -> tuple[SolutionPair, Schedule
                 ready.append(succ)
         ready.sort()
 
-    pairs = set()
-    for seq in machine_seq.values():
-        for i, v in enumerate(seq):
-            for w in seq[i + 1:]:
-                pairs.add((v, w))
-    sol = SolutionPair(MachineAssignment(tuple(chosen_machine)), Selection(frozenset(pairs)))
+    sol = SolutionPair(MachineAssignment(tuple(chosen_machine)), Selection(machine_seq))
     return sol, tight_schedule(instance, sol)

@@ -164,17 +164,15 @@ def parse_instance(text: str) -> Instance:
 def selection_from_starts(
     instance: Instance, assignment: MachineAssignment, start: Sequence[Rational]
 ) -> Selection:
-    """Orient each shared-machine pair by start time (ties by id)."""
-    by_machine: dict[int, list[int]] = {}
-    for v in instance.ops:
-        by_machine.setdefault(assignment.machine[v], []).append(v)
-    pairs = set()
-    for ops_k in by_machine.values():
-        ops_k.sort(key=lambda v: (start[v], v))
-        for i, v in enumerate(ops_k):
-            for w in ops_k[i + 1:]:
-                pairs.add((v, w))
-    return Selection(frozenset(pairs))
+    """Sequence each machine's operations by start time (ties by id).
+
+    An operation on a machine the instance lacks is left out; the
+    assignment check reports it.
+    """
+    sequences: dict[int, list[int]] = {k: [] for k in range(1, instance.machines + 1)}
+    for v in sorted(instance.ops, key=lambda v: (start[v], v)):
+        sequences.get(assignment.machine[v], []).append(v)
+    return Selection(tuple(sequences.values()))
 
 
 def serialize_solution(
@@ -205,8 +203,8 @@ def serialize_solution(
 def parse_solution(text: str, instance: Instance) -> tuple[SolutionPair, Schedule, dict]:
     """Parse a solution document against its instance.
 
-    The selection is reconstructed from the start times (shared-machine
-    pairs ordered by start).  Structural errors raise; feasibility is the
+    The selection is reconstructed from the start times (each machine's
+    operations sequenced by start).  Structural errors raise; feasibility is the
     caller's concern via ``validate_solution``.
     """
     try:

@@ -35,7 +35,6 @@ from .core import (
     certified_critical_path,
     disjunctive_pairs,
     is_admissible,
-    same_machine_pairs,
     tight_schedule,
     topological_order,
 )
@@ -74,10 +73,18 @@ class WitnessError(FjsError):
 
 @dataclass(frozen=True)
 class Variable:
+    """A model variable: ``binary`` with bounds 0 and 1, or ``continuous``."""
+
     name: str
     kind: str
     lower: Rational = 0
     upper: Rational | None = None  # None = +inf
+
+    def __post_init__(self) -> None:
+        if self.kind not in (BINARY, CONTINUOUS):
+            raise ValueError(f"variable {self.name}: kind must be {BINARY!r} or {CONTINUOUS!r}, got {self.kind!r}")
+        if self.kind == BINARY and (self.lower, self.upper) != (0, 1):
+            raise ValueError(f"binary {self.name} must have bounds 0 and 1, got {self.lower} and {self.upper}")
 
 
 @dataclass(frozen=True)
@@ -324,13 +331,14 @@ def encode_compact(instance: Instance, sol: SolutionPair) -> ModelPoint:
     sched = tight_schedule(instance, sol)
     pairs = disjunctive_pairs(instance)
     f = sol.assignment.machine
+    pos = sol.selection.positions()
     values: dict[str, Rational] = {"z": sched.makespan}
     for v in instance.ops:
         values[f"s_{v}"] = sched.start[v]
         for k in instance.eligible[v]:
             values[f"x_{v}_{k}"] = 1 if f[v] == k else 0
     for v, w in pairs.pairs:
-        values[f"y_{v}_{w}"] = 1 if (v, w) in sol.selection.pairs else 0
+        values[f"y_{v}_{w}"] = 1 if f[v] == f[w] and pos[v] < pos[w] else 0
     return ModelPoint(values)
 
 
@@ -350,7 +358,8 @@ def encode_machine_indexed(
         op_order = tuple(instance.ops)
     if sorted(op_order) != list(instance.ops):
         raise ValueError("op_order must be a permutation of the operation ids")
-    pos = {v: i for i, v in enumerate(op_order)}
+    order_pos = {v: i for i, v in enumerate(op_order)}
+    pos = sol.selection.positions()
     pairs = disjunctive_pairs(instance)
     f = sol.assignment.machine
     values: dict[str, Rational] = {"z": sched.makespan}
@@ -363,11 +372,11 @@ def encode_machine_indexed(
     for k in range(1, instance.machines + 1):
         for v, w in pairs.by_machine[k]:
             if f[v] == k and f[w] == k:
-                bit = 1 if (v, w) in sol.selection.pairs else 0
+                bit = 1 if pos[v] < pos[w] else 0
             elif f[v] != k and f[w] == k:
                 bit = 1
             elif f[v] != k and f[w] != k:
-                bit = 1 if pos[v] > pos[w] else 0
+                bit = 1 if order_pos[v] > order_pos[w] else 0
             else:
                 bit = 0
             values[f"y_{v}_{w}_{k}"] = bit
@@ -406,19 +415,27 @@ def _assignment_from_x(instance: Instance, point: ModelPoint) -> MachineAssignme
 
 
 def _selection_or_raise(instance: Instance, assignment: MachineAssignment, oriented: set[tuple[int, int]]) -> Selection:
-    """Build the on-machine selection; reject unoriented or cyclic points."""
-    shared = same_machine_pairs(instance, assignment)
-    chosen = set()
-    for v, w in shared:
-        if v < w:
-            fwd = (v, w) in oriented
-            bwd = (w, v) in oriented
-            if fwd == bwd:
-                state = "both orientations" if fwd else "no orientation"
+    """Sequence each machine by its oriented pairs; reject unoriented or cyclic points.
+
+    An operation's index counts those oriented before it; the indices are a
+    permutation iff the orientation is transitive, that is, acyclic.
+    """
+    f = assignment.machine
+    on_machine: list[list[int]] = [[] for _ in range(instance.machines + 1)]
+    for v in instance.ops:
+        on_machine[f[v]].append(v)
+    for v in instance.ops:
+        for w in on_machine[f[v]]:
+            if w > v and ((v, w) in oriented) == ((w, v) in oriented):
+                state = "both orientations" if (v, w) in oriented else "no orientation"
                 raise PointError(f"infeasible point: pair ({v}, {w}) has {state} selected")
-            chosen.add((v, w) if fwd else (w, v))
-    selection = Selection(frozenset(chosen))
-    if not is_admissible(instance, SolutionPair(assignment, selection)):
+    sequences, transitive = [], True
+    for ops_k in on_machine[1:]:
+        index = {w: sum((v, w) in oriented for v in ops_k) for w in ops_k}
+        transitive = transitive and sorted(index.values()) == list(range(len(ops_k)))
+        sequences.append(sorted(ops_k, key=index.__getitem__))
+    selection = Selection(sequences)
+    if not transitive or not is_admissible(instance, SolutionPair(assignment, selection)):
         raise PointError("infeasible point: selection induces a precedence cycle")
     return selection
 
@@ -478,10 +495,11 @@ def decode_machine_indexed(instance: Instance, point: ModelPoint) -> tuple[Solut
     for v in instance.ops:
         if start[v] < 0:
             raise PointError(f"infeasible point: start of operation {v} is negative")
-    edges = sorted(set(instance.arcs) | selection.pairs)
-    for u, w in edges:
-        if start[u] + p[u] > start[w]:
-            raise PointError(f"infeasible point: edge ({u}, {w}) violated by the start values")
+    neighbours = [(a, b) for seq in selection.sequences for a, b in zip(seq, seq[1:])]
+    if any(start[u] + p[u] > start[w] for u, w in neighbours + list(instance.arcs)):
+        # with positive times the other pairs hold when these do; name the least violated edge
+        u, w = min(e for e in selection.pairs | set(instance.arcs) if start[e[0]] + p[e[0]] > start[e[1]])
+        raise PointError(f"infeasible point: edge ({u}, {w}) violated by the start values")
     if instance.n_ops == 0:
         return sol, Schedule((), 0, ())
     makespan = max(start[v] + p[v] for v in instance.ops)

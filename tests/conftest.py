@@ -79,16 +79,10 @@ def random_admissible_solution(instance: Instance, seed: int) -> SolutionPair:
             if pending[w] == 0:
                 ready.append(w)
         ready.sort()
-    by_machine: dict[int, list[int]] = {}
-    for v in instance.ops:
-        by_machine.setdefault(machine[v], []).append(v)
-    pairs = set()
-    for ops_k in by_machine.values():
-        ops_k.sort(key=lambda v: position[v])
-        for i, v in enumerate(ops_k):
-            for w in ops_k[i + 1:]:
-                pairs.add((v, w))
-    return SolutionPair(MachineAssignment(machine), Selection(frozenset(pairs)))
+    sequences: list[list[int]] = [[] for _ in range(instance.machines)]
+    for v in sorted(instance.ops, key=position.__getitem__):
+        sequences[machine[v] - 1].append(v)
+    return SolutionPair(MachineAssignment(machine), Selection(sequences))
 
 
 def integral_instances() -> list[Instance]:

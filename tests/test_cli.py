@@ -6,14 +6,18 @@ import json
 
 import pytest
 
+from fjs import cli
 from fjs.cli import main
-from fjs.io import parse_instance, parse_solution, serialize_instance
+from fjs.exact import solve_branch_and_bound
+from fjs.generate import YfjsParams, generate_yfjs
+from fjs.heuristic import earliest_start_heuristic
+from fjs.io import parse_instance, parse_solution, serialize_instance, serialize_solution
 from fjs.milp import encode_compact, encode_machine_indexed
 from fjs.core import MachineAssignment, Selection, SolutionPair
 
 from conftest import make_ex1
 
-EX1_SOL = SolutionPair(MachineAssignment((1, 1, 2)), Selection(frozenset({(0, 1)})))
+EX1_SOL = SolutionPair(MachineAssignment((1, 1, 2)), Selection(((0, 1), (2,))))
 
 
 @pytest.fixture
@@ -173,6 +177,53 @@ def test_generate_solve_report_flow(tmp_path, capsys):
     report = report_path.read_text()
     assert report.startswith("Instance")
     assert instance.name in report
+
+
+def test_report_runs_est_once_per_instance(tmp_path, monkeypatch):
+    instance = generate_yfjs(YfjsParams(3, 4, 3, 2, 2))
+    (tmp_path / "y.fjs.json").write_text(serialize_instance(instance))
+    est_sol, est_sched = earliest_start_heuristic(instance)
+    result = solve_branch_and_bound(instance)
+    for method, sol, sched, status in (
+        ("est", est_sol, est_sched, "feasible"),
+        ("bnb", result.solution, result.schedule, "optimal"),
+    ):
+        meta = {"method": method, "status": status, "elapsed": 0.25}
+        (tmp_path / f"y-{method}.sol.json").write_text(serialize_solution(instance, sol, sched, meta))
+    calls = []
+
+    def counting_est(inst):
+        calls.append(inst.name)
+        return earliest_start_heuristic(inst)
+
+    monkeypatch.setattr(cli, "earliest_start_heuristic", counting_est)
+    out = tmp_path / "out.report.txt"
+    assert main(["report", "--dir", str(tmp_path), "--out", str(out)]) == 0
+    assert calls == [instance.name]
+    assert out.read_text() == (
+        "Instance             Size     EST  Method  mks              CPU(s)\n"
+        "YFJS-n3-o4-m3-q2-s2  3, 4, 3  692  bnb     649              0.25\n"
+        "YFJS-n3-o4-m3-q2-s2  3, 4, 3  692  est     [692;692] 0.00%  0.25\n"
+    )
+
+
+def test_cli_flow_never_builds_the_pair_view(tmp_path, monkeypatch, capsys):
+    # Selection.pairs is quadratic in the operations per machine; the
+    # generate-solve-validate-report flow must not touch it.
+    def refuse(self):
+        raise AssertionError("Selection.pairs built")
+
+    monkeypatch.setattr(Selection, "pairs", property(refuse))
+    with pytest.raises(AssertionError):
+        EX1_SOL.selection.pairs
+    inst_path, sol_path = tmp_path / "big.fjs.json", tmp_path / "big.sol.json"
+    assert main(["generate", "yfjs", "--n", "30", "--o", "10", "--m", "10", "--q", "3",
+                 "--seed", "1", "--out", str(inst_path)]) == 0
+    assert "(300 operations)" in capsys.readouterr().out
+    assert main(["solve", "--method", "est", "--in", str(inst_path), "--out", str(sol_path)]) == 0
+    assert main(["validate", "--in", str(inst_path), "--sol", str(sol_path)]) == 0
+    assert main(["report", "--dir", str(tmp_path), "--out", str(tmp_path / "out.report.txt")]) == 0
+    assert "solution ok" in capsys.readouterr().out
 
 
 def test_generate_reproducible_bytes(tmp_path):

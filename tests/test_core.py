@@ -42,7 +42,7 @@ def all_paths_longest_start(instance, sol):
     return [longest_into(v, {v}) for v in instance.ops]
 
 
-EX1_SOL = SolutionPair(MachineAssignment((1, 1, 2)), Selection(frozenset({(0, 1)})))
+EX1_SOL = SolutionPair(MachineAssignment((1, 1, 2)), Selection(((0, 1), (2,))))
 
 
 class TestDisjunctivePairs:
@@ -74,36 +74,55 @@ class TestDisjunctivePairs:
             assert dp.beta >= len(dp.pairs)
 
 
+class TestSelection:
+    def test_lists_and_tuples_give_equal_selections(self):
+        assert Selection([[0, 2, 1], [3]]) == Selection(((0, 2, 1), (3,)))
+        assert hash(Selection([[0, 2, 1], [3]])) == hash(Selection(((0, 2, 1), (3,))))
+
+    def test_pairs_view_is_the_transitive_orientation(self):
+        pairs = Selection(((0, 2, 1), (3,), ())).pairs
+        assert len(pairs) == 3
+        assert pairs == frozenset({(0, 2), (0, 1), (2, 1)})
+        assert (0, 1) in pairs and (1, 0) not in pairs and (0, 3) not in pairs
+        assert pairs | {(3, 0)} == frozenset({(0, 2), (0, 1), (2, 1), (3, 0)})
+
+    def test_positions(self):
+        assert Selection(((0, 2, 1), (3,))).positions() == {0: (1, 0), 2: (1, 1), 1: (1, 2), 3: (2, 0)}
+
+
 class TestAdmissibility:
     def test_ex1_forward_orientation(self, ex1):
         assert is_admissible(ex1, EX1_SOL) is True
 
     def test_ex1_backward_orientation_cycles(self, ex1):
-        sol = SolutionPair(MachineAssignment((1, 1, 2)), Selection(frozenset({(1, 0)})))
+        sol = SolutionPair(MachineAssignment((1, 1, 2)), Selection(((1, 0), (2,))))
         assert is_admissible(ex1, sol) is False
 
     def test_empty_selection_on_distinct_machines(self):
         inst = Instance.from_tables("distinct", 2, {0: {1: 2}, 1: {2: 3}}, [])
-        sol = SolutionPair(MachineAssignment((1, 2)), Selection(frozenset()))
+        sol = SolutionPair(MachineAssignment((1, 2)), Selection(((0,), (1,))))
         assert is_admissible(inst, sol) is True
 
     def test_missing_orientation_is_malformed_not_inadmissible(self, ex1):
-        sol = SolutionPair(MachineAssignment((1, 1, 2)), Selection(frozenset()))
-        with pytest.raises(SelectionError):
+        # operation 1 is left out of machine 1's sequence
+        sol = SolutionPair(MachineAssignment((1, 1, 2)), Selection(((0,), (2,))))
+        with pytest.raises(SelectionError, match="operation 1 is missing"):
             is_admissible(ex1, sol)
 
     def test_double_orientation_is_malformed(self, ex1):
-        sol = SolutionPair(MachineAssignment((1, 1, 2)), Selection(frozenset({(0, 1), (1, 0)})))
-        with pytest.raises(SelectionError):
+        # operation 0 is listed twice, so machine 1 has no single order
+        sol = SolutionPair(MachineAssignment((1, 1, 2)), Selection(((0, 1, 0), (2,))))
+        with pytest.raises(SelectionError, match="operation 0 appears twice"):
             is_admissible(ex1, sol)
 
     def test_off_machine_pair_is_malformed(self, ex1):
-        sol = SolutionPair(MachineAssignment((1, 2, 2)), Selection(frozenset({(0, 1), (1, 2)})))
-        with pytest.raises(SelectionError):
+        # operation 1 is assigned to machine 2 but sequenced on machine 1
+        sol = SolutionPair(MachineAssignment((1, 2, 2)), Selection(((0, 1), (1, 2))))
+        with pytest.raises(SelectionError, match="operation 1 is sequenced on machine 1 but not assigned"):
             is_admissible(ex1, sol)
 
     def test_inadmissible_solution_has_cycle_certificate(self, ex1):
-        sol = SolutionPair(MachineAssignment((1, 1, 2)), Selection(frozenset({(1, 0)})))
+        sol = SolutionPair(MachineAssignment((1, 1, 2)), Selection(((1, 0), (2,))))
         with pytest.raises(InadmissibleError) as err:
             tight_schedule(ex1, sol)
         cycle = err.value.cycle
@@ -122,7 +141,7 @@ class TestTightSchedule:
 
     def test_single_operation(self):
         inst = Instance.from_tables("one", 1, {0: {1: 7}}, [])
-        sol = SolutionPair(MachineAssignment((1,)), Selection(frozenset()))
+        sol = SolutionPair(MachineAssignment((1,)), Selection(((0,),)))
         sched = tight_schedule(inst, sol)
         assert sched.start == (0,)
         assert sched.makespan == 7
@@ -130,7 +149,7 @@ class TestTightSchedule:
 
     def test_chain_forced_by_precedence(self):
         inst = Instance.from_tables("chain", 3, {0: {1: 1}, 1: {2: 1}, 2: {3: 1}}, [(0, 1), (1, 2)])
-        sol = SolutionPair(MachineAssignment((1, 2, 3)), Selection(frozenset()))
+        sol = SolutionPair(MachineAssignment((1, 2, 3)), Selection(((0,), (1,), (2,))))
         sched = tight_schedule(inst, sol)
         assert sched.start == (0, 1, 2)
         assert sched.makespan == 3
@@ -203,7 +222,7 @@ class TestValidateSolution:
 
     def test_machine_conflict_reported(self):
         inst = Instance.from_tables("two", 1, {0: {1: 2}, 1: {1: 3}}, [])
-        sol = SolutionPair(MachineAssignment((1, 1)), Selection(frozenset({(0, 1)})))
+        sol = SolutionPair(MachineAssignment((1, 1)), Selection(((0, 1),)))
         sched = Schedule(start=(0, 1), makespan=4, critical_path=())
         report = validate_solution(inst, sol, sched)
         assert any(i.kind == "machine-conflict" for i in report.issues)
@@ -215,13 +234,22 @@ class TestValidateSolution:
         assert any(i.kind == "makespan" for i in report.issues)
 
     def test_ineligible_assignment_reported(self, ex1):
-        sol = SolutionPair(MachineAssignment((2, 1, 2)), Selection(frozenset({(0, 1)})))
+        sol = SolutionPair(MachineAssignment((2, 1, 2)), Selection(((1,), (0, 2))))
         sched = Schedule(start=(0, 3, 3), makespan=8, critical_path=())
         report = validate_solution(ex1, sol, sched)
         assert any(i.kind == "assignment" for i in report.issues)
 
+    def test_cycle_is_named_through_the_full_orientation(self):
+        # 1, 2, 0 on one machine against arc (0, 1): the walk from 0 meets
+        # 1 first among all earlier operations, so the cycle is 1->0, not
+        # the neighbour chain 1->2->0
+        inst = Instance.from_tables("c", 1, {0: {1: 1}, 1: {1: 1}, 2: {1: 1}}, [(0, 1)])
+        sol = SolutionPair(MachineAssignment((1, 1, 1)), Selection(((1, 2, 0),)))
+        report = validate_solution(inst, sol, Schedule((0, 1, 2), 3, ()))
+        assert [(i.kind, i.message, i.ops) for i in report.issues] == [("admissibility", "cycle 1->0", (1, 0))]
+
     def test_never_raises_on_garbage(self, ex1):
-        sol = SolutionPair(MachineAssignment((1, 1, 2)), Selection(frozenset({(0, 1), (1, 0)})))
+        sol = SolutionPair(MachineAssignment((1, 1, 2)), Selection(((1, 0, 1), (2,))))
         sched = Schedule(start=(-1, 0, 0), makespan=0, critical_path=(2, 0))
         report = validate_solution(ex1, sol, sched)
         assert not report.ok

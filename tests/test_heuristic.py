@@ -15,7 +15,7 @@ def test_ex1_trace(ex1):
     # tie with the larger tail weight (5 vs 3), so b follows a on machine 1.
     sol, sched = earliest_start_heuristic(ex1)
     assert sol.assignment.machine == (1, 1, 2)
-    assert sol.selection.pairs == frozenset({(0, 1)})
+    assert sol.selection.sequences == ((0, 1), (2,))
     assert sched.makespan == 8
     assert sched.start == (0, 3, 3)
 
@@ -40,6 +40,7 @@ def test_chain_on_shared_machine():
     )
     sol, sched = earliest_start_heuristic(inst)
     assert sched.makespan == 9
+    assert sol.selection.sequences == ((0, 1, 2),)
     assert sol.selection.pairs == frozenset({(0, 1), (0, 2), (1, 2)})
 
 

@@ -36,7 +36,7 @@ from fjs.io import (
 
 from conftest import random_admissible_solution, small_random_instance
 
-EX1_SOL = SolutionPair(MachineAssignment((1, 1, 2)), Selection(frozenset({(0, 1)})))
+EX1_SOL = SolutionPair(MachineAssignment((1, 1, 2)), Selection(((0, 1), (2,))))
 
 
 class TestInstanceFormat:
@@ -130,7 +130,7 @@ class TestSolutionFormat:
 
     def test_fractional_values_survive(self):
         inst = Instance.from_tables("fr", 1, {0: {1: Fraction(1, 2)}, 1: {1: Fraction(1, 2)}}, [])
-        sol = SolutionPair(MachineAssignment((1, 1)), Selection(frozenset({(0, 1)})))
+        sol = SolutionPair(MachineAssignment((1, 1)), Selection(((0, 1),)))
         sched = tight_schedule(inst, sol)
         assert sched.makespan == 1
         text = serialize_solution(inst, sol, sched)

@@ -14,6 +14,8 @@ from fjs.core import Instance, MachineAssignment, Selection, SolutionPair, tight
 from fjs.exact import brute_force
 from fjs.heuristic import earliest_start_heuristic
 from fjs.milp import (
+    BINARY,
+    CONTINUOUS,
     ModelPoint,
     PointError,
     WitnessError,
@@ -27,6 +29,7 @@ from fjs.milp import (
     encode_machine_indexed,
     machine_indexed_gap_witness,
     makespan_lower_bound,
+    Variable,
 )
 
 from conftest import (
@@ -37,7 +40,7 @@ from conftest import (
     with_fraction_rows,
 )
 
-EX1_SOL = SolutionPair(MachineAssignment((1, 1, 2)), Selection(frozenset({(0, 1)})))
+EX1_SOL = SolutionPair(MachineAssignment((1, 1, 2)), Selection(((0, 1), (2,))))
 
 
 def independent_sizes(instance):
@@ -141,7 +144,7 @@ class TestEncodeDecode:
     def test_encode_rejects_inadmissible(self, ex1):
         from fjs.core import InadmissibleError
 
-        bad = SolutionPair(MachineAssignment((1, 1, 2)), Selection(frozenset({(1, 0)})))
+        bad = SolutionPair(MachineAssignment((1, 1, 2)), Selection(((1, 0), (2,))))
         with pytest.raises(InadmissibleError):
             encode_compact(ex1, bad)
         with pytest.raises(InadmissibleError):
@@ -149,7 +152,7 @@ class TestEncodeDecode:
 
     def test_single_op_trivial_point(self):
         inst = Instance.from_tables("one", 1, {0: {1: 5}}, [])
-        sol = SolutionPair(MachineAssignment((1,)), Selection(frozenset()))
+        sol = SolutionPair(MachineAssignment((1,)), Selection(((0,),)))
         point = encode_compact(inst, sol)
         assert point["z"] == 5 and point["s_0"] == 0 and point["x_0_1"] == 1
 
@@ -216,6 +219,30 @@ class TestEncodeDecode:
         values["y_0_1"], values["y_1_0"] = 0, 1
         with pytest.raises(PointError, match="cycle"):
             decode_compact(ex1, ModelPoint(values))
+
+    def test_decode_rejects_unoriented_and_doubly_oriented_pairs(self, ex1):
+        point = encode_compact(ex1, EX1_SOL)
+        values = dict(point.values)
+        values["y_0_1"] = 0
+        with pytest.raises(PointError, match=r"pair \(0, 1\) has no orientation selected"):
+            decode_compact(ex1, ModelPoint(values))
+        values["y_0_1"] = values["y_1_0"] = 1
+        with pytest.raises(PointError, match=r"pair \(0, 1\) has both orientations selected"):
+            decode_compact(ex1, ModelPoint(values))
+
+    def test_decode_rejects_intransitive_orientation(self):
+        # 0 before 1, 1 before 2, 2 before 0 on one machine: every pair is
+        # oriented once, there are no arcs, and the orientation is a cycle
+        inst = Instance.from_tables("three", 1, {0: {1: 1}, 1: {1: 2}, 2: {1: 3}}, [])
+        sol = SolutionPair(MachineAssignment((1, 1, 1)), Selection(((0, 1, 2),)))
+        for encode, decode, suffix in (
+            (encode_compact, decode_compact, ""),
+            (encode_machine_indexed, decode_machine_indexed, "_1"),
+        ):
+            values = dict(encode(inst, sol).values)
+            values[f"y_0_2{suffix}"], values[f"y_2_0{suffix}"] = 0, 1
+            with pytest.raises(PointError, match="cycle"):
+                decode(inst, ModelPoint(values))
 
     def test_decode_rejects_z_below_makespan(self, ex1):
         point = encode_compact(ex1, EX1_SOL)
@@ -408,3 +435,18 @@ class TestBounds:
         assert default_horizon(ex1) == 12  # 3 + 4 + 5
         assert default_horizon(ex1, 8) == 8
         assert default_horizon(Instance("empty", 1, (), (), ())) == 0
+
+
+class TestVariable:
+    def test_unknown_kind_is_refused(self):
+        # the writers would write an "integer" variable as continuous
+        with pytest.raises(ValueError, match="kind must be"):
+            Variable("y", "integer", 0, 5)
+        assert Variable("s", CONTINUOUS, 2, 7).kind == CONTINUOUS
+
+    @pytest.mark.parametrize("lower, upper", [(1, 1), (0, None), (0, 2), (Fraction(1, 2), 1)])
+    def test_binary_bounds_must_be_zero_and_one(self, lower, upper):
+        # the writers drop binary bounds, so x fixed to 1 would admit x = 0
+        with pytest.raises(ValueError, match="bounds 0 and 1"):
+            Variable("x", BINARY, lower, upper)
+        assert Variable("x", BINARY, 0, 1).upper == 1
