@@ -23,6 +23,7 @@ from .io import (
     FORMAT_INSTANCE,
     FORMAT_SOLUTION,
     ReportRow,
+    SolutionError,
     instance_size,
     number_from_json,
     parse_instance,
@@ -133,6 +134,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.method == "bnb" and not args.time_limit > 0:
+        return _fail(f"--time-limit must be positive, got {args.time_limit}", 2)
     instance = _load_instance(args.infile)
     if args.method == "est":
         t0 = time.monotonic()
@@ -156,7 +159,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "lower_bound": result.lower_bound,
             "upper_bound": result.upper_bound,
             "nodes_explored": result.nodes_explored,
-            "duplicates_skipped": result.duplicates_skipped,
             "elapsed": result.elapsed,
         }
         status = result.status
@@ -176,6 +178,8 @@ def _parse_horizon(text: str, instance: Instance):
         _, sched = earliest_start_heuristic(instance)
         return default_horizon(instance, sched.makespan)
     value = Fraction(text)
+    if value <= 0:
+        raise ValueError(f"non-positive horizon {value}")
     return int(value) if value.denominator == 1 else value
 
 
@@ -185,6 +189,8 @@ def _cmd_emit(args: argparse.Namespace) -> int:
         horizon = _parse_horizon(args.L, instance)
     except (ValueError, ZeroDivisionError):
         return _fail(f"--L must be 'auto' or a positive rational, got {args.L!r}", 2)
+    if horizon == 0:
+        return _fail("--L auto gives no horizon for an instance without operations; give a positive --L", 2)
     model = MODEL_BUILDERS[args.model](instance, horizon)
     _write(args.out, WRITERS[args.format](model))
     stats = model.stats
@@ -240,6 +246,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     est_makespan: dict[str, Rational] = {}
     for path in sorted(directory.glob("*.sol.json")):
         document = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(document, dict):
+            raise SolutionError(f"expected format {FORMAT_SOLUTION!r}")
         name = document.get("instance")
         if name not in instances:
             return _fail(f"{path.name}: no instance file named {name!r} in {directory}", 2)

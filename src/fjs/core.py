@@ -337,6 +337,17 @@ def _kahn(n: int, preds: Sequence[Sequence[int]]) -> list[int]:
     return order
 
 
+def _longest_path(order: Iterable[int], preds: Sequence[Sequence[int]], weight: Sequence[Rational]) -> list[Rational]:
+    """Heaviest path ending at each node, its own weight included.
+
+    ``order`` must list every node after all of its ``preds``.
+    """
+    finish: list[Rational] = [0] * len(weight)
+    for v in order:
+        finish[v] = max([finish[u] for u in preds[v]], default=0) + weight[v]
+    return finish
+
+
 def _find_cycle(n: int, preds: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Return a directed cycle as a node tuple, or () if the graph is acyclic."""
     order = _kahn(n, preds)
@@ -422,14 +433,11 @@ def tight_schedule(instance: Instance, sol: SolutionPair) -> Schedule:
     """
     _check_selection(instance, sol)
     preds = _combined_preds(instance, sol.selection)
-    f = sol.assignment.machine
-    start: list[Rational] = [0] * instance.n_ops
-    finish: list[Rational] = [0] * instance.n_ops
-    for v in topological_order(instance.n_ops, preds):
-        start[v] = max([finish[u] for u in preds[v]], default=0)
-        finish[v] = start[v] + instance.ptime(v, f[v])
+    p = [instance.ptime(v, k) for v, k in enumerate(sol.assignment.machine)]
+    finish = _longest_path(topological_order(instance.n_ops, preds), preds, p)
+    start = tuple(finish[v] - p[v] for v in instance.ops)
     path = certified_critical_path(instance, sol, start)
-    return Schedule(start=tuple(start), makespan=max(finish, default=0), critical_path=path)
+    return Schedule(start=start, makespan=max(finish, default=0), critical_path=path)
 
 
 def certified_critical_path(

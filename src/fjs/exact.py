@@ -2,19 +2,14 @@
 
 Two independent routes: ``brute_force`` enumerates every machine assignment
 and every admissible per-machine ordering, and is the ground truth for tests;
-``solve_branch_and_bound`` builds schedules forward, branching over the
-(operation, machine) decisions that could start before the earliest possible
-completion among ready candidates.  Every schedule it leaves out can be
-improved by inserting that earliest-completing candidate, so the explored
-set of active schedules always contains an optimum for makespan.
-
-The same partial schedule is reached through many insertion orders.  Its
-per-machine operation sequences fix every start time, and with them the
-whole subtree below it.  The branch and bound therefore remembers the
-sequences of each partial schedule it keeps and skips any later child with
-the same ones.  The memory for this is capped at ``DUPLICATE_CAP`` partial
-schedules; once the cap is reached, children are still looked up but no
-longer remembered.
+``solve_branch_and_bound`` builds schedules forward with Giffler and
+Thompson's conflict-set branching, restricted to one machine per node: the
+machine k* on which some ready operation completes earliest, at theta.  Each
+child appends a different ready operation to k*'s sequence, and sequences
+only grow, so two subtrees never share a partial schedule: none is built
+twice and no table of visited states is needed.  At least one child still
+leads to an optimum (see ``_Search.expand``), so exhausting the tree proves
+optimality.
 """
 
 from __future__ import annotations
@@ -33,6 +28,7 @@ from .core import (
     tight_schedule,
     topological_order,
     _kahn,
+    _longest_path,
 )
 from .heuristic import earliest_start_heuristic
 
@@ -40,9 +36,6 @@ __all__ = ["SolveResult", "CapError", "brute_force", "solve_branch_and_bound"]
 
 STATUS_OPTIMAL = "optimal"
 STATUS_BOUND_PAIR = "bound-pair"
-
-DUPLICATE_CAP = 1 << 18
-"""Most partial schedules remembered for duplicate skipping (about 50 MiB)."""
 
 
 class CapError(Exception):
@@ -55,9 +48,7 @@ class SolveResult:
 
     ``status`` is ``optimal`` when the search space was exhausted (then
     ``lower_bound == upper_bound == schedule makespan``) and ``bound-pair``
-    when the time limit was hit with a proven gap.  ``duplicates_skipped``
-    counts the children the branch and bound left out because it had
-    already kept the same partial schedule.
+    when the time limit was hit with a proven gap.
     """
 
     solution: SolutionPair
@@ -67,7 +58,6 @@ class SolveResult:
     status: str
     nodes_explored: int
     elapsed: float
-    duplicates_skipped: int = 0
 
 
 def brute_force(instance: Instance, max_ops: int = 9, max_assignments: int = 100_000) -> SolveResult:
@@ -110,10 +100,7 @@ def brute_force(instance: Instance, max_ops: int = 9, max_assignments: int = 100
             order = _kahn(n, preds)
             if len(order) < n:
                 continue  # the sequences close a cycle with the arcs
-            finish = [0] * n
-            for v in order:
-                finish[v] = max([finish[u] for u in preds[v]], default=0) + p[v]
-            mks = max(finish)
+            mks = max(_longest_path(order, preds, p))
             if best_mks is None or mks < best_mks:
                 best_mks = mks
                 best = SolutionPair(MachineAssignment(assignment), Selection(sequences))
@@ -153,8 +140,6 @@ class _Search:
         self.stack: list[BnbNode] = []
         self.timed_out = False
         self.nodes = 0
-        self.duplicates = 0
-        self.seen: set[tuple[tuple[int, ...], ...]] = set()
         self.best_value: Rational = None  # set before search starts
         self.best_leaf = None
 
@@ -187,34 +172,47 @@ class _Search:
         return lb
 
     def expand(self, node: BnbNode) -> list[BnbNode]:
+        """Children of a node: the conflict set of one machine.
+
+        theta and k* are the smallest ``(completion, machine)`` over every
+        ready operation on every eligible machine.  Each child puts next on
+        k* a ready operation that could start there before theta.
+
+        Some child extends to an optimum.  Take any completion S of the
+        node.  If some operation starts on k* before theta in S, it is ready
+        (an unscheduled predecessor ends at theta or later), so the first
+        one is a child.  Otherwise, moving the operation that achieves theta
+        to the front of k*'s rest is never worse: it finishes at theta, no
+        later than in S; k* is idle until theta; and its old machine is
+        freed.  That is a child too, as positive times (``check_time``)
+        start it before theta.
+        """
         inst = self.instance
-        candidates = []
-        theta = None
+        best = None
         for v in range(self.n):
             if node.pending[v] or node.scheduled_mask >> v & 1:
                 continue
             rt = node.ready_time[v]
             for k in inst.eligible[v]:
                 avail = node.machine_avail[k - 1]
-                est = avail if avail > rt else rt
-                ect = est + inst.ptime(v, k)
-                candidates.append((est, ect, v, k))
-                if theta is None or ect < theta:
-                    theta = ect
+                key = ((avail if avail > rt else rt) + inst.ptime(v, k), k)
+                if best is None or key < best:
+                    best = key
+        theta, k = best
+        avail_k = node.machine_avail[k - 1]
         children = []
         cutoff = self.best_value
-        seen = self.seen
-        for est, ect, v, k in candidates:
+        for v in range(self.n):
+            if node.pending[v] or node.scheduled_mask >> v & 1 or k not in inst.eligible[v]:
+                continue
+            rt = node.ready_time[v]
+            est = avail_k if avail_k > rt else rt
             if est >= theta:
-                continue  # starting v at est would idle past an achievable completion
+                continue  # starting v at est would idle k past theta
+            ect = est + inst.ptime(v, k)
             seqs = list(node.machine_seq)
             seqs[k - 1] = seqs[k - 1] + (v,)
             machine_seq = tuple(seqs)
-            if machine_seq in seen:
-                # the sequences fix every start, so this subtree was already
-                # pushed, or pruned by an incumbent at least as large
-                self.duplicates += 1
-                continue
             mask = node.scheduled_mask | (1 << v)
             completion = list(node.completion)
             completion[v] = ect
@@ -236,8 +234,6 @@ class _Search:
             lb = self.lower_bound(completion, ready, mask, avail, partial)
             if lb >= cutoff:
                 continue
-            if len(seen) < DUPLICATE_CAP:
-                seen.add(machine_seq)
             children.append(
                 BnbNode(
                     lower_bound=lb,
@@ -277,7 +273,7 @@ def solve_branch_and_bound(instance: Instance, time_limit: float = 3600.0) -> So
     incumbent is returned together with the smallest lower bound among the
     unexplored subtrees.
     """
-    if time_limit <= 0:
+    if not time_limit > 0:  # also refuses NaN
         raise ValueError("time_limit must be positive")
     t0 = time.monotonic()
     n = instance.n_ops
@@ -325,4 +321,4 @@ def solve_branch_and_bound(instance: Instance, time_limit: float = 3600.0) -> So
                 machine[v] = k
         sol = SolutionPair(MachineAssignment(tuple(machine)), Selection(search.best_leaf))
         sched = tight_schedule(instance, sol)
-    return SolveResult(sol, sched, lower, upper, status, search.nodes, elapsed, search.duplicates)
+    return SolveResult(sol, sched, lower, upper, status, search.nodes, elapsed)

@@ -21,6 +21,7 @@ from .core import (
     SolutionPair,
     tight_schedule,
     topological_order,
+    _longest_path,
 )
 
 __all__ = ["mean_ptimes", "tail_weights", "earliest_start_heuristic"]
@@ -37,13 +38,9 @@ def tail_weights(instance: Instance) -> list[Fraction]:
     ``tail[v] = mean[v] + max(tail[w] for successors w)``, with max 0 for
     sinks; computed once by a reverse topological sweep.
     """
-    mean = mean_ptimes(instance)
     order = topological_order(instance.n_ops, [instance.predecessors(v) for v in instance.ops])
-    tail: list[Fraction] = [Fraction(0)] * instance.n_ops
-    for v in reversed(order):
-        succ_tail = max((tail[w] for w in instance.successors(v)), default=Fraction(0))
-        tail[v] = mean[v] + succ_tail
-    return tail
+    succs = [instance.successors(v) for v in instance.ops]
+    return _longest_path(reversed(order), succs, mean_ptimes(instance))
 
 
 def earliest_start_heuristic(instance: Instance) -> tuple[SolutionPair, Schedule]:

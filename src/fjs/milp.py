@@ -37,6 +37,7 @@ from .core import (
     is_admissible,
     tight_schedule,
     topological_order,
+    _longest_path,
 )
 
 __all__ = [
@@ -291,14 +292,7 @@ def check_feasible(model: MilpModel, point: ModelPoint, tol: Rational = 0) -> Va
     Integrality is never enforced, so this doubles as the LP-relaxation
     check.  With exact rational inputs ``tol=0`` is meaningful.
     """
-    names = set(model.variable_names())
-    given = set(point.values)
-    unknown = given - names
-    if unknown:
-        raise PointError(f"unknown variable names in point: {sorted(unknown)[:5]}")
-    missing = names - given
-    if missing:
-        raise PointError(f"point is missing variables: {sorted(missing)[:5]}")
+    _expect_names(point, set(model.variable_names()))
     issues: list[ValidationIssue] = []
     for var in model.variables:
         val = point[var.name]
@@ -554,16 +548,9 @@ def makespan_lower_bound(instance: Instance) -> Rational:
     n = instance.n_ops
     if n == 0:
         return 0
+    preds = [instance.predecessors(v) for v in instance.ops]
     pmin = [min(row) for row in instance.times]
-    order = topological_order(n, [instance.predecessors(v) for v in instance.ops])
-    completion: list[Rational] = [0] * n
-    best: Rational = 0
-    for v in order:
-        release = max((completion[u] for u in instance.predecessors(v)), default=0)
-        completion[v] = release + pmin[v]
-        if completion[v] > best:
-            best = completion[v]
-    return best
+    return max(_longest_path(topological_order(n, preds), preds, pmin))
 
 
 def default_horizon(instance: Instance, est_makespan: Rational | None = None) -> Rational:

@@ -38,7 +38,7 @@ def test_solve_bnb_prints_makespan(ex1_file, tmp_path, capsys):
     assert meta["lower_bound"] == 8
 
 
-def test_solve_bnb_reports_duplicates_and_ignores_threads(tmp_path, capsys):
+def test_solve_bnb_ignores_threads(tmp_path, capsys):
     from fjs.generate import YfjsParams, generate_yfjs
 
     inst = generate_yfjs(YfjsParams(3, 4, 3, 2, 2))
@@ -48,7 +48,7 @@ def test_solve_bnb_reports_duplicates_and_ignores_threads(tmp_path, capsys):
     assert code == 0
     _, _, meta = parse_solution(out.read_text(), inst)
     assert meta["status"] == "optimal"
-    assert meta["duplicates_skipped"] > 0
+    assert meta["nodes_explored"] == solve_branch_and_bound(inst, 60).nodes_explored
 
 
 def test_solve_est(ex1_file, tmp_path, capsys):
@@ -132,6 +132,45 @@ def test_emit_rejects_bad_horizon(ex1_file, tmp_path, capsys):
     ])
     assert code == 2
     assert "--L" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("horizon", ["0", "-3"])
+def test_emit_rejects_non_positive_horizon(ex1_file, tmp_path, capsys, horizon):
+    code = main([
+        "emit", "--model", "new", "--format", "lp", "--L", horizon,
+        "--in", str(ex1_file), "--out", str(tmp_path / "x.lp"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("fjs: --L must be 'auto' or a positive rational")
+    assert not (tmp_path / "x.lp").exists()
+
+
+def test_emit_auto_horizon_of_an_empty_instance_is_a_usage_error(tmp_path, capsys):
+    from fjs.core import Instance
+
+    path = tmp_path / "empty.fjs.json"
+    path.write_text(serialize_instance(Instance("empty", 1, (), (), ())))
+    code = main([
+        "emit", "--model", "ooy", "--format", "mps", "--L", "auto",
+        "--in", str(path), "--out", str(tmp_path / "x.mps"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("fjs: --L auto")
+
+
+def test_solve_rejects_non_positive_time_limit(ex1_file, capsys):
+    code = main(["solve", "--method", "bnb", "--time-limit", "0", "--in", str(ex1_file)])
+    assert code == 2
+    assert capsys.readouterr().err == "fjs: --time-limit must be positive, got 0.0\n"
+
+
+def test_report_rejects_a_solution_file_that_is_not_an_object(ex1_file, tmp_path, capsys):
+    bad = tmp_path / "bad.sol.json"
+    bad.write_text("[]")
+    assert main(["validate", "--in", str(ex1_file), "--sol", str(bad)]) == 1
+    expected = capsys.readouterr().err
+    assert main(["report", "--dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == expected == "fjs: expected format 'fjs-solution/1'\n"
 
 
 def test_decode_both_models(ex1_file, tmp_path, capsys):

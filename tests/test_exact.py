@@ -1,4 +1,4 @@
-"""Exact solvers: worked examples, oracle agreement, bounds, duplicate skipping."""
+"""Exact solvers: worked examples, oracle agreement, bounds, one build per partial schedule."""
 
 from __future__ import annotations
 
@@ -66,32 +66,24 @@ def test_oracle_agreement_on_random_instances():
             assert validate_solution(inst, result.solution, result.schedule).ok
 
 
-def test_oracle_agreement_with_a_small_duplicate_cap(monkeypatch):
-    cap = 50
-    peak = 0
-    skipped_when_full = 0
+def test_no_partial_schedule_is_built_twice(monkeypatch):
+    built: list[tuple[tuple[int, ...], ...]] = []
 
     class Recording(exact._Search):
         def expand(self, node):
-            nonlocal peak, skipped_when_full
-            full = len(self.seen) == cap
-            before = self.duplicates
             children = super().expand(node)
-            peak = max(peak, len(self.seen))
-            if full:
-                skipped_when_full += self.duplicates - before
+            built.extend(child.machine_seq for child in children)
             return children
 
-    monkeypatch.setattr(exact, "DUPLICATE_CAP", cap)
     monkeypatch.setattr(exact, "_Search", Recording)
     for seed in range(60):
         inst = small_random_instance(seed)
+        built.clear()
         bb = solve_branch_and_bound(inst, 60)
+        assert len(set(built)) == len(built), inst.name
         assert bb.status == "optimal"
         assert brute_force(inst).upper_bound == bb.upper_bound, inst.name
         assert validate_solution(inst, bb.solution, bb.schedule).ok
-    assert peak == cap  # the cap was reached and never exceeded
-    assert skipped_when_full > 0  # a full set is still looked up
 
 
 def test_counters_repeat_exactly():
@@ -99,21 +91,20 @@ def test_counters_repeat_exactly():
     first = solve_branch_and_bound(inst, 60)
     second = solve_branch_and_bound(inst, 60)
     assert first.status == second.status == "optimal"
-    assert first.duplicates_skipped > 0
-    assert (first.nodes_explored, first.duplicates_skipped) == (second.nodes_explored, second.duplicates_skipped)
+    assert first.nodes_explored == second.nodes_explored
 
 
 @pytest.mark.parametrize(
-    "instance, optimum",
+    "instance, optimum, max_nodes",
     [
-        (generate_yfjs(YfjsParams(4, 5, 5, 3, 1)), 537),
-        (generate_dafjs(DafjsParams(3, 4, 3)), 212),
+        pytest.param(generate_yfjs(YfjsParams(4, 5, 5, 3, 1)), 537, 1000, id="YFJS-n4-o5-m5-q3-s1-537"),
+        pytest.param(generate_dafjs(DafjsParams(3, 4, 3)), 212, 2000, id="DAFJS-n3-m4-s3-212"),
     ],
-    ids=lambda x: getattr(x, "name", x),
 )
-def test_closes_instances_beyond_the_old_reach(instance, optimum):
+def test_closes_instances_beyond_the_old_reach(instance, optimum, max_nodes):
     result = solve_branch_and_bound(instance, time_limit=60)
     assert result.status == "optimal"
+    assert result.nodes_explored <= max_nodes
     assert result.lower_bound == result.upper_bound == result.schedule.makespan == optimum
     assert validate_solution(instance, result.solution, result.schedule).ok
 

@@ -299,6 +299,13 @@ class TestCheckFeasible:
         with pytest.raises(PointError):
             check_feasible(model, ModelPoint(values))
 
+    def test_missing_name_raises(self, ex1):
+        model = build_compact_model(ex1, 14)
+        values = dict(encode_compact(ex1, EX1_SOL).values)
+        del values["s_0"]
+        with pytest.raises(PointError, match=r"point is missing variables: \['s_0'\]"):
+            check_feasible(model, ModelPoint(values))
+
     def test_tolerance_softens_violations(self, ex1):
         model = build_compact_model(ex1, 14)
         point = encode_compact(ex1, EX1_SOL)
