@@ -23,7 +23,6 @@ from .io import (
     FORMAT_INSTANCE,
     FORMAT_SOLUTION,
     ReportRow,
-    SolutionError,
     instance_size,
     number_from_json,
     parse_instance,
@@ -31,6 +30,7 @@ from .io import (
     render_report,
     serialize_instance,
     serialize_solution,
+    solution_document,
 )
 from .milp import (
     ModelPoint,
@@ -245,14 +245,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     rows = []
     est_makespan: dict[str, Rational] = {}
     for path in sorted(directory.glob("*.sol.json")):
-        document = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(document, dict):
-            raise SolutionError(f"expected format {FORMAT_SOLUTION!r}")
-        name = document.get("instance")
+        document = solution_document(path.read_text(encoding="utf-8"))
+        name = document["instance"]
         if name not in instances:
             return _fail(f"{path.name}: no instance file named {name!r} in {directory}", 2)
         instance = instances[name]
-        sol, sched, meta = parse_solution(path.read_text(encoding="utf-8"), instance)
+        sol, sched, meta = parse_solution(document, instance)
         if name not in est_makespan:
             est_makespan[name] = earliest_start_heuristic(instance)[1].makespan
         n_jobs, ops_min, ops_max, machines = instance_size(instance)

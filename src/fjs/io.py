@@ -36,6 +36,7 @@ __all__ = [
     "ReportRow",
     "parse_instance",
     "serialize_instance",
+    "solution_document",
     "parse_solution",
     "serialize_solution",
     "selection_from_starts",
@@ -200,23 +201,34 @@ def serialize_solution(
     return _canonical(document)
 
 
-def parse_solution(text: str, instance: Instance) -> tuple[SolutionPair, Schedule, dict]:
-    """Parse a solution document against its instance.
+def solution_document(source: str | dict) -> dict:
+    """A solution document, decoded if ``source`` is JSON text, whose format
+    and required fields are checked; it is not yet matched to an instance."""
+    document = source
+    if isinstance(source, str):
+        try:
+            document = json.loads(source)
+        except json.JSONDecodeError as exc:
+            raise SolutionError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(document, dict) or document.get("format") != FORMAT_SOLUTION:
+        raise SolutionError(f"expected format {FORMAT_SOLUTION!r}")
+    for field in ("assignment", "starts", "makespan", "instance"):
+        if field not in document:
+            raise SolutionError(f"missing field {field!r}")
+    if not isinstance(document["instance"], str):
+        raise SolutionError(f"instance name {document['instance']!r} is not a string")
+    return document
+
+
+def parse_solution(source: str | dict, instance: Instance) -> tuple[SolutionPair, Schedule, dict]:
+    """Parse a solution document (JSON text or a decoded object) against its instance.
 
     The selection is reconstructed from the start times (each machine's
     operations sequenced by start).  Structural errors raise; feasibility is the
     caller's concern via ``validate_solution``.
     """
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SolutionError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(document, dict) or document.get("format") != FORMAT_SOLUTION:
-        raise SolutionError(f"expected format {FORMAT_SOLUTION!r}")
-    for field in ("assignment", "starts", "makespan"):
-        if field not in document:
-            raise SolutionError(f"missing field {field!r}")
-    name = document.get("instance")
+    document = solution_document(source)
+    name = document["instance"]
     if name != instance.name:
         raise SolutionError(f"solution is for instance {name!r}, not {instance.name!r}")
 

@@ -173,6 +173,54 @@ def test_report_rejects_a_solution_file_that_is_not_an_object(ex1_file, tmp_path
     assert capsys.readouterr().err == expected == "fjs: expected format 'fjs-solution/1'\n"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"format": "fjs-solution/1"}', "missing field 'assignment'"),
+        (
+            '{"format": "fjs-solution/1", "assignment": [], "starts": [], "makespan": 0}',
+            "missing field 'instance'",
+        ),
+        (
+            '{"format": "fjs-solution/1", "assignment": [], "starts": [], "makespan": 0, "instance": []}',
+            "instance name [] is not a string",
+        ),
+        ('{"format": "fjs-solution/0", "instance": "ex1"}', "expected format 'fjs-solution/1'"),
+        ("{", "line 1, column 2: Expecting property name enclosed in double quotes"),
+    ],
+    ids=["missing-field", "missing-instance", "list-instance", "wrong-format", "bad-json"],
+)
+def test_report_checks_a_solution_file_before_looking_up_its_instance(ex1_file, tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.sol.json"
+    bad.write_text(text)
+    assert main(["validate", "--in", str(ex1_file), "--sol", str(bad)]) == 1
+    expected = capsys.readouterr().err
+    assert main(["report", "--dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == expected == f"fjs: {message}\n"
+
+
+def test_report_reads_and_decodes_each_solution_file_once(ex1_file, tmp_path, monkeypatch):
+    sol_path = tmp_path / "ex1.sol.json"
+    assert main(["solve", "--method", "est", "--in", str(ex1_file), "--out", str(sol_path)]) == 0
+    sol_text = sol_path.read_text()
+    reads, decodes = [], []
+    read_text, loads = type(sol_path).read_text, json.loads
+
+    def counting_read_text(path, *args, **kwargs):
+        reads.append(path.name)
+        return read_text(path, *args, **kwargs)
+
+    def counting_loads(text, *args, **kwargs):
+        decodes.append(text == sol_text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(type(sol_path), "read_text", counting_read_text)
+    monkeypatch.setattr(json, "loads", counting_loads)
+    assert main(["report", "--dir", str(tmp_path), "--out", str(tmp_path / "out.txt")]) == 0
+    assert reads.count("ex1.sol.json") == 1
+    assert decodes.count(True) == 1
+
+
 def test_decode_both_models(ex1_file, tmp_path, capsys):
     ex1 = make_ex1()
     for model_name, encoder in (("new", encode_compact), ("ooy", encode_machine_indexed)):
