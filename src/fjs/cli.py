@@ -7,7 +7,6 @@ error, 3 time limit hit with an open optimality gap.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from fractions import Fraction
@@ -23,6 +22,7 @@ from .io import (
     FORMAT_INSTANCE,
     FORMAT_SOLUTION,
     ReportRow,
+    decode_json,
     instance_size,
     number_from_json,
     parse_instance,
@@ -34,6 +34,7 @@ from .io import (
 )
 from .milp import (
     ModelPoint,
+    PointError,
     build_compact_model,
     build_machine_indexed_model,
     decode_compact,
@@ -218,7 +219,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_decode(args: argparse.Namespace) -> int:
     instance = _load_instance(args.infile)
-    raw = json.loads(_read(args.point))
+    raw = decode_json(_read(args.point), PointError)
     if not isinstance(raw, dict):
         return _fail("point file must be a JSON object of variable values", 2)
     point = ModelPoint({name: number_from_json(value, name) for name, value in raw.items()})
@@ -289,8 +290,6 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except FileNotFoundError as exc:
         return _fail(f"cannot read {exc.filename}", 2)
-    except json.JSONDecodeError as exc:
-        return _fail(f"bad JSON input: line {exc.lineno}: {exc.msg}", 1)
     except FjsError as exc:
         code = getattr(exc, "code", None)
         prefix = f"{code}: " if code else ""

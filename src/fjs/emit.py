@@ -4,9 +4,10 @@ Output is deterministic: variables and rows appear in model order, numbers
 are printed as integers whenever possible, and any row with fractional
 coefficients is scaled by the least common denominator first (scaling a row
 by a positive integer does not change the feasible set).  A row whose
-denominators are all 1, which is every row of a model built from integral
-data, is written as it is, without multiplying.  Standalone values such as
-bounds fall back to exact decimals.  Objective coefficients must be integral.
+coefficients and right-hand side are all ``int``, which is every row of a
+model built from integral data, is written as it is, with no lcm computed.
+Standalone values such as bounds fall back to exact decimals.  Objective
+coefficients must be integral.
 """
 
 from __future__ import annotations
@@ -41,13 +42,17 @@ def _exact_decimal(value: Rational) -> str:
     return f"{sign}{whole}.{frac}"
 
 
-def _scaled_row(row: LinearConstraint) -> tuple[tuple[tuple[Rational, str], ...], Rational]:
-    """Row with integral coefficients: (terms, rhs) after clearing denominators."""
-    scale = lcm(row.rhs.denominator, *[coef.denominator for coef, _ in row.terms])
-    if scale == 1:
-        return row.terms, row.rhs
-    terms = tuple((int(coef * scale), name) for coef, name in row.terms)
-    return terms, int(row.rhs * scale)
+def _scaled_row(row: LinearConstraint) -> tuple[tuple[tuple[int, str], ...], int]:
+    """Row with int coefficients and rhs: (terms, rhs), its denominators cleared if it has any."""
+    terms, rhs = row.terms, row.rhs
+    if type(rhs) is int:
+        for coef, _ in terms:
+            if type(coef) is not int:
+                break
+        else:
+            return terms, rhs
+    scale = lcm(rhs.denominator, *[coef.denominator for coef, _ in terms])
+    return tuple([(int(coef * scale), name) for coef, name in terms]), int(rhs * scale)
 
 
 def _objective(model: MilpModel) -> tuple[tuple[int, str], ...]:
@@ -81,8 +86,7 @@ def write_lp(model: MilpModel) -> str:
     lines.append("Subject To")
     for row in model.constraints:
         terms, rhs = _scaled_row(row)
-        relation = row.relation if row.relation != "=" else "="
-        lines.append(f" {row.name}: {_lp_expression(terms)} {relation} {rhs}")
+        lines.append(f" {row.name}: {_lp_expression(terms)} {row.relation} {rhs}")
     lines.append("Bounds")
     for var in model.variables:
         if var.kind == BINARY:
@@ -105,24 +109,29 @@ def write_mps(model: MilpModel) -> str:
     row_kind = {"<=": "L", ">=": "G", "=": "E"}
     names = [v.name for v in model.variables] + [r.name for r in model.constraints]
     width = max(len(n) for n in names + ["'MARKER'"]) + 2
-    # Every name is padded once here, not once per line that mentions it.
-    scaled = [(row.name.ljust(width), *_scaled_row(row)) for row in model.constraints]
 
-    by_column: dict[str, list[str]] = {v.name: [] for v in model.variables}
+    # One pass over the rows writes the ROWS section and fills the per-column
+    # and RHS cells; every row name is padded once, not once per cell.
+    lines = [f"NAME          {model.name}", "ROWS", " N  obj"]
+    cells: dict[str, list[str]] = {v.name: [] for v in model.variables}
     obj = "obj".ljust(width)
     for coef, name in _objective(model):
-        by_column[name].append(f"{obj}{coef}")
-    for row_name, terms, _ in scaled:
+        cells[name].append(f"{obj}{coef}")
+    rhs_column = f"    {'RHS':<{width}}"
+    rhs_cells = []
+    for row in model.constraints:
+        lines.append(f" {row_kind[row.relation]}  {row.name}")
+        row_name = row.name.ljust(width)
+        terms, rhs = _scaled_row(row)
         for coef, name in terms:
-            if coef != 0:
-                by_column[name].append(f"{row_name}{coef}")
+            if coef:
+                cells[name].append(f"{row_name}{coef}")
+        if rhs:
+            rhs_cells.append(f"{rhs_column}{row_name}{rhs}")
 
     def entry(col: str, row: str, val: object) -> str:
         return f"    {col:<{width}}{row:<{width}}{val}"
 
-    lines = [f"NAME          {model.name}", "ROWS", " N  obj"]
-    for row in model.constraints:
-        lines.append(f" {row_kind[row.relation]}  {row.name}")
     lines.append("COLUMNS")
     in_integer_block = False
     for var in model.variables:
@@ -132,15 +141,14 @@ def write_mps(model: MilpModel) -> str:
         if var.kind != BINARY and in_integer_block:
             lines.append(entry("MARKER2", "'MARKER'", "'INTEND'"))
             in_integer_block = False
-        column = f"    {var.name:<{width}}"
-        lines.extend(column + cell for cell in by_column[var.name])
+        column_cells = cells[var.name]
+        if column_cells:
+            column = f"    {var.name:<{width}}"
+            lines.append(column + ("\n" + column).join(column_cells))
     if in_integer_block:
         lines.append(entry("MARKER2", "'MARKER'", "'INTEND'"))
     lines.append("RHS")
-    rhs_column = f"    {'RHS':<{width}}"
-    for row_name, _, rhs in scaled:
-        if rhs != 0:
-            lines.append(f"{rhs_column}{row_name}{rhs}")
+    lines += rhs_cells
     lines.append("BOUNDS")
     bound_name = f"{'BND':<{width}}"
     for var in model.variables:

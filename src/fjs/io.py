@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Mapping, Sequence
 
 from .core import (
     FjsError,
@@ -34,6 +35,7 @@ __all__ = [
     "FORMAT_SOLUTION",
     "SolutionError",
     "ReportRow",
+    "decode_json",
     "parse_instance",
     "serialize_instance",
     "solution_document",
@@ -105,12 +107,19 @@ def serialize_instance(instance: Instance) -> str:
     return _canonical(document)
 
 
+def decode_json(text: str, error: Callable[[str], FjsError]) -> object:
+    """``json.loads(text)``; a syntax error, or nesting too deep to decode, raises ``error(message)``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise error("JSON nested too deeply to decode") from exc
+
+
 def parse_instance(text: str) -> Instance:
     """Parse and fully validate a canonical instance document."""
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceError("syntax", f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    document = decode_json(text, partial(InstanceError, "syntax"))
     if not isinstance(document, dict):
         raise InstanceError("bad-format", "top-level value must be an object")
     if document.get("format") != FORMAT_INSTANCE:
@@ -118,6 +127,8 @@ def parse_instance(text: str) -> Instance:
     for field in ("name", "machines", "operations", "arcs"):
         if field not in document:
             raise InstanceError("missing-field", f"missing field {field!r}")
+    if not isinstance(document["name"], str):
+        raise InstanceError("bad-format", f"instance name {document['name']!r} is not a string")
     machines = document["machines"]
     if not isinstance(machines, int) or isinstance(machines, bool):
         raise InstanceError("bad-machine-count", "machines must be an integer")
@@ -159,7 +170,7 @@ def parse_instance(text: str) -> Instance:
         ):
             raise InstanceError("bad-format", f"arc entry {arc!r} must be a pair of ids")
         arcs.append((arc[0], arc[1]))
-    return Instance.from_tables(str(document["name"]), machines, ptimes, arcs)
+    return Instance.from_tables(document["name"], machines, ptimes, arcs)
 
 
 def selection_from_starts(
@@ -204,12 +215,7 @@ def serialize_solution(
 def solution_document(source: str | dict) -> dict:
     """A solution document, decoded if ``source`` is JSON text, whose format
     and required fields are checked; it is not yet matched to an instance."""
-    document = source
-    if isinstance(source, str):
-        try:
-            document = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise SolutionError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    document = decode_json(source, SolutionError) if isinstance(source, str) else source
     if not isinstance(document, dict) or document.get("format") != FORMAT_SOLUTION:
         raise SolutionError(f"expected format {FORMAT_SOLUTION!r}")
     for field in ("assignment", "starts", "makespan", "instance"):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import (
     FjsError,
@@ -72,24 +72,37 @@ class WitnessError(FjsError):
     """The gap-witness preconditions do not hold for this instance."""
 
 
-@dataclass(frozen=True)
-class Variable:
-    """A model variable: ``binary`` with bounds 0 and 1, or ``continuous``."""
-
+class _VariableFields(NamedTuple):
     name: str
     kind: str
     lower: Rational = 0
     upper: Rational | None = None  # None = +inf
 
-    def __post_init__(self) -> None:
-        if self.kind not in (BINARY, CONTINUOUS):
-            raise ValueError(f"variable {self.name}: kind must be {BINARY!r} or {CONTINUOUS!r}, got {self.kind!r}")
-        if self.kind == BINARY and (self.lower, self.upper) != (0, 1):
-            raise ValueError(f"binary {self.name} must have bounds 0 and 1, got {self.lower} and {self.upper}")
+
+class Variable(_VariableFields):
+    """A model variable: ``binary`` with bounds 0 and 1, or ``continuous``.
+
+    An immutable tuple record.  ``_make`` and ``_replace`` build through
+    ``__new__`` as the constructor does, so every variable passes its checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, kind: str, lower: Rational = 0, upper: Rational | None = None) -> Variable:
+        if kind not in (BINARY, CONTINUOUS):
+            raise ValueError(f"variable {name}: kind must be {BINARY!r} or {CONTINUOUS!r}, got {kind!r}")
+        if kind == BINARY and (lower, upper) != (0, 1):
+            raise ValueError(f"binary {name} must have bounds 0 and 1, got {lower} and {upper}")
+        return tuple.__new__(cls, (name, kind, lower, upper))
+
+    @classmethod
+    def _make(cls, iterable) -> Variable:
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(NamedTuple):
+    """An immutable tuple record: ``sum(coef * var for coef, var in terms) relation rhs``."""
+
     name: str
     terms: tuple[tuple[Rational, str], ...]
     relation: str  # "<=", "=", ">="
@@ -154,39 +167,36 @@ def build_compact_model(instance: Instance, L: Rational) -> MilpModel:
     """
     _check_horizon(L)
     pairs, phi, phi_hat, _ = _sizes(instance)
+    ops, eligible = instance.ops, instance.eligible
+
+    # Each name, and each term that recurs, is made once and shared by every row using it.
+    s = [f"s_{v}" for v in ops]
+    x = [[f"x_{v}_{k}" for k in eligible[v]] for v in ops]
+    y = {pair: f"y_{pair[0]}_{pair[1]}" for pair in pairs.pairs}
+    s_plus = [(1, name) for name in s]
+    s_minus = [(-1, name) for name in s]
+    x_minus = [dict(zip(eligible[v], [(-1, name) for name in x[v]])) for v in ops]
+    y_plus = {pair: (1, name) for pair, name in y.items()}
+    ptime_terms = [tuple(zip(instance.times[v], x[v])) for v in ops]
+    minus_z = (-1, "z")
 
     variables = [Variable("z", CONTINUOUS)]
-    variables += [Variable(f"s_{v}", CONTINUOUS) for v in instance.ops]
-    variables += [
-        Variable(f"x_{v}_{k}", BINARY, 0, 1) for v in instance.ops for k in instance.eligible[v]
-    ]
-    variables += [Variable(f"y_{v}_{w}", BINARY, 0, 1) for v, w in pairs.pairs]
+    variables += [Variable(name, CONTINUOUS) for name in s]
+    variables += [Variable(name, BINARY, 0, 1) for names in x for name in names]
+    variables += [Variable(name, BINARY, 0, 1) for name in y.values()]
 
-    # Built once per operation and shared by every row that charges its time.
-    ptime_terms = [[(instance.ptime(v, k), f"x_{v}_{k}") for k in instance.eligible[v]] for v in instance.ops]
-
-    rows: list[LinearConstraint] = []
-    for v in instance.ops:
-        terms = [(1, f"s_{v}")] + ptime_terms[v] + [(-1, "z")]
-        rows.append(LinearConstraint(f"cmax_{v}", tuple(terms), "<=", 0))
-    for v in instance.ops:
-        terms = [(1, f"x_{v}_{k}") for k in instance.eligible[v]]
-        rows.append(LinearConstraint(f"assign_{v}", tuple(terms), "=", 1))
+    rows = [LinearConstraint(f"cmax_{v}", (s_plus[v], *ptime_terms[v], minus_z), "<=", 0) for v in ops]
+    rows += [LinearConstraint(f"assign_{v}", tuple([(1, name) for name in x[v]]), "=", 1) for v in ops]
     for k in range(1, instance.machines + 1):
         for v, w in pairs.by_machine[k]:
-            terms = (
-                (1, f"y_{v}_{w}"),
-                (1, f"y_{w}_{v}"),
-                (-1, f"x_{v}_{k}"),
-                (-1, f"x_{w}_{k}"),
-            )
+            terms = (y_plus[v, w], y_plus[w, v], x_minus[v][k], x_minus[w][k])
             rows.append(LinearConstraint(f"sel_{k}_{v}_{w}", terms, ">=", -1))
     for u, v in instance.arcs:
-        terms = [(1, f"s_{u}")] + ptime_terms[u] + [(-1, f"s_{v}")]
-        rows.append(LinearConstraint(f"pprec_{u}_{v}", tuple(terms), "<=", 0))
-    for v, w in pairs.pairs:
-        terms = [(1, f"s_{v}")] + ptime_terms[v] + [(L, f"y_{v}_{w}"), (-1, f"s_{w}")]
-        rows.append(LinearConstraint(f"disj_{v}_{w}", tuple(terms), "<=", L))
+        rows.append(LinearConstraint(f"pprec_{u}_{v}", (s_plus[u], *ptime_terms[u], s_minus[v]), "<=", 0))
+    for pair, name in y.items():
+        v, w = pair
+        terms = (s_plus[v], *ptime_terms[v], (L, name), s_minus[w])
+        rows.append(LinearConstraint(f"disj_{v}_{w}", terms, "<=", L))
 
     n_binary = phi + len(pairs.pairs)
     stats = ModelStats(
@@ -218,55 +228,52 @@ def build_machine_indexed_model(instance: Instance, L: Rational) -> MilpModel:
     """
     _check_horizon(L)
     pairs, phi, phi_hat, terminal = _sizes(instance)
+    ops, eligible = instance.ops, instance.eligible
+    machines = range(1, instance.machines + 1)
+
+    # Each name, and each term that recurs, is made once and shared by every row using it;
+    # the per-operation tables are keyed by machine in eligible order.
+    s = [{k: f"s_{v}_{k}" for k in eligible[v]} for v in ops]
+    t = [{k: f"t_{v}_{k}" for k in eligible[v]} for v in ops]
+    x = [{k: f"x_{v}_{k}" for k in eligible[v]} for v in ops]
+    y = {k: {pair: f"y_{pair[0]}_{pair[1]}_{k}" for pair in pairs.by_machine[k]} for k in machines}
+    s_plus = [{k: (1, name) for k, name in row.items()} for row in s]
+    s_minus = [{k: (-1, name) for k, name in row.items()} for row in s]
+    t_plus = [{k: (1, name) for k, name in row.items()} for row in t]
+    y_plus = {k: {pair: (1, name) for pair, name in y[k].items()} for k in machines}
 
     variables = [Variable("z", CONTINUOUS)]
-    variables += [Variable(f"s_{v}_{k}", CONTINUOUS) for v in instance.ops for k in instance.eligible[v]]
-    variables += [Variable(f"t_{v}_{k}", CONTINUOUS) for v in instance.ops for k in instance.eligible[v]]
-    variables += [Variable(f"x_{v}_{k}", BINARY, 0, 1) for v in instance.ops for k in instance.eligible[v]]
-    for k in range(1, instance.machines + 1):
-        variables += [Variable(f"y_{v}_{w}_{k}", BINARY, 0, 1) for v, w in pairs.by_machine[k]]
+    variables += [Variable(name, CONTINUOUS) for row in s for name in row.values()]
+    variables += [Variable(name, CONTINUOUS) for row in t for name in row.values()]
+    variables += [Variable(name, BINARY, 0, 1) for row in x for name in row.values()]
+    variables += [Variable(name, BINARY, 0, 1) for k in machines for name in y[k].values()]
 
-    rows: list[LinearConstraint] = []
-    for v in terminal:
-        for k in instance.eligible[v]:
-            terms = ((1, f"t_{v}_{k}"), (-1, "z"))
-            rows.append(LinearConstraint(f"cmax_{v}_{k}", terms, "<=", 0))
-    for v in instance.ops:
-        terms = [(1, f"x_{v}_{k}") for k in instance.eligible[v]]
-        rows.append(LinearConstraint(f"assign_{v}", tuple(terms), "=", 1))
-    for v in instance.ops:
-        for k in instance.eligible[v]:
-            terms = (
-                (1, f"s_{v}_{k}"),
-                (1, f"t_{v}_{k}"),
-                (-2 * L, f"x_{v}_{k}"),
-            )
+    minus_z = (-1, "z")
+    rows = [
+        LinearConstraint(f"cmax_{v}_{k}", (term, minus_z), "<=", 0) for v in terminal for k, term in t_plus[v].items()
+    ]
+    rows += [LinearConstraint(f"assign_{v}", tuple([(1, name) for name in x[v].values()]), "=", 1) for v in ops]
+    minus_2L = -2 * L
+    for v in ops:
+        for k, name in x[v].items():
+            terms = (s_plus[v][k], t_plus[v][k], (minus_2L, name))
             rows.append(LinearConstraint(f"link_{v}_{k}", terms, "<=", 0))
-    for k in range(1, instance.machines + 1):
+    for k in machines:
+        plus = y_plus[k]
         for v, w in pairs.by_machine[k]:
-            terms = ((1, f"y_{v}_{w}_{k}"), (1, f"y_{w}_{v}_{k}"))
-            rows.append(LinearConstraint(f"sel_{k}_{v}_{w}", terms, "=", 1))
-    for v in instance.ops:
-        for k in instance.eligible[v]:
-            terms = (
-                (1, f"s_{v}_{k}"),
-                (-1, f"t_{v}_{k}"),
-                (L, f"x_{v}_{k}"),
-            )
-            rhs = L - instance.ptime(v, k)
-            rows.append(LinearConstraint(f"comp_{v}_{k}", terms, "<=", rhs))
-    for k in range(1, instance.machines + 1):
-        for v, w in pairs.by_machine[k]:
-            terms = (
-                (1, f"t_{v}_{k}"),
-                (-1, f"s_{w}_{k}"),
-                (L, f"y_{v}_{w}_{k}"),
-            )
+            rows.append(LinearConstraint(f"sel_{k}_{v}_{w}", (plus[v, w], plus[w, v]), "=", 1))
+    for v in ops:
+        for k, p in zip(eligible[v], instance.times[v]):
+            terms = (s_plus[v][k], (-1, t[v][k]), (L, x[v][k]))
+            rows.append(LinearConstraint(f"comp_{v}_{k}", terms, "<=", L - p))
+    for k in machines:
+        for pair, name in y[k].items():
+            v, w = pair
+            terms = (t_plus[v][k], s_minus[w][k], (L, name))
             rows.append(LinearConstraint(f"disj_{k}_{v}_{w}", terms, "<=", L))
     for u, v in instance.arcs:
-        terms = [(1, f"t_{u}_{k}") for k in instance.eligible[u]]
-        terms += [(-1, f"s_{v}_{k}") for k in instance.eligible[v]]
-        rows.append(LinearConstraint(f"pprec_{u}_{v}", tuple(terms), "<=", 0))
+        terms = (*t_plus[u].values(), *s_minus[v].values())
+        rows.append(LinearConstraint(f"pprec_{u}_{v}", terms, "<=", 0))
 
     stats = ModelStats(
         n_constraints=len(rows),
@@ -293,15 +300,16 @@ def check_feasible(model: MilpModel, point: ModelPoint, tol: Rational = 0) -> Va
     check.  With exact rational inputs ``tol=0`` is meaningful.
     """
     _expect_names(point, set(model.variable_names()))
+    values = point.values
     issues: list[ValidationIssue] = []
     for var in model.variables:
-        val = point[var.name]
+        val = values[var.name]
         if val < var.lower - tol:
             issues.append(ValidationIssue("bound", f"{var.name} = {val} below lower bound {var.lower}"))
         if var.upper is not None and val > var.upper + tol:
             issues.append(ValidationIssue("bound", f"{var.name} = {val} above upper bound {var.upper}"))
     for row in model.constraints:
-        lhs = sum(coef * point[name] for coef, name in row.terms)
+        lhs = sum([coef * values[name] for coef, name in row.terms])
         if row.relation == "<=":
             excess = lhs - row.rhs
         elif row.relation == ">=":

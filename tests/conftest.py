@@ -102,8 +102,7 @@ def with_fraction_rows(model: MilpModel, divisor: int = 1) -> MilpModel:
     1 gives every row a denominator to clear.
     """
     rows = tuple(
-        replace(
-            row,
+        row._replace(
             terms=tuple((Fraction(coef) / divisor, name) for coef, name in row.terms),
             rhs=Fraction(row.rhs) / divisor,
         )

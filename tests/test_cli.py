@@ -337,3 +337,43 @@ def test_version_mentions_formats(capsys):
     assert err.value.code == 0
     out = capsys.readouterr().out
     assert "fjs-instance/1" in out and "fjs-solution/1" in out
+
+
+@pytest.mark.parametrize("name", [None, ["a"]])
+def test_instance_with_a_non_string_name_exits_1(tmp_path, capsys, name):
+    document = json.loads(serialize_instance(make_ex1()))
+    document["name"] = name
+    path = tmp_path / "bad.fjs.json"
+    path.write_text(json.dumps(document))
+    assert main(["validate", "--in", str(path)]) == 1
+    assert capsys.readouterr().err == f"fjs: bad-format: instance name {name!r} is not a string\n"
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000  # json.loads raises RecursionError on it
+
+
+@pytest.mark.parametrize("command", ["validate-in", "validate-sol", "decode-point", "report"])
+def test_json_nested_too_deeply_exits_1(ex1_file, tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    argv, message = {
+        "validate-in": (["validate", "--in", str(deep)], "syntax: JSON nested too deeply to decode"),
+        "validate-sol": (["validate", "--in", str(ex1_file), "--sol", str(deep)], "JSON nested too deeply to decode"),
+        "decode-point": (
+            ["decode", "--model", "new", "--in", str(ex1_file), "--point", str(deep), "--out", str(tmp_path / "o")],
+            "JSON nested too deeply to decode",
+        ),
+        "report": (["report", "--dir", str(tmp_path)], "JSON nested too deeply to decode"),
+    }[command]
+    if command == "report":
+        deep.rename(tmp_path / "deep.sol.json")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"fjs: {message}\n"
+
+
+def test_bad_json_point_file_exits_1(ex1_file, tmp_path, capsys):
+    point = tmp_path / "point.json"
+    point.write_text("{")
+    argv = ["decode", "--model", "new", "--in", str(ex1_file), "--point", str(point), "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "fjs: line 1, column 2: Expecting property name enclosed in double quotes\n"

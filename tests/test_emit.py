@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 
 from fjs.core import Instance
 from fjs.emit import _exact_decimal, write_lp, write_mps
+from fjs.generate import DafjsParams, YfjsParams, generate_dafjs, generate_yfjs
 from fjs.heuristic import earliest_start_heuristic
 from fjs.milp import (
     BINARY,
@@ -91,6 +93,38 @@ def test_int_rows_write_like_fraction_rows(instance, build):
     for other in (with_fraction_rows(model), with_fraction_rows(model, 2)):
         assert_same_text(write_lp(other), write_lp(model))
         assert_same_text(write_mps(other), write_mps(model))
+
+
+# sha256 of the writers' output, recorded before the builders and writers were
+# last rewritten; L is the EST makespan unless given.
+PINNED_SHA256 = {
+    ("YFJS", "compact", None, "lp"): "82a6f11b58014eef4e3df8500197ff68f0dcc00d55f5c52cdc7f450f88bc09ef",
+    ("YFJS", "compact", None, "mps"): "871b460f2f51128abe99fe4a7d269b5dd94289c5141b5091d9a795e02a1aa9ee",
+    ("YFJS", "machine-indexed", None, "lp"): "9588cd8c889dd75575a23174730c6af905d901d9780bc246ced4ac2c69929088",
+    ("YFJS", "machine-indexed", None, "mps"): "d941dd7293f1e9af2993e0f977720920b66c315aedbf3d26cf4f721fe0b81b00",
+    ("DAFJS", "compact", None, "lp"): "fa665e35a47adf654286e4b50ef5544b4da4601ab9c689159a61ba304cf2a3d5",
+    ("DAFJS", "compact", None, "mps"): "eb106ef258bbff40582d890b3183b38d44a125744fe77e76db9a271cb4a80d4f",
+    ("DAFJS", "machine-indexed", None, "lp"): "3ddbf93c881414b94e15e99e6665cfb35689d691e566c75bd336e50cf6954cec",
+    ("DAFJS", "machine-indexed", None, "mps"): "f27f30b186f383b02aee47a21b57d04ce1f16b4193196d21b07e2529545e2592",
+    ("DAFJS", "compact", "483/2", "lp"): "d76350ffe299dd9544c716e73b2a4efb6917aee14db91537ac44cc3368c9e84f",
+    ("DAFJS", "compact", "483/2", "mps"): "f763a8c745d790d1250475a0f78040b8edede5187a215ba261ef888c5485b8ca",
+    ("DAFJS", "machine-indexed", "483/2", "lp"): "0b5258cc5da9e5ada70004b4c5b305921f0e90647ebac92f3a17c518669d9c34",
+    ("DAFJS", "machine-indexed", "483/2", "mps"): "f8ccae7274ceba2faa4be124aaed0eac89289ac2f696a59c57934ab694d20dcb",
+}
+PINNED_INSTANCES = {
+    "YFJS": lambda: generate_yfjs(YfjsParams(3, 4, 3, 2, 2)),
+    "DAFJS": lambda: generate_dafjs(DafjsParams(2, 4, 1)),
+}
+PINNED_BUILDERS = {"compact": build_compact_model, "machine-indexed": build_machine_indexed_model}
+PINNED_WRITERS = {"lp": write_lp, "mps": write_mps}
+
+
+@pytest.mark.parametrize("family, model, horizon, fmt", sorted(PINNED_SHA256, key=str), ids=str)
+def test_writers_output_is_pinned(family, model, horizon, fmt):
+    instance = PINNED_INSTANCES[family]()
+    L = Fraction(horizon) if horizon else earliest_start_heuristic(instance)[1].makespan
+    text = PINNED_WRITERS[fmt](PINNED_BUILDERS[model](instance, L))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_SHA256[family, model, horizon, fmt]
 
 
 def test_fractional_processing_times_are_scaled():

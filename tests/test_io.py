@@ -22,6 +22,7 @@ from fjs.core import (
 from fjs.io import (
     ReportRow,
     SolutionError,
+    decode_json,
     format_bound_cell,
     instance_size,
     number_from_json,
@@ -32,11 +33,13 @@ from fjs.io import (
     selection_from_starts,
     serialize_instance,
     serialize_solution,
+    solution_document,
 )
 
 from conftest import random_admissible_solution, small_random_instance
 
 EX1_SOL = SolutionPair(MachineAssignment((1, 1, 2)), Selection(((0, 1), (2,))))
+DEEP_JSON = "[" * 100_000 + "]" * 100_000  # json.loads raises RecursionError on it
 
 
 class TestInstanceFormat:
@@ -103,6 +106,20 @@ class TestInstanceFormat:
             parse_instance(json.dumps(document))
         assert err.value.code == "bad-format"
 
+    @pytest.mark.parametrize("name", [None, ["a"], 5, True])
+    def test_non_string_name_rejected(self, ex1, name):
+        # str() used to turn null into 'None' and ["a"] into "['a']"
+        document = json.loads(serialize_instance(ex1))
+        document["name"] = name
+        with pytest.raises(InstanceError, match="is not a string") as err:
+            parse_instance(json.dumps(document))
+        assert err.value.code == "bad-format"
+
+    def test_nesting_too_deep_is_a_syntax_error(self):
+        with pytest.raises(InstanceError, match="nested too deeply") as err:
+            parse_instance(DEEP_JSON)
+        assert err.value.code == "syntax"
+
     def test_fractional_times_cannot_be_serialized(self):
         inst = Instance.from_tables("frac", 1, {0: {1: Fraction(3, 2)}}, [])
         with pytest.raises(InstanceError) as err:
@@ -154,6 +171,15 @@ class TestSolutionFormat:
         text = serialize_solution(ex1, EX1_SOL, sched).replace('"EX1"', '"OTHER"')
         with pytest.raises(SolutionError, match="OTHER"):
             parse_solution(text, ex1)
+
+    def test_nesting_too_deep_is_a_solution_error(self):
+        with pytest.raises(SolutionError, match="nested too deeply"):
+            solution_document(DEEP_JSON)
+
+    def test_decode_json_maps_syntax_errors_to_the_given_type(self):
+        assert decode_json('{"a": [1]}', SolutionError) == {"a": [1]}
+        with pytest.raises(SolutionError, match="line 1, column 2"):
+            decode_json("{", SolutionError)
 
     def test_parsed_solutions_validate_on_random_instances(self):
         for seed in range(15):

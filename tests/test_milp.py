@@ -16,6 +16,7 @@ from fjs.heuristic import earliest_start_heuristic
 from fjs.milp import (
     BINARY,
     CONTINUOUS,
+    LinearConstraint,
     ModelPoint,
     PointError,
     WitnessError,
@@ -457,3 +458,24 @@ class TestVariable:
         with pytest.raises(ValueError, match="bounds 0 and 1"):
             Variable("x", BINARY, lower, upper)
         assert Variable("x", BINARY, 0, 1).upper == 1
+
+    def test_replace_and_make_check_like_the_constructor(self):
+        with pytest.raises(ValueError, match="kind must be"):
+            Variable("s", CONTINUOUS)._replace(kind="integer")
+        with pytest.raises(ValueError, match="bounds 0 and 1"):
+            Variable("x", BINARY, 0, 1)._replace(upper=2)
+        with pytest.raises(ValueError, match="bounds 0 and 1"):
+            Variable._make(("x", BINARY, 0, None))
+        assert Variable("s", CONTINUOUS)._replace(upper=4) == Variable("s", CONTINUOUS, 0, 4)
+        assert Variable._make(("x", BINARY, 0, 1)) == Variable("x", BINARY, 0, 1)
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [(Variable("s", CONTINUOUS), "upper"), (LinearConstraint("r", ((1, "s"),), "<=", 1), "rhs")],
+        ids=["variable", "constraint"],
+    )
+    def test_records_are_immutable(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 5)
+        with pytest.raises(AttributeError):
+            record.extra = 5
