@@ -17,9 +17,11 @@ iteration breaks ties by ascending id.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+import reprlib
+from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Set
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 Rational = int | Fraction
@@ -72,6 +74,31 @@ class InadmissibleError(FjsError):
         self.cycle = cycle
 
 
+class _Echo(reprlib.Repr):
+    """``repr`` for echoing input values in messages, cut at 80 characters, 8
+    items and 3 levels, so any echo stays within tens of KiB.  Within those
+    limits it equals ``repr``, dict key order included."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.maxstring = self.maxother = self.maxlong = 80
+        self.maxlist = self.maxdict = self.maxtuple = 8
+        self.maxlevel = 3
+
+    def repr_dict(self, x, level):
+        if not x:
+            return "{}"
+        if level <= 0:
+            return "{...}"
+        pieces = [f"{self.repr1(key, level - 1)}: {self.repr1(x[key], level - 1)}" for key in islice(x, self.maxdict)]
+        if len(x) > self.maxdict:
+            pieces.append("...")
+        return "{" + ", ".join(pieces) + "}"
+
+
+_echo = _Echo().repr
+
+
 def check_time(value: object) -> Rational:
     """Validate a processing-time value: a positive int or Fraction.
 
@@ -79,7 +106,7 @@ def check_time(value: object) -> Rational:
     because schedule feasibility is decided with exact comparisons.
     """
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise InstanceError("bad-time", f"processing time must be int or Fraction, got {value!r}")
+        raise InstanceError("bad-time", f"processing time must be int or Fraction, got {_echo(value)}")
     if value <= 0:
         raise InstanceError("nonpositive-time", f"processing time must be positive, got {value}")
     if isinstance(value, Fraction) and value.denominator == 1:
@@ -126,7 +153,7 @@ class Instance:
             u, w = arc
             ids = isinstance(u, int) and isinstance(w, int) and not (isinstance(u, bool) or isinstance(w, bool))
             if not ids or not (0 <= u < n and 0 <= w < n):
-                raise InstanceError("dangling-arc", f"arc {arc!r} references an unknown operation id")
+                raise InstanceError("dangling-arc", f"arc {_echo(arc)} references an unknown operation id")
             if u == w:
                 raise InstanceError("self-loop", f"arc ({u}, {w}) is a self-loop")
             arcs.append((u, w))
@@ -145,9 +172,11 @@ class Instance:
         object.__setattr__(
             self, "_ptime", {(v, k): times[v][i] for v in range(n) for i, k in enumerate(eligible[v])}
         )
-        cycle = _find_cycle(n, self._preds)
-        if cycle:
+        order = _kahn(n, self._preds)
+        if len(order) < n:
+            cycle = _find_cycle(n, self._preds)
             raise InstanceError("cycle", f"precedence arcs contain a cycle: {'->'.join(map(str, cycle))}")
+        object.__setattr__(self, "_order", tuple(order))
 
     @property
     def n_ops(self) -> int:
@@ -156,6 +185,11 @@ class Instance:
     @property
     def ops(self) -> range:
         return range(self.n_ops)
+
+    @property
+    def order(self) -> tuple[int, ...]:
+        """The operations in topological order of the arcs, ties by lowest id."""
+        return self._order
 
     def ptime(self, v: int, k: int) -> Rational:
         """Processing time of operation ``v`` on machine ``k`` (must be eligible)."""
@@ -306,7 +340,6 @@ class ValidationReport:
     """Outcome of a feasibility check; empty ``issues`` means feasible."""
 
     issues: tuple[ValidationIssue, ...]
-    info: Mapping[str, object] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -488,8 +521,7 @@ def validate_solution(instance: Instance, sol: SolutionPair, sched: Schedule) ->
     """Check every schedule and selection invariant; never raises.
 
     Each violated constraint becomes one issue naming the offending
-    operations.  ``info['components']`` reports the weakly connected
-    components of the precedence DAG (job metadata, informational only).
+    operations.
     """
     issues: list[ValidationIssue] = []
     f = sol.assignment.machine
@@ -505,9 +537,8 @@ def validate_solution(instance: Instance, sol: SolutionPair, sched: Schedule) ->
         issues.append(
             ValidationIssue("schedule", f"schedule covers {len(sched.start)} of {instance.n_ops} operations")
         )
-    info = {"components": weakly_connected_components(instance)}
     if issues:
-        return ValidationReport(tuple(issues), info)
+        return ValidationReport(tuple(issues))
 
     try:
         _check_selection(instance, sol)
@@ -572,4 +603,4 @@ def validate_solution(instance: Instance, sol: SolutionPair, sched: Schedule) ->
             issues.append(
                 ValidationIssue("critical-path", "path length does not equal the makespan", path)
             )
-    return ValidationReport(tuple(issues), info)
+    return ValidationReport(tuple(issues))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import (
     Instance,
@@ -26,7 +26,6 @@ from .core import (
     Selection,
     SolutionPair,
     tight_schedule,
-    topological_order,
     _kahn,
     _longest_path,
 )
@@ -110,17 +109,17 @@ def brute_force(instance: Instance, max_ops: int = 9, max_assignments: int = 100
 
 @dataclass(frozen=True)
 class BnbNode:
-    """A partial forward schedule: a prefix of (operation, machine) decisions."""
+    """A partial forward schedule: a prefix of (operation, machine) decisions.
+
+    Its makespan so far is ``max(machine_avail)``: each machine's newest
+    operation ends last on that machine.
+    """
 
     lower_bound: Rational
-    n_scheduled: int
     scheduled_mask: int
-    completion: tuple[Rational, ...]
     ready_time: tuple[Rational, ...]
-    pending: tuple[int, ...]
     machine_avail: tuple[Rational, ...]
     machine_seq: tuple[tuple[int, ...], ...]
-    partial_makespan: Rational
 
 
 class _Search:
@@ -131,23 +130,28 @@ class _Search:
         self.deadline = deadline
         n = instance.n_ops
         self.n = n
+        self.full_mask = (1 << n) - 1
         self.pmin = [min(row) for row in instance.times]
-        self.topo = topological_order(n, [instance.predecessors(v) for v in range(n)])
-        self.single_machine_ops: dict[int, list[int]] = {k: [] for k in range(1, instance.machines + 1)}
+        self.topo = instance.order
+        self.pred_mask = [sum(1 << u for u in instance.predecessors(v)) for v in range(n)]
+        self.single_machine_ops: dict[int, list[int]] = {}
         for v in range(n):
             if len(instance.eligible[v]) == 1:
-                self.single_machine_ops[instance.eligible[v][0]].append(v)
+                self.single_machine_ops.setdefault(instance.eligible[v][0], []).append(v)
         self.stack: list[BnbNode] = []
-        self.timed_out = False
         self.nodes = 0
         self.best_value: Rational = None  # set before search starts
         self.best_leaf = None
 
-    def lower_bound(self, node_completion, node_ready, mask, avail, partial_mks) -> Rational:
-        """Max of the path bound with minimum times and the machine workload bound."""
+    def lower_bound(self, node_ready, mask, avail) -> Rational:
+        """Max of the path bound with minimum times and the machine workload bound.
+
+        A machine without single-machine operations adds nothing to
+        ``max(avail)``, where the bound starts.
+        """
         inst = self.instance
-        lb = partial_mks
-        dp = list(node_completion)
+        lb = max(avail)
+        dp = [0] * self.n  # read only at unscheduled operations, each set earlier in the order
         for v in self.topo:
             if mask >> v & 1:
                 continue
@@ -162,9 +166,9 @@ class _Search:
             dp[v] = c
             if c > lb:
                 lb = c
-        for k in range(1, inst.machines + 1):
+        for k, ops in self.single_machine_ops.items():
             load = avail[k - 1]
-            for v in self.single_machine_ops[k]:
+            for v in ops:
                 if not (mask >> v & 1):
                     load += self.pmin[v]
             if load > lb:
@@ -188,10 +192,11 @@ class _Search:
         start it before theta.
         """
         inst = self.instance
+        mask = node.scheduled_mask
+        pred_mask = self.pred_mask
+        ready_ops = [v for v in range(self.n) if not mask >> v & 1 and mask & pred_mask[v] == pred_mask[v]]
         best = None
-        for v in range(self.n):
-            if node.pending[v] or node.scheduled_mask >> v & 1:
-                continue
+        for v in ready_ops:
             rt = node.ready_time[v]
             for k in inst.eligible[v]:
                 avail = node.machine_avail[k - 1]
@@ -202,8 +207,8 @@ class _Search:
         avail_k = node.machine_avail[k - 1]
         children = []
         cutoff = self.best_value
-        for v in range(self.n):
-            if node.pending[v] or node.scheduled_mask >> v & 1 or k not in inst.eligible[v]:
+        for v in ready_ops:
+            if k not in inst.eligible[v]:
                 continue
             rt = node.ready_time[v]
             est = avail_k if avail_k > rt else rt
@@ -213,40 +218,24 @@ class _Search:
             seqs = list(node.machine_seq)
             seqs[k - 1] = seqs[k - 1] + (v,)
             machine_seq = tuple(seqs)
-            mask = node.scheduled_mask | (1 << v)
-            completion = list(node.completion)
-            completion[v] = ect
-            ready = list(node.ready_time)
-            pending = list(node.pending)
-            for w in inst.successors(v):
-                pending[w] -= 1
-                if ect > ready[w]:
-                    ready[w] = ect
+            child_mask = mask | (1 << v)
             avail = list(node.machine_avail)
             avail[k - 1] = ect
-            partial = node.partial_makespan if node.partial_makespan > ect else ect
-            if node.n_scheduled + 1 == self.n:
-                if partial < self.best_value:
-                    self.best_value = partial
+            if child_mask == self.full_mask:
+                makespan = max(avail)
+                if makespan < self.best_value:
+                    self.best_value = makespan
                     self.best_leaf = machine_seq
-                    cutoff = partial
+                    cutoff = makespan
                 continue
-            lb = self.lower_bound(completion, ready, mask, avail, partial)
+            ready = list(node.ready_time)
+            for w in inst.successors(v):
+                if ect > ready[w]:
+                    ready[w] = ect
+            lb = self.lower_bound(ready, child_mask, avail)
             if lb >= cutoff:
                 continue
-            children.append(
-                BnbNode(
-                    lower_bound=lb,
-                    n_scheduled=node.n_scheduled + 1,
-                    scheduled_mask=mask,
-                    completion=tuple(completion),
-                    ready_time=tuple(ready),
-                    pending=tuple(pending),
-                    machine_avail=tuple(avail),
-                    machine_seq=machine_seq,
-                    partial_makespan=partial,
-                )
-            )
+            children.append(BnbNode(lb, child_mask, tuple(ready), tuple(avail), machine_seq))
         children.sort(key=lambda c: c.lower_bound, reverse=True)
         return children
 
@@ -258,7 +247,6 @@ class _Search:
             if node.lower_bound >= self.best_value:
                 continue
             if time.monotonic() > self.deadline:
-                self.timed_out = True
                 stack.append(node)
                 return
             self.nodes += 1
@@ -283,34 +271,15 @@ def solve_branch_and_bound(instance: Instance, time_limit: float = 3600.0) -> So
 
     search = _Search(instance, deadline=t0 + time_limit)
     search.best_value = est_sched.makespan
-    search.best_leaf = None
-    root = BnbNode(
-        lower_bound=0,
-        n_scheduled=0,
-        scheduled_mask=0,
-        completion=(0,) * n,
-        ready_time=(0,) * n,
-        pending=tuple(len(instance.predecessors(v)) for v in range(n)),
-        machine_avail=(0,) * instance.machines,
-        machine_seq=((),) * instance.machines,
-        partial_makespan=0,
-    )
-    root_lb = search.lower_bound(root.completion, root.ready_time, 0, root.machine_avail, 0)
-    search.stack.append(replace(root, lower_bound=root_lb))
+    ready, avail = (0,) * n, (0,) * instance.machines
+    search.stack.append(BnbNode(search.lower_bound(ready, 0, avail), 0, ready, avail, ((),) * instance.machines))
 
     search.run()
 
     elapsed = time.monotonic() - t0
     upper = search.best_value
-    if search.timed_out:
-        open_lbs = [nd.lower_bound for nd in search.stack]
-        lower = min(open_lbs)
-        if lower > upper:
-            lower = upper
-        status = STATUS_BOUND_PAIR if lower < upper else STATUS_OPTIMAL
-    else:
-        lower = upper
-        status = STATUS_OPTIMAL
+    lower = min([upper] + [nd.lower_bound for nd in search.stack])  # the stack is empty unless timed out
+    status = STATUS_BOUND_PAIR if lower < upper else STATUS_OPTIMAL
 
     if search.best_leaf is None:
         sol, sched = est_sol, est_sched

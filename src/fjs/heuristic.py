@@ -22,7 +22,6 @@ from .core import (
     Selection,
     SolutionPair,
     tight_schedule,
-    topological_order,
     _longest_path,
 )
 
@@ -43,9 +42,8 @@ def _scaled_tails(instance: Instance) -> tuple[list[Rational], int]:
     """
     scale = lcm(*(len(row) for row in instance.times))
     weights = [sum(row) * (scale // len(row)) for row in instance.times]
-    order = topological_order(instance.n_ops, [instance.predecessors(v) for v in instance.ops])
     succs = [instance.successors(v) for v in instance.ops]
-    return _longest_path(reversed(order), succs, weights), scale
+    return _longest_path(reversed(instance.order), succs, weights), scale
 
 
 def tail_weights(instance: Instance) -> list[Fraction]:

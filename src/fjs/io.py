@@ -28,6 +28,7 @@ from .core import (
     certified_critical_path,
     validate_solution,
     weakly_connected_components,
+    _echo,
 )
 
 __all__ = [
@@ -73,15 +74,15 @@ def number_to_json(value: Rational) -> int | str:
 def number_from_json(value: object, where: str) -> Rational:
     """Inverse of :func:`number_to_json`; rejects floats and other types."""
     if isinstance(value, bool):
-        raise SolutionError(f"{where}: expected a number, got {value!r}")
+        raise SolutionError(f"{where}: expected a number, got {_echo(value)}")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise SolutionError(f"{where}: bad rational literal {value!r}") from exc
-    raise SolutionError(f"{where}: expected int or 'a/b' string, got {value!r}")
+            raise SolutionError(f"{where}: bad rational literal {_echo(value)}") from exc
+    raise SolutionError(f"{where}: expected int or 'a/b' string, got {_echo(value)}")
 
 
 def serialize_instance(instance: Instance) -> str:
@@ -123,12 +124,12 @@ def parse_instance(text: str) -> Instance:
     if not isinstance(document, dict):
         raise InstanceError("bad-format", "top-level value must be an object")
     if document.get("format") != FORMAT_INSTANCE:
-        raise InstanceError("bad-format", f"expected format {FORMAT_INSTANCE!r}, got {document.get('format')!r}")
+        raise InstanceError("bad-format", f"expected format {FORMAT_INSTANCE!r}, got {_echo(document.get('format'))}")
     for field in ("name", "machines", "operations", "arcs"):
         if field not in document:
             raise InstanceError("missing-field", f"missing field {field!r}")
     if not isinstance(document["name"], str):
-        raise InstanceError("bad-format", f"instance name {document['name']!r} is not a string")
+        raise InstanceError("bad-format", f"instance name {_echo(document['name'])} is not a string")
     machines = document["machines"]
     if not isinstance(machines, int) or isinstance(machines, bool):
         raise InstanceError("bad-machine-count", "machines must be an integer")
@@ -138,10 +139,10 @@ def parse_instance(text: str) -> Instance:
     ptimes: dict[int, dict[int, int]] = {}
     for op in operations:
         if not isinstance(op, dict) or "id" not in op or "times" not in op:
-            raise InstanceError("bad-format", f"operation entry {op!r} needs 'id' and 'times'")
+            raise InstanceError("bad-format", f"operation entry {_echo(op)} needs 'id' and 'times'")
         v = op["id"]
         if not isinstance(v, int) or isinstance(v, bool) or v in ptimes:
-            raise InstanceError("bad-id", f"operation id {v!r} is not a fresh integer")
+            raise InstanceError("bad-id", f"operation id {_echo(v)} is not a fresh integer")
         row: dict[int, int] = {}
         if not isinstance(op["times"], list):
             raise InstanceError("bad-format", f"operation {v}: times must be a list of [machine, time] pairs")
@@ -150,9 +151,9 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceError("bad-format", f"operation {v}: times must be [machine, time] pairs")
             k, t = pair
             if not isinstance(k, int) or isinstance(k, bool):
-                raise InstanceError("bad-machine", f"operation {v}: machine id {k!r} is not an integer")
+                raise InstanceError("bad-machine", f"operation {v}: machine id {_echo(k)} is not an integer")
             if not isinstance(t, int) or isinstance(t, bool):
-                raise InstanceError("bad-time", f"operation {v}: time {t!r} is not an integer")
+                raise InstanceError("bad-time", f"operation {v}: time {_echo(t)} is not an integer")
             if k in row:
                 raise InstanceError("bad-machine", f"operation {v}: machine {k} listed twice")
             row[k] = t
@@ -168,7 +169,7 @@ def parse_instance(text: str) -> Instance:
             and len(arc) == 2
             and all(isinstance(x, int) and not isinstance(x, bool) for x in arc)
         ):
-            raise InstanceError("bad-format", f"arc entry {arc!r} must be a pair of ids")
+            raise InstanceError("bad-format", f"arc entry {_echo(arc)} must be a pair of ids")
         arcs.append((arc[0], arc[1]))
     return Instance.from_tables(document["name"], machines, ptimes, arcs)
 
@@ -222,7 +223,7 @@ def solution_document(source: str | dict) -> dict:
         if field not in document:
             raise SolutionError(f"missing field {field!r}")
     if not isinstance(document["instance"], str):
-        raise SolutionError(f"instance name {document['instance']!r} is not a string")
+        raise SolutionError(f"instance name {_echo(document['instance'])} is not a string")
     return document
 
 
@@ -236,7 +237,7 @@ def parse_solution(source: str | dict, instance: Instance) -> tuple[SolutionPair
     document = solution_document(source)
     name = document["instance"]
     if name != instance.name:
-        raise SolutionError(f"solution is for instance {name!r}, not {instance.name!r}")
+        raise SolutionError(f"solution is for instance {_echo(name)}, not {_echo(instance.name)}")
 
     def id_map(entries: object, what: str) -> dict[int, object]:
         if not isinstance(entries, list):
@@ -247,7 +248,7 @@ def parse_solution(source: str | dict, instance: Instance) -> tuple[SolutionPair
                 raise SolutionError(f"{what} entries must be [id, value] pairs")
             v, value = pair
             if not isinstance(v, int) or isinstance(v, bool) or v in out:
-                raise SolutionError(f"{what}: id {v!r} is not a fresh integer")
+                raise SolutionError(f"{what}: id {_echo(v)} is not a fresh integer")
             out[v] = value
         if sorted(out) != list(instance.ops):
             raise SolutionError(f"{what} must cover operation ids 0..{instance.n_ops - 1}")
@@ -256,7 +257,7 @@ def parse_solution(source: str | dict, instance: Instance) -> tuple[SolutionPair
     machines = id_map(document["assignment"], "assignment")
     for v, k in machines.items():
         if not isinstance(k, int) or isinstance(k, bool):
-            raise SolutionError(f"assignment: machine {k!r} of operation {v} is not an integer")
+            raise SolutionError(f"assignment: machine {_echo(k)} of operation {v} is not an integer")
     starts_raw = id_map(document["starts"], "starts")
     start = tuple(number_from_json(starts_raw[v], f"start of operation {v}") for v in instance.ops)
     makespan = number_from_json(document["makespan"], "makespan")

@@ -95,6 +95,17 @@ def test_malformed_arcs_exit_one(tmp_path, capsys, arcs):
         assert "bad-format" in capsys.readouterr().err
 
 
+def test_a_huge_bad_arc_entry_gives_a_short_message(tmp_path, capsys):
+    document = json.loads(serialize_instance(make_ex1()))
+    document["arcs"] = [list(range(200_000))]
+    path = tmp_path / "bad.fjs.json"
+    path.write_text(json.dumps(document))
+    assert main(["validate", "--in", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fjs: bad-format: arc entry [0, 1, 2, 3, 4, 5, 6, 7, ...] must be a pair of ids")
+    assert len(err.encode()) < 1024
+
+
 def test_validate_solution_roundtrip(ex1_file, tmp_path, capsys):
     out = tmp_path / "sol.json"
     main(["solve", "--method", "bnb", "--in", str(ex1_file), "--out", str(out)])

@@ -109,6 +109,25 @@ def test_closes_instances_beyond_the_old_reach(instance, optimum, max_nodes):
     assert validate_solution(instance, result.solution, result.schedule).ok
 
 
+@pytest.mark.parametrize(
+    "instance, optimum, nodes",
+    [
+        pytest.param(generate_yfjs(YfjsParams(3, 4, 3, 2, 3)), 544, 224, id="YFJS-n3-o4-m3-q2-s3"),
+        pytest.param(generate_yfjs(YfjsParams(3, 5, 4, 2, 2)), 715, 39, id="YFJS-n3-o5-m4-q2-s2"),
+        pytest.param(generate_yfjs(YfjsParams(3, 5, 4, 2, 3)), 564, 34, id="YFJS-n3-o5-m4-q2-s3"),
+        pytest.param(generate_dafjs(DafjsParams(3, 4, 2)), 239, 202, id="DAFJS-n3-m4-s2"),
+        pytest.param(generate_dafjs(DafjsParams(3, 5, 3)), 261, 44, id="DAFJS-n3-m5-s3"),
+        pytest.param(generate_yfjs(YfjsParams(4, 5, 5, 3, 1)), 537, 453, id="YFJS-n4-o5-m5-q3-s1"),
+        pytest.param(generate_dafjs(DafjsParams(3, 4, 3)), 212, 1172, id="DAFJS-n3-m4-s3"),
+    ],
+)
+def test_search_order_is_pinned_on_the_bnb_corpus(instance, optimum, nodes):
+    # The `bnb` workload of perfbench/workloads.py (BNB_SOLVED + BNB_CAPPED):
+    # any change to branching, bounding or child order moves these counts.
+    result = solve_branch_and_bound(instance, time_limit=60)
+    assert (result.upper_bound, result.nodes_explored, result.status) == (optimum, nodes, "optimal")
+
+
 def test_timeout_returns_est_incumbent_and_sound_bounds():
     # EST lands on machine 1 (start-time tie) with time 9; the optimum is 6.
     inst = Instance.from_tables("trap", 2, {0: {1: 9, 2: 3}, 1: {2: 3}}, [])
