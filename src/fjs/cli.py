@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .core import FjsError, Instance, Rational, validate_solution
+from .core import FjsError, Instance, Rational, _echo, validate_solution
 from .emit import write_lp, write_mps
 from .exact import STATUS_OPTIMAL, solve_branch_and_bound
 from .generate import DafjsParams, YfjsParams, generate_dafjs, generate_yfjs
@@ -22,6 +22,7 @@ from .io import (
     FORMAT_INSTANCE,
     FORMAT_SOLUTION,
     ReportRow,
+    SolutionError,
     decode_json,
     instance_size,
     number_from_json,
@@ -230,11 +231,15 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_bound(meta: dict, key: str, fallback) -> object:
-    value = meta.get(key, fallback)
-    if isinstance(value, float):
-        return value
-    return number_from_json(value, key)
+def _report_bound(meta: dict, key: str, makespan: Rational) -> Rational:
+    return number_from_json(meta[key], key) if key in meta else makespan
+
+
+def _report_elapsed(meta: dict) -> float:
+    elapsed = meta.get("elapsed", 0.0)
+    if isinstance(elapsed, bool) or not isinstance(elapsed, (int, float)) or not 0 <= elapsed <= sys.float_info.max:
+        raise SolutionError(f"elapsed: expected a finite non-negative number of seconds, got {_echo(elapsed)}")
+    return float(elapsed)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -267,7 +272,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 status=str(meta.get("status", "?")),
                 lower_bound=_report_bound(meta, "lower_bound", sched.makespan),
                 upper_bound=_report_bound(meta, "upper_bound", sched.makespan),
-                elapsed=float(meta.get("elapsed", 0.0)),
+                elapsed=_report_elapsed(meta),
             )
         )
     rows.sort(key=lambda r: (r.name, r.method))

@@ -109,11 +109,14 @@ def serialize_instance(instance: Instance) -> str:
 
 
 def decode_json(text: str, error: Callable[[str], FjsError]) -> object:
-    """``json.loads(text)``; a syntax error, or nesting too deep to decode, raises ``error(message)``."""
+    """``json.loads(text)``; a syntax error, an integer literal too long to
+    convert, or nesting too deep to decode raises ``error(message)``."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # the interpreter's limit on int string conversion
+        raise error("JSON integer literal too long to decode") from exc
     except RecursionError as exc:
         raise error("JSON nested too deeply to decode") from exc
 

@@ -5,7 +5,10 @@ per operation and resolves machine conflicts with big-M rows over ordered
 operation pairs.  The machine-indexed model carries start and completion
 variables per (operation, machine) pair, a sequencing binary per ordered pair
 and machine, and zeroes out the timing variables of unchosen machines.  Both
-minimise a single makespan variable ``z``.
+minimise a single makespan variable ``z``.  Besides ``z``, the compact
+variables are ``s_v``, ``x_v_k`` and ``y_v_w`` (``_compact_names``), and the
+machine-indexed ones ``s_v_k``, ``t_v_k``, ``x_v_k`` and ``y_v_w_k``
+(``_machine_indexed_names``); every other function looks names up there.
 
 Feasible solutions translate to feasible model points and back; the codecs
 here implement both directions exactly (exact arithmetic: ``int``
@@ -23,6 +26,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from .core import (
+    DisjunctivePairs,
     FjsError,
     Instance,
     MachineAssignment,
@@ -150,6 +154,24 @@ def _sizes(instance: Instance):
     return pairs, phi, phi_hat, terminal
 
 
+def _x_names(instance: Instance) -> list[dict[int, str]]:
+    return [{k: f"x_{v}_{k}" for k in instance.eligible[v]} for v in instance.ops]
+
+
+def _compact_names(instance: Instance, pairs: DisjunctivePairs):
+    """The compact model's names ``s[v]``, ``x[v][k]`` and ``y[v, w]``, each keyed in model order."""
+    y = {pair: f"y_{pair[0]}_{pair[1]}" for pair in pairs.pairs}
+    return [f"s_{v}" for v in instance.ops], _x_names(instance), y
+
+
+def _machine_indexed_names(instance: Instance, pairs: DisjunctivePairs):
+    """The machine-indexed names ``s[v][k]``, ``t[v][k]``, ``x[v][k]`` and ``y[k][v, w]``, keyed in model order."""
+    s = [{k: f"s_{v}_{k}" for k in instance.eligible[v]} for v in instance.ops]
+    t = [{k: f"t_{v}_{k}" for k in instance.eligible[v]} for v in instance.ops]
+    y = {k: {pair: f"y_{pair[0]}_{pair[1]}_{k}" for pair in row} for k, row in pairs.by_machine.items()}
+    return s, t, _x_names(instance), y
+
+
 def _check_horizon(L: Rational) -> None:
     if not isinstance(L, (int, Fraction)) or isinstance(L, bool):
         raise ValueError(f"horizon L must be int or Fraction, got {L!r}")
@@ -167,26 +189,24 @@ def build_compact_model(instance: Instance, L: Rational) -> MilpModel:
     """
     _check_horizon(L)
     pairs, phi, phi_hat, _ = _sizes(instance)
-    ops, eligible = instance.ops, instance.eligible
+    ops = instance.ops
 
     # Each name, and each term that recurs, is made once and shared by every row using it.
-    s = [f"s_{v}" for v in ops]
-    x = [[f"x_{v}_{k}" for k in eligible[v]] for v in ops]
-    y = {pair: f"y_{pair[0]}_{pair[1]}" for pair in pairs.pairs}
+    s, x, y = _compact_names(instance, pairs)
     s_plus = [(1, name) for name in s]
     s_minus = [(-1, name) for name in s]
-    x_minus = [dict(zip(eligible[v], [(-1, name) for name in x[v]])) for v in ops]
+    x_minus = [{k: (-1, name) for k, name in row.items()} for row in x]
     y_plus = {pair: (1, name) for pair, name in y.items()}
-    ptime_terms = [tuple(zip(instance.times[v], x[v])) for v in ops]
+    ptime_terms = [tuple(zip(instance.times[v], x[v].values())) for v in ops]
     minus_z = (-1, "z")
 
     variables = [Variable("z", CONTINUOUS)]
     variables += [Variable(name, CONTINUOUS) for name in s]
-    variables += [Variable(name, BINARY, 0, 1) for names in x for name in names]
+    variables += [Variable(name, BINARY, 0, 1) for row in x for name in row.values()]
     variables += [Variable(name, BINARY, 0, 1) for name in y.values()]
 
     rows = [LinearConstraint(f"cmax_{v}", (s_plus[v], *ptime_terms[v], minus_z), "<=", 0) for v in ops]
-    rows += [LinearConstraint(f"assign_{v}", tuple([(1, name) for name in x[v]]), "=", 1) for v in ops]
+    rows += [LinearConstraint(f"assign_{v}", tuple([(1, name) for name in x[v].values()]), "=", 1) for v in ops]
     for k in range(1, instance.machines + 1):
         for v, w in pairs.by_machine[k]:
             terms = (y_plus[v, w], y_plus[w, v], x_minus[v][k], x_minus[w][k])
@@ -229,24 +249,19 @@ def build_machine_indexed_model(instance: Instance, L: Rational) -> MilpModel:
     _check_horizon(L)
     pairs, phi, phi_hat, terminal = _sizes(instance)
     ops, eligible = instance.ops, instance.eligible
-    machines = range(1, instance.machines + 1)
 
-    # Each name, and each term that recurs, is made once and shared by every row using it;
-    # the per-operation tables are keyed by machine in eligible order.
-    s = [{k: f"s_{v}_{k}" for k in eligible[v]} for v in ops]
-    t = [{k: f"t_{v}_{k}" for k in eligible[v]} for v in ops]
-    x = [{k: f"x_{v}_{k}" for k in eligible[v]} for v in ops]
-    y = {k: {pair: f"y_{pair[0]}_{pair[1]}_{k}" for pair in pairs.by_machine[k]} for k in machines}
+    # Each name, and each term that recurs, is made once and shared by every row using it.
+    s, t, x, y = _machine_indexed_names(instance, pairs)
     s_plus = [{k: (1, name) for k, name in row.items()} for row in s]
     s_minus = [{k: (-1, name) for k, name in row.items()} for row in s]
     t_plus = [{k: (1, name) for k, name in row.items()} for row in t]
-    y_plus = {k: {pair: (1, name) for pair, name in y[k].items()} for k in machines}
+    y_plus = {k: {pair: (1, name) for pair, name in row.items()} for k, row in y.items()}
 
     variables = [Variable("z", CONTINUOUS)]
     variables += [Variable(name, CONTINUOUS) for row in s for name in row.values()]
     variables += [Variable(name, CONTINUOUS) for row in t for name in row.values()]
     variables += [Variable(name, BINARY, 0, 1) for row in x for name in row.values()]
-    variables += [Variable(name, BINARY, 0, 1) for k in machines for name in y[k].values()]
+    variables += [Variable(name, BINARY, 0, 1) for row in y.values() for name in row.values()]
 
     minus_z = (-1, "z")
     rows = [
@@ -258,16 +273,15 @@ def build_machine_indexed_model(instance: Instance, L: Rational) -> MilpModel:
         for k, name in x[v].items():
             terms = (s_plus[v][k], t_plus[v][k], (minus_2L, name))
             rows.append(LinearConstraint(f"link_{v}_{k}", terms, "<=", 0))
-    for k in machines:
-        plus = y_plus[k]
+    for k, plus in y_plus.items():
         for v, w in pairs.by_machine[k]:
             rows.append(LinearConstraint(f"sel_{k}_{v}_{w}", (plus[v, w], plus[w, v]), "=", 1))
     for v in ops:
         for k, p in zip(eligible[v], instance.times[v]):
             terms = (s_plus[v][k], (-1, t[v][k]), (L, x[v][k]))
             rows.append(LinearConstraint(f"comp_{v}_{k}", terms, "<=", L - p))
-    for k in machines:
-        for pair, name in y[k].items():
+    for k, row in y.items():
+        for pair, name in row.items():
             v, w = pair
             terms = (t_plus[v][k], s_minus[w][k], (L, name))
             rows.append(LinearConstraint(f"disj_{k}_{v}_{w}", terms, "<=", L))
@@ -331,16 +345,16 @@ def encode_compact(instance: Instance, sol: SolutionPair) -> ModelPoint:
     ``L >= makespan``.
     """
     sched = tight_schedule(instance, sol)
-    pairs = disjunctive_pairs(instance)
+    s, x, y = _compact_names(instance, disjunctive_pairs(instance))
     f = sol.assignment.machine
     pos = sol.selection.positions()
     values: dict[str, Rational] = {"z": sched.makespan}
     for v in instance.ops:
-        values[f"s_{v}"] = sched.start[v]
-        for k in instance.eligible[v]:
-            values[f"x_{v}_{k}"] = 1 if f[v] == k else 0
-    for v, w in pairs.pairs:
-        values[f"y_{v}_{w}"] = 1 if f[v] == f[w] and pos[v] < pos[w] else 0
+        values[s[v]] = sched.start[v]
+        for k, name in x[v].items():
+            values[name] = 1 if f[v] == k else 0
+    for (v, w), name in y.items():
+        values[name] = 1 if f[v] == f[w] and pos[v] < pos[w] else 0
     return ModelPoint(values)
 
 
@@ -362,17 +376,17 @@ def encode_machine_indexed(
         raise ValueError("op_order must be a permutation of the operation ids")
     order_pos = {v: i for i, v in enumerate(op_order)}
     pos = sol.selection.positions()
-    pairs = disjunctive_pairs(instance)
+    s, t, x, y = _machine_indexed_names(instance, disjunctive_pairs(instance))
     f = sol.assignment.machine
     values: dict[str, Rational] = {"z": sched.makespan}
     for v in instance.ops:
-        for k in instance.eligible[v]:
+        for k, p in zip(instance.eligible[v], instance.times[v]):
             on = f[v] == k
-            values[f"s_{v}_{k}"] = sched.start[v] if on else 0
-            values[f"t_{v}_{k}"] = sched.start[v] + instance.ptime(v, k) if on else 0
-            values[f"x_{v}_{k}"] = 1 if on else 0
-    for k in range(1, instance.machines + 1):
-        for v, w in pairs.by_machine[k]:
+            values[s[v][k]] = sched.start[v] if on else 0
+            values[t[v][k]] = sched.start[v] + p if on else 0
+            values[x[v][k]] = 1 if on else 0
+    for k, row in y.items():
+        for (v, w), name in row.items():
             if f[v] == k and f[w] == k:
                 bit = 1 if pos[v] < pos[w] else 0
             elif f[v] != k and f[w] == k:
@@ -381,7 +395,7 @@ def encode_machine_indexed(
                 bit = 1 if order_pos[v] > order_pos[w] else 0
             else:
                 bit = 0
-            values[f"y_{v}_{w}_{k}"] = bit
+            values[name] = bit
     return ModelPoint(values)
 
 
@@ -404,10 +418,10 @@ def _binary(point: ModelPoint, name: str) -> int:
     raise PointError(f"non-integral binary {name} = {val}")
 
 
-def _assignment_from_x(instance: Instance, point: ModelPoint) -> MachineAssignment:
+def _assignment_from_x(x: list[dict[int, str]], point: ModelPoint) -> MachineAssignment:
     machine = []
-    for v in instance.ops:
-        chosen = [k for k in instance.eligible[v] if _binary(point, f"x_{v}_{k}")]
+    for v, row in enumerate(x):
+        chosen = [k for k, name in row.items() if _binary(point, name)]
         if not chosen:
             raise PointError(f"no machine selected for operation {v}")
         if len(chosen) > 1:
@@ -449,15 +463,11 @@ def decode_compact(instance: Instance, point: ModelPoint) -> tuple[SolutionPair,
     no meaning and are ignored.  The returned schedule is the tight schedule
     of the recovered solution; its makespan never exceeds the point's z.
     """
-    model_names = {"z"}
-    model_names.update(f"s_{v}" for v in instance.ops)
-    model_names.update(f"x_{v}_{k}" for v in instance.ops for k in instance.eligible[v])
-    pairs = disjunctive_pairs(instance)
-    model_names.update(f"y_{v}_{w}" for v, w in pairs.pairs)
-    _expect_names(point, model_names)
+    s, x, y = _compact_names(instance, disjunctive_pairs(instance))
+    _expect_names(point, {"z", *s, *y.values(), *(name for row in x for name in row.values())})
 
-    assignment = _assignment_from_x(instance, point)
-    oriented = {(v, w) for v, w in pairs.pairs if _binary(point, f"y_{v}_{w}")}
+    assignment = _assignment_from_x(x, point)
+    oriented = {pair for pair, name in y.items() if _binary(point, name)}
     selection = _selection_or_raise(instance, assignment, oriented)
     sol = SolutionPair(assignment, selection)
     sched = tight_schedule(instance, sol)
@@ -473,26 +483,20 @@ def decode_machine_indexed(instance: Instance, point: ModelPoint) -> tuple[Solut
     A certifying critical path is attached when those starts are tight;
     otherwise the path is left empty.
     """
-    pairs = disjunctive_pairs(instance)
-    model_names = {"z"}
-    for v in instance.ops:
-        for k in instance.eligible[v]:
-            model_names.update((f"s_{v}_{k}", f"t_{v}_{k}", f"x_{v}_{k}"))
-    for k in range(1, instance.machines + 1):
-        model_names.update(f"y_{v}_{w}_{k}" for v, w in pairs.by_machine[k])
-    _expect_names(point, model_names)
+    s, t, x, y = _machine_indexed_names(instance, disjunctive_pairs(instance))
+    _expect_names(point, {"z", *(name for row in (*s, *t, *x, *y.values()) for name in row.values())})
 
-    assignment = _assignment_from_x(instance, point)
+    assignment = _assignment_from_x(x, point)
     f = assignment.machine
     oriented = set()
-    for k in range(1, instance.machines + 1):
-        for v, w in pairs.by_machine[k]:
-            if f[v] == k and f[w] == k and _binary(point, f"y_{v}_{w}_{k}"):
+    for k, row in y.items():
+        for (v, w), name in row.items():
+            if f[v] == k and f[w] == k and _binary(point, name):
                 oriented.add((v, w))
     selection = _selection_or_raise(instance, assignment, oriented)
     sol = SolutionPair(assignment, selection)
 
-    start = tuple(point[f"s_{v}_{f[v]}"] for v in instance.ops)
+    start = tuple(point[s[v][f[v]]] for v in instance.ops)
     p = [instance.ptime(v, f[v]) for v in instance.ops]
     for v in instance.ops:
         if start[v] < 0:
@@ -537,17 +541,13 @@ def machine_indexed_gap_witness(instance: Instance, L: Rational) -> ModelPoint:
                 raise WitnessError(
                     f"processing time p({v},{k}) = {instance.ptime(v, k)} exceeds L/2 = {Fraction(L) / 2}"
                 )
+    s, t, x, y = _machine_indexed_names(instance, disjunctive_pairs(instance))
     values: dict[str, Rational] = {"z": 0}
     for v in instance.ops:
         share = Fraction(1, len(instance.eligible[v]))
         for k in instance.eligible[v]:
-            values[f"s_{v}_{k}"] = 0
-            values[f"t_{v}_{k}"] = 0
-            values[f"x_{v}_{k}"] = share
-    pairs = disjunctive_pairs(instance)
-    for k in range(1, instance.machines + 1):
-        for v, w in pairs.by_machine[k]:
-            values[f"y_{v}_{w}_{k}"] = Fraction(1, 2)
+            values.update({s[v][k]: 0, t[v][k]: 0, x[v][k]: share})
+    values.update((name, Fraction(1, 2)) for row in y.values() for name in row.values())
     return ModelPoint(values)
 
 

@@ -13,7 +13,7 @@ from fjs.generate import YfjsParams, generate_yfjs
 from fjs.heuristic import earliest_start_heuristic
 from fjs.io import parse_instance, parse_solution, serialize_instance, serialize_solution
 from fjs.milp import encode_compact, encode_machine_indexed
-from fjs.core import MachineAssignment, Selection, SolutionPair
+from fjs.core import MachineAssignment, Selection, SolutionPair, tight_schedule
 
 from conftest import make_ex1
 
@@ -388,3 +388,72 @@ def test_bad_json_point_file_exits_1(ex1_file, tmp_path, capsys):
     argv = ["decode", "--model", "new", "--in", str(ex1_file), "--point", str(point), "--out", str(tmp_path / "o")]
     assert main(argv) == 1
     assert capsys.readouterr().err == "fjs: line 1, column 2: Expecting property name enclosed in double quotes\n"
+
+
+HUGE_INT = "9" * 5000  # past the interpreter's 4,300-digit limit on int string conversion
+
+
+@pytest.mark.parametrize("command", ["validate-in", "validate-sol", "decode-point"])
+def test_huge_integer_literal_exits_1(ex1_file, tmp_path, capsys, command):
+    ex1 = make_ex1()
+    instance = json.loads(ex1_file.read_text())
+    instance["operations"][0]["times"][0][1] = "HUGE"
+    solution = json.loads(serialize_solution(ex1, EX1_SOL, tight_schedule(ex1, EX1_SOL)))
+    solution["makespan"] = "HUGE"
+    document = {"validate-in": instance, "validate-sol": solution, "decode-point": {"z": "HUGE"}}[command]
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(document).replace('"HUGE"', HUGE_INT))
+    argv = {
+        "validate-in": ["validate", "--in", str(huge)],
+        "validate-sol": ["validate", "--in", str(ex1_file), "--sol", str(huge)],
+        "decode-point": [
+            "decode", "--model", "new", "--in", str(ex1_file), "--point", str(huge), "--out", str(tmp_path / "o"),
+        ],
+    }[command]
+    prefix = "syntax: " if command == "validate-in" else ""
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"fjs: {prefix}JSON integer literal too long to decode\n"
+
+
+def _write_ex1_solution(directory, meta):
+    ex1 = make_ex1()
+    (directory / "ex1.fjs.json").write_text(serialize_instance(ex1))
+    text = serialize_solution(ex1, EX1_SOL, tight_schedule(ex1, EX1_SOL), meta)
+    (directory / "ex1.sol.json").write_text(text)
+
+
+BAD_ELAPSED = "elapsed: expected a finite non-negative number of seconds, got "
+
+
+@pytest.mark.parametrize(
+    "meta, message",
+    [
+        ({"elapsed": "abc"}, BAD_ELAPSED + "'abc'"),
+        ({"elapsed": [1]}, BAD_ELAPSED + "[1]"),
+        ({"elapsed": None}, BAD_ELAPSED + "None"),
+        ({"elapsed": True}, BAD_ELAPSED + "True"),
+        ({"elapsed": float("nan")}, BAD_ELAPSED + "nan"),
+        ({"elapsed": -1}, BAD_ELAPSED + "-1"),
+        ({"elapsed": 10**400}, BAD_ELAPSED + "1" + "0" * 37 + "..." + "0" * 39),
+        ({"lower_bound": 12.7}, "lower_bound: expected int or 'a/b' string, got 12.7"),
+        ({"upper_bound": 8.0}, "upper_bound: expected int or 'a/b' string, got 8.0"),
+    ],
+    ids=[
+        "elapsed-str", "elapsed-list", "elapsed-null", "elapsed-bool", "elapsed-nan", "elapsed-negative",
+        "elapsed-overflow", "float-lower", "float-upper",
+    ],
+)
+def test_report_rejects_bad_meta_values(tmp_path, capsys, meta, message):
+    _write_ex1_solution(tmp_path, {"method": "est", "status": "feasible", **meta})
+    assert main(["report", "--dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"fjs: {message}\n"
+
+
+def test_report_reads_exact_bounds_and_defaults_to_the_makespan(tmp_path):
+    out = tmp_path / "out.txt"
+    _write_ex1_solution(tmp_path, {"method": "est", "status": "feasible", "lower_bound": "15/2", "elapsed": 2})
+    assert main(["report", "--dir", str(tmp_path), "--out", str(out)]) == 0
+    assert out.read_text() == (
+        "Instance  Size     EST  Method  mks            CPU(s)\n"
+        "EX1       1, 3, 2  8    est     [7.5;8] 6.25%  2.00\n"
+    )

@@ -203,16 +203,21 @@ class TestEncodeDecode:
         with pytest.raises(PointError, match="non-integral"):
             decode_compact(ex1, ModelPoint(values))
 
-    def test_decode_rejects_unknown_and_missing_names(self, ex1):
-        point = encode_compact(ex1, EX1_SOL)
+    @pytest.mark.parametrize(
+        "encode, decode, dropped",
+        [(encode_compact, decode_compact, "s_0"), (encode_machine_indexed, decode_machine_indexed, "s_0_1")],
+        ids=["compact", "machine-indexed"],
+    )
+    def test_decode_rejects_unknown_and_missing_names(self, ex1, encode, decode, dropped):
+        point = encode(ex1, EX1_SOL)
         values = dict(point.values)
         values["mystery"] = 1
         with pytest.raises(PointError, match="unknown"):
-            decode_compact(ex1, ModelPoint(values))
+            decode(ex1, ModelPoint(values))
         del values["mystery"]
-        del values["s_0"]
+        del values[dropped]
         with pytest.raises(PointError, match="missing"):
-            decode_compact(ex1, ModelPoint(values))
+            decode(ex1, ModelPoint(values))
 
     def test_decode_rejects_cyclic_selection(self, ex1):
         point = encode_compact(ex1, EX1_SOL)
