@@ -105,15 +105,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+class _PathError(Exception):
+    """A path that cannot be read or written: a usage error."""
+
+
+def _read(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FjsError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except OSError as exc:
+        raise _PathError(f"cannot read {path}") from exc
 
 
 def _write(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _PathError(f"cannot write {path}") from exc
 
 
 def _fail(message: str, code: int) -> int:
@@ -126,10 +138,13 @@ def _load_instance(path: str) -> Instance:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.family == "yfjs":
-        instance = generate_yfjs(YfjsParams(args.n, args.o, args.m, args.q, args.seed))
-    else:
-        instance = generate_dafjs(DafjsParams(args.n, args.m, args.seed))
+    try:
+        if args.family == "yfjs":
+            instance = generate_yfjs(YfjsParams(args.n, args.o, args.m, args.q, args.seed))
+        else:
+            instance = generate_dafjs(DafjsParams(args.n, args.m, args.seed))
+    except ValueError as exc:  # sizes the generator refuses
+        return _fail(str(exc), 2)
     _write(args.out, serialize_instance(instance))
     print(f"wrote {instance.name} ({instance.n_ops} operations) to {args.out}")
     return 0
@@ -223,7 +238,10 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     raw = decode_json(_read(args.point), PointError)
     if not isinstance(raw, dict):
         return _fail("point file must be a JSON object of variable values", 2)
-    point = ModelPoint({name: number_from_json(value, name) for name, value in raw.items()})
+    # a name is echoed whole up to 80 characters and cut beyond, as any echoed input
+    point = ModelPoint(
+        {name: number_from_json(value, name if len(name) <= 80 else _echo(name)) for name, value in raw.items()}
+    )
     sol, sched = MODEL_DECODERS[args.model](instance, point)
     meta = {"method": f"decode-{args.model}", "status": "feasible"}
     _write(args.out, serialize_solution(instance, sol, sched, meta))
@@ -246,12 +264,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     directory = Path(args.directory)
     instances: dict[str, Instance] = {}
     for path in sorted(directory.glob("*.fjs.json")):
-        instance = parse_instance(path.read_text(encoding="utf-8"))
+        instance = parse_instance(_read(path))
         instances[instance.name] = instance
     rows = []
     est_makespan: dict[str, Rational] = {}
     for path in sorted(directory.glob("*.sol.json")):
-        document = solution_document(path.read_text(encoding="utf-8"))
+        document = solution_document(_read(path))
         name = document["instance"]
         if name not in instances:
             return _fail(f"{path.name}: no instance file named {name!r} in {directory}", 2)
@@ -293,8 +311,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except FileNotFoundError as exc:
-        return _fail(f"cannot read {exc.filename}", 2)
+    except _PathError as exc:
+        return _fail(str(exc), 2)
     except FjsError as exc:
         code = getattr(exc, "code", None)
         prefix = f"{code}: " if code else ""

@@ -43,6 +43,7 @@ __all__ = [
     "certified_critical_path",
     "disjunctive_pairs",
     "is_admissible",
+    "selection_from_starts",
     "topological_order",
     "tight_schedule",
     "validate_solution",
@@ -77,13 +78,17 @@ class InadmissibleError(FjsError):
 class _Echo(reprlib.Repr):
     """``repr`` for echoing input values in messages, cut at 80 characters, 8
     items and 3 levels, so any echo stays within tens of KiB.  Within those
-    limits it equals ``repr``, dict key order included."""
+    limits it equals ``repr``, dict key order included; a string is cut
+    only when it holds more than 80 characters."""
 
     def __init__(self) -> None:
         super().__init__()
         self.maxstring = self.maxother = self.maxlong = 80
         self.maxlist = self.maxdict = self.maxtuple = 8
         self.maxlevel = 3
+
+    def repr_str(self, x, level):
+        return repr(x) if len(x) <= self.maxstring else super().repr_str(x, level)
 
     def repr_dict(self, x, level):
         if not x:
@@ -259,9 +264,6 @@ class MachineAssignment:
 
     machine: tuple[int, ...]
 
-    def ptime(self, instance: Instance, v: int) -> Rational:
-        return instance.ptime(v, self.machine[v])
-
 
 class _PairView(Set):
     """The ordered same-machine pairs of a selection, as a read-only set built on use."""
@@ -316,16 +318,15 @@ class SolutionPair:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Start times plus the derived makespan.
+    """Start times plus the makespan they claim.
 
-    ``critical_path`` certifies the makespan: the path's processing times sum
-    to the makespan.  It is empty for the empty instance and for schedules
-    with slack, where no path achieves it.
+    Nothing else is stored: whether the schedule fits a solution is
+    ``validate_solution``'s to decide, and a certificate of its makespan is
+    ``certified_critical_path`` of the starts.
     """
 
     start: tuple[Rational, ...]
     makespan: Rational
-    critical_path: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -437,6 +438,20 @@ def _combined_preds(instance: Instance, selection: Selection) -> list[list[int]]
     return preds
 
 
+def selection_from_starts(
+    instance: Instance, assignment: MachineAssignment, start: Sequence[Rational]
+) -> Selection:
+    """Sequence each machine's operations by start time (ties by id).
+
+    An operation on a machine the instance lacks is left out; the
+    assignment check reports it.
+    """
+    sequences: dict[int, list[int]] = {k: [] for k in range(1, instance.machines + 1)}
+    for v in sorted(instance.ops, key=lambda v: (start[v], v)):
+        sequences.get(assignment.machine[v], []).append(v)
+    return Selection(tuple(sequences.values()))
+
+
 def is_admissible(instance: Instance, sol: SolutionPair) -> bool:
     """True iff the precedence arcs plus the selection form a DAG.
 
@@ -468,9 +483,7 @@ def tight_schedule(instance: Instance, sol: SolutionPair) -> Schedule:
     preds = _combined_preds(instance, sol.selection)
     p = [instance.ptime(v, k) for v, k in enumerate(sol.assignment.machine)]
     finish = _longest_path(topological_order(instance.n_ops, preds), preds, p)
-    start = tuple(finish[v] - p[v] for v in instance.ops)
-    path = certified_critical_path(instance, sol, start)
-    return Schedule(start=start, makespan=max(finish, default=0), critical_path=path)
+    return Schedule(start=tuple(finish[v] - p[v] for v in instance.ops), makespan=max(finish, default=0))
 
 
 def certified_critical_path(
@@ -521,7 +534,8 @@ def validate_solution(instance: Instance, sol: SolutionPair, sched: Schedule) ->
     """Check every schedule and selection invariant; never raises.
 
     Each violated constraint becomes one issue naming the offending
-    operations.
+    operations.  The starts must follow the selection on each machine, or
+    their own order (``selection_from_starts``) when it is malformed or cyclic.
     """
     issues: list[ValidationIssue] = []
     f = sol.assignment.machine
@@ -540,6 +554,7 @@ def validate_solution(instance: Instance, sol: SolutionPair, sched: Schedule) ->
     if issues:
         return ValidationReport(tuple(issues))
 
+    s = sched.start
     try:
         _check_selection(instance, sol)
     except SelectionError as exc:
@@ -553,9 +568,10 @@ def validate_solution(instance: Instance, sol: SolutionPair, sched: Schedule) ->
             issues.append(
                 ValidationIssue("admissibility", f"cycle {'->'.join(map(str, cycle))}", cycle)
             )
+    # an issue so far is a malformed or cyclic selection: then follow the starts' own order
+    sequences = (selection_from_starts(instance, sol.assignment, s) if issues else sol.selection).sequences
 
     p = [instance.ptime(v, f[v]) for v in instance.ops]
-    s = sched.start
     for v in instance.ops:
         if s[v] < 0:
             issues.append(ValidationIssue("start-range", f"operation {v} starts at {s[v]} < 0", (v,)))
@@ -566,12 +582,8 @@ def validate_solution(instance: Instance, sol: SolutionPair, sched: Schedule) ->
                     "precedence", f"arc ({u}, {w}): {s[u]} + {p[u]} > {s[w]}", (u, w)
                 )
             )
-    by_machine: dict[int, list[int]] = {}
-    for v in instance.ops:
-        by_machine.setdefault(f[v], []).append(v)
-    for k, ops_k in sorted(by_machine.items()):
-        ops_k.sort(key=lambda v: (s[v], v))
-        for a, b in zip(ops_k, ops_k[1:]):
+    for k, seq in enumerate(sequences, 1):
+        for a, b in zip(seq, seq[1:]):
             if s[a] + p[a] > s[b]:
                 issues.append(
                     ValidationIssue(
@@ -588,19 +600,4 @@ def validate_solution(instance: Instance, sol: SolutionPair, sched: Schedule) ->
             )
     elif sched.makespan != 0:
         issues.append(ValidationIssue("makespan", "empty instance must have makespan 0"))
-    if sched.critical_path:
-        path = sched.critical_path
-        arcs = set(instance.arcs)
-        pos = sol.selection.positions()
-
-        def is_edge(a: int, b: int) -> bool:
-            pa, pb = pos.get(a), pos.get(b)
-            return (a, b) in arcs or bool(pa and pb and pa[0] == pb[0] and pa < pb)
-
-        if not all(is_edge(a, b) for a, b in zip(path, path[1:])):
-            issues.append(ValidationIssue("critical-path", "not a path of the combined graph", path))
-        elif sum(p[v] for v in path) != sched.makespan:
-            issues.append(
-                ValidationIssue("critical-path", "path length does not equal the makespan", path)
-            )
     return ValidationReport(tuple(issues))

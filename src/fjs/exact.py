@@ -78,7 +78,7 @@ def brute_force(instance: Instance, max_ops: int = 9, max_assignments: int = 100
 
     if n == 0:
         sol = SolutionPair(MachineAssignment(()), Selection(((),) * instance.machines))
-        sched = Schedule((), 0, ())
+        sched = Schedule((), 0)
         return SolveResult(sol, sched, 0, 0, STATUS_OPTIMAL, 1, time.monotonic() - t0)
 
     base_preds = [list(instance.predecessors(v)) for v in range(n)]

@@ -11,6 +11,7 @@ with one row per solved instance.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -23,9 +24,8 @@ from .core import (
     MachineAssignment,
     Rational,
     Schedule,
-    Selection,
     SolutionPair,
-    certified_critical_path,
+    selection_from_starts,
     validate_solution,
     weakly_connected_components,
     _echo,
@@ -72,16 +72,19 @@ def number_to_json(value: Rational) -> int | str:
 
 
 def number_from_json(value: object, where: str) -> Rational:
-    """Inverse of :func:`number_to_json`; rejects floats and other types."""
+    """Inverse of :func:`number_to_json`: an int, or a string ``"a"`` or ``"a/b"``
+    of decimal digits with an optional leading minus; anything else is refused."""
     if isinstance(value, bool):
         raise SolutionError(f"{where}: expected a number, got {_echo(value)}")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SolutionError(f"{where}: bad rational literal {_echo(value)}") from exc
+        if re.fullmatch(r"-?[0-9]+(/[0-9]+)?", value):
+            try:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError):  # a zero denominator, or too many digits for int()
+                pass
+        raise SolutionError(f"{where}: bad rational literal {_echo(value)}")
     raise SolutionError(f"{where}: expected int or 'a/b' string, got {_echo(value)}")
 
 
@@ -177,20 +180,6 @@ def parse_instance(text: str) -> Instance:
     return Instance.from_tables(document["name"], machines, ptimes, arcs)
 
 
-def selection_from_starts(
-    instance: Instance, assignment: MachineAssignment, start: Sequence[Rational]
-) -> Selection:
-    """Sequence each machine's operations by start time (ties by id).
-
-    An operation on a machine the instance lacks is left out; the
-    assignment check reports it.
-    """
-    sequences: dict[int, list[int]] = {k: [] for k in range(1, instance.machines + 1)}
-    for v in sorted(instance.ops, key=lambda v: (start[v], v)):
-        sequences.get(assignment.machine[v], []).append(v)
-    return Selection(tuple(sequences.values()))
-
-
 def serialize_solution(
     instance: Instance,
     sol: SolutionPair,
@@ -267,15 +256,10 @@ def parse_solution(source: str | dict, instance: Instance) -> tuple[SolutionPair
     assignment = MachineAssignment(tuple(machines[v] for v in instance.ops))
     selection = selection_from_starts(instance, assignment, start)
     sol = SolutionPair(assignment, selection)
-    try:
-        critical = certified_critical_path(instance, sol, start)
-    except (KeyError, IndexError):
-        critical = ()
-    sched = Schedule(start, makespan, critical)
     meta = document.get("meta", {})
     if not isinstance(meta, dict):
         raise SolutionError("meta must be an object")
-    return sol, sched, meta
+    return sol, Schedule(start, makespan), meta
 
 
 @dataclass(frozen=True)

@@ -36,11 +36,12 @@ from .core import (
     SolutionPair,
     ValidationIssue,
     ValidationReport,
-    certified_critical_path,
     disjunctive_pairs,
     is_admissible,
     tight_schedule,
     topological_order,
+    validate_solution,
+    _echo,
     _longest_path,
 )
 
@@ -403,7 +404,7 @@ def _expect_names(point: ModelPoint, expected: set[str]) -> None:
     given = set(point.values)
     unknown = given - expected
     if unknown:
-        raise PointError(f"unknown variable names in point: {sorted(unknown)[:5]}")
+        raise PointError(f"unknown variable names in point: {_echo(sorted(unknown)[:5])}")
     missing = expected - given
     if missing:
         raise PointError(f"point is missing variables: {sorted(missing)[:5]}")
@@ -479,9 +480,8 @@ def decode_compact(instance: Instance, point: ModelPoint) -> tuple[SolutionPair,
 def decode_machine_indexed(instance: Instance, point: ModelPoint) -> tuple[SolutionPair, Schedule]:
     """Recover the solution encoded by an integral machine-indexed point.
 
-    The schedule uses the point's own start values on the chosen machines.
-    A certifying critical path is attached when those starts are tight;
-    otherwise the path is left empty.
+    The schedule uses the point's own start values on the chosen machines;
+    ``validate_solution`` decides whether they fit the recovered solution.
     """
     s, t, x, y = _machine_indexed_names(instance, disjunctive_pairs(instance))
     _expect_names(point, {"z", *(name for row in (*s, *t, *x, *y.values()) for name in row.values())})
@@ -497,21 +497,14 @@ def decode_machine_indexed(instance: Instance, point: ModelPoint) -> tuple[Solut
     sol = SolutionPair(assignment, selection)
 
     start = tuple(point[s[v][f[v]]] for v in instance.ops)
-    p = [instance.ptime(v, f[v]) for v in instance.ops]
-    for v in instance.ops:
-        if start[v] < 0:
-            raise PointError(f"infeasible point: start of operation {v} is negative")
-    neighbours = [(a, b) for seq in selection.sequences for a, b in zip(seq, seq[1:])]
-    if any(start[u] + p[u] > start[w] for u, w in neighbours + list(instance.arcs)):
-        # with positive times the other pairs hold when these do; name the least violated edge
-        u, w = min(e for e in selection.pairs | set(instance.arcs) if start[e[0]] + p[e[0]] > start[e[1]])
-        raise PointError(f"infeasible point: edge ({u}, {w}) violated by the start values")
-    if instance.n_ops == 0:
-        return sol, Schedule((), 0, ())
-    makespan = max(start[v] + p[v] for v in instance.ops)
-    if makespan > point["z"]:
+    makespan = max((start[v] + instance.ptime(v, f[v]) for v in instance.ops), default=0)
+    sched = Schedule(start, makespan)
+    report = validate_solution(instance, sol, sched)
+    if not report.ok:
+        raise PointError(f"infeasible point: {report.issues[0].message}")
+    if instance.n_ops and makespan > point["z"]:
         raise PointError(f"infeasible point: z = {point['z']} below the makespan {makespan}")
-    return sol, Schedule(start, makespan, certified_critical_path(instance, sol, start))
+    return sol, sched
 
 
 def machine_indexed_gap_witness(instance: Instance, L: Rational) -> ModelPoint:

@@ -457,3 +457,146 @@ def test_report_reads_exact_bounds_and_defaults_to_the_makespan(tmp_path):
         "Instance  Size     EST  Method  mks            CPU(s)\n"
         "EX1       1, 3, 2  8    est     [7.5;8] 6.25%  2.00\n"
     )
+
+
+def test_validate_a_wrong_makespan_prints_one_issue(ex1_file, tmp_path, capsys):
+    ex1 = make_ex1()
+    document = json.loads(serialize_solution(ex1, EX1_SOL, tight_schedule(ex1, EX1_SOL)))
+    document["makespan"] = 9
+    sol_path = tmp_path / "ex1.sol.json"
+    sol_path.write_text(json.dumps(document))
+    assert main(["validate", "--in", str(ex1_file), "--sol", str(sol_path)]) == 1
+    assert capsys.readouterr().err == "EX1: makespan: recorded makespan 9 != 8\n"
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("validate-sol", "start of operation 0: bad rational literal '0e0'"),
+        ("report", "upper_bound: bad rational literal '3.6e2'"),
+        ("decode-point", "z: bad rational literal '1e1000000'"),
+    ],
+)
+def test_numbers_in_files_are_ints_or_fraction_strings(ex1_file, tmp_path, capsys, command, message):
+    ex1 = make_ex1()
+    solution = json.loads(serialize_solution(ex1, EX1_SOL, tight_schedule(ex1, EX1_SOL), {"method": "est"}))
+    if command == "validate-sol":
+        solution["starts"][0][1] = "0e0"
+    else:
+        solution["meta"]["upper_bound"] = "3.6e2"
+    (tmp_path / "ex1.sol.json").write_text(json.dumps(solution))
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"z": "1e1000000"}))
+    argv = {
+        "validate-sol": ["validate", "--in", str(ex1_file), "--sol", str(tmp_path / "ex1.sol.json")],
+        "report": ["report", "--dir", str(tmp_path)],
+        "decode-point": [
+            "decode", "--model", "new", "--in", str(ex1_file), "--point", str(point), "--out", str(tmp_path / "o"),
+        ],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"fjs: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["yfjs", "--n", "0", "--o", "2", "--m", "2", "--q", "1"], "all yfjs parameters must be >= 1"),
+        (["yfjs", "--n", "2", "--o", "2", "--m", "2", "--q", "3"], "max_eligible cannot exceed the machine count"),
+        (["dafjs", "--n", "2", "--m", "1"], "machines must be >= 2"),
+    ],
+    ids=["yfjs-n0", "yfjs-q-above-m", "dafjs-m1"],
+)
+def test_generate_rejects_bad_sizes_as_usage_errors(tmp_path, capsys, argv, message):
+    out = tmp_path / "g.fjs.json"
+    assert main(["generate", *argv, "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"fjs: {message}\n"
+    assert not out.exists()
+
+
+def _ex1_solution_file(directory):
+    ex1 = make_ex1()
+    path = directory / "ex1.sol.json"
+    path.write_text(serialize_solution(ex1, EX1_SOL, tight_schedule(ex1, EX1_SOL)))
+    return path
+
+
+def _argv_reading(command, ex1_file, tmp_path, path):
+    """Arguments for which ``command`` reads ``path`` as its input file."""
+    return {
+        "validate-in": ["validate", "--in", str(path)],
+        "validate-sol": ["validate", "--in", str(ex1_file), "--sol", str(path)],
+        "decode-point": [
+            "decode", "--model", "new", "--in", str(ex1_file), "--point", str(path), "--out", str(tmp_path / "o"),
+        ],
+        "report-instance": ["report", "--dir", str(tmp_path)],
+        "report-solution": ["report", "--dir", str(tmp_path)],
+    }[command]
+
+
+READERS = ["validate-in", "validate-sol", "decode-point", "report-instance", "report-solution"]
+
+
+def _bad_input(command, tmp_path):
+    """Where ``command`` will read its input file: for report, an entry of its directory."""
+    if command == "report-instance":
+        return tmp_path / "bad.fjs.json"
+    if command == "report-solution":
+        _ex1_solution_file(tmp_path)
+        return tmp_path / "other.sol.json"
+    return tmp_path / "input.json"
+
+
+@pytest.mark.parametrize("command", READERS)
+def test_a_directory_as_input_file_is_a_usage_error(ex1_file, tmp_path, capsys, command):
+    path = _bad_input(command, tmp_path)
+    path.mkdir()
+    assert main(_argv_reading(command, ex1_file, tmp_path, path)) == 2
+    assert capsys.readouterr().err == f"fjs: cannot read {path}\n"
+
+
+@pytest.mark.parametrize("command", READERS)
+def test_an_input_file_that_is_not_utf8_exits_1(ex1_file, tmp_path, capsys, command):
+    path = _bad_input(command, tmp_path)
+    path.write_bytes(b'{"format": "\xff"}')
+    assert main(_argv_reading(command, ex1_file, tmp_path, path)) == 1
+    assert capsys.readouterr().err == f"fjs: {path}: not UTF-8 text (invalid start byte at byte 12)\n"
+
+
+@pytest.mark.parametrize("command", ["generate", "solve", "emit", "decode", "report"])
+def test_an_output_path_in_a_missing_directory_is_a_usage_error(ex1_file, tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out.txt"
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps(encode_compact(make_ex1(), EX1_SOL).values, default=str))
+    argv = {
+        "generate": ["generate", "dafjs", "--n", "2", "--m", "2", "--seed", "1"],
+        "solve": ["solve", "--method", "est", "--in", str(ex1_file)],
+        "emit": ["emit", "--model", "new", "--format", "lp", "--in", str(ex1_file)],
+        "decode": ["decode", "--model", "new", "--in", str(ex1_file), "--point", str(point)],
+        "report": ["report", "--dir", str(tmp_path)],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"fjs: cannot write {out}\n"
+
+
+@pytest.mark.parametrize("length", [80, 200_000])
+@pytest.mark.parametrize("case", ["unknown-name", "bad-value"])
+def test_decode_echoes_a_long_variable_name_cut(ex1_file, tmp_path, capsys, case, length):
+    name = "q" * length
+    values = {**encode_compact(make_ex1(), EX1_SOL).values, name: 0}
+    if case == "bad-value":
+        values[name] = "abc"
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps(values, default=str))
+    argv = ["decode", "--model", "new", "--in", str(ex1_file), "--point", str(point), "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    if length <= 80:  # printed whole
+        expected = {
+            "unknown-name": f"fjs: unknown variable names in point: {[name]}\n",
+            "bad-value": f"fjs: {name}: bad rational literal 'abc'\n",
+        }[case]
+        assert err == expected
+    else:
+        assert err.startswith({"unknown-name": "fjs: unknown variable names in point: ['qqq", "bad-value": "fjs: 'qqq"}[case])
+        assert "..." in err and len(err.encode()) < 200

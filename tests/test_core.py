@@ -13,6 +13,7 @@ from fjs.core import (
     Selection,
     SelectionError,
     SolutionPair,
+    certified_critical_path,
     disjunctive_pairs,
     is_admissible,
     tight_schedule,
@@ -137,7 +138,7 @@ class TestTightSchedule:
         assert all_paths_longest_start(ex1, EX1_SOL) == list(sched.start)
         assert sched.start == (0, 3, 3)
         assert sched.makespan == 8
-        assert sched.critical_path == (0, 2)
+        assert certified_critical_path(ex1, EX1_SOL, sched.start) == (0, 2)
 
     def test_single_operation(self):
         inst = Instance.from_tables("one", 1, {0: {1: 7}}, [])
@@ -145,7 +146,7 @@ class TestTightSchedule:
         sched = tight_schedule(inst, sol)
         assert sched.start == (0,)
         assert sched.makespan == 7
-        assert sched.critical_path == (0,)
+        assert certified_critical_path(inst, sol, sched.start) == (0,)
 
     def test_chain_forced_by_precedence(self):
         inst = Instance.from_tables("chain", 3, {0: {1: 1}, 1: {2: 1}, 2: {3: 1}}, [(0, 1), (1, 2)])
@@ -200,7 +201,7 @@ class TestTightSchedule:
             sol = random_admissible_solution(inst, seed + 5)
             sched = tight_schedule(inst, sol)
             f = sol.assignment.machine
-            path = sched.critical_path
+            path = certified_critical_path(inst, sol, sched.start)
             assert path, "tight schedules always admit a certificate"
             assert sum(inst.ptime(v, f[v]) for v in path) == sched.makespan
 
@@ -212,7 +213,7 @@ class TestValidateSolution:
         assert report.ok
 
     def test_precedence_violation_reported(self, ex1):
-        sched = Schedule(start=(0, 2, 3), makespan=8, critical_path=())
+        sched = Schedule(start=(0, 2, 3), makespan=8)
         report = validate_solution(ex1, EX1_SOL, sched)
         kinds = [i.kind for i in report.issues]
         assert "precedence" in kinds
@@ -222,19 +223,29 @@ class TestValidateSolution:
     def test_machine_conflict_reported(self):
         inst = Instance.from_tables("two", 1, {0: {1: 2}, 1: {1: 3}}, [])
         sol = SolutionPair(MachineAssignment((1, 1)), Selection(((0, 1),)))
-        sched = Schedule(start=(0, 1), makespan=4, critical_path=())
+        sched = Schedule(start=(0, 1), makespan=4)
         report = validate_solution(inst, sol, sched)
         assert any(i.kind == "machine-conflict" for i in report.issues)
 
+    def test_starts_that_contradict_the_selection_conflict(self):
+        # in order of start the two operations do not overlap, but the
+        # selection puts 0 first
+        inst = Instance.from_tables("two", 1, {0: {1: 2}, 1: {1: 3}}, [])
+        sol = SolutionPair(MachineAssignment((1, 1)), Selection(((0, 1),)))
+        report = validate_solution(inst, sol, Schedule(start=(3, 0), makespan=5))
+        assert [(i.kind, i.message, i.ops) for i in report.issues] == [
+            ("machine-conflict", "operations 0 and 1 overlap on machine 1", (0, 1))
+        ]
+
     def test_bad_makespan_reported(self, ex1):
         sched = tight_schedule(ex1, EX1_SOL)
-        wrong = Schedule(start=sched.start, makespan=9, critical_path=())
+        wrong = Schedule(start=sched.start, makespan=9)
         report = validate_solution(ex1, EX1_SOL, wrong)
         assert any(i.kind == "makespan" for i in report.issues)
 
     def test_ineligible_assignment_reported(self, ex1):
         sol = SolutionPair(MachineAssignment((2, 1, 2)), Selection(((1,), (0, 2))))
-        sched = Schedule(start=(0, 3, 3), makespan=8, critical_path=())
+        sched = Schedule(start=(0, 3, 3), makespan=8)
         report = validate_solution(ex1, sol, sched)
         assert any(i.kind == "assignment" for i in report.issues)
 
@@ -244,12 +255,12 @@ class TestValidateSolution:
         # the neighbour chain 1->2->0
         inst = Instance.from_tables("c", 1, {0: {1: 1}, 1: {1: 1}, 2: {1: 1}}, [(0, 1)])
         sol = SolutionPair(MachineAssignment((1, 1, 1)), Selection(((1, 2, 0),)))
-        report = validate_solution(inst, sol, Schedule((0, 1, 2), 3, ()))
+        report = validate_solution(inst, sol, Schedule((0, 1, 2), 3))
         assert [(i.kind, i.message, i.ops) for i in report.issues] == [("admissibility", "cycle 1->0", (1, 0))]
 
     def test_never_raises_on_garbage(self, ex1):
         sol = SolutionPair(MachineAssignment((1, 1, 2)), Selection(((1, 0, 1), (2,))))
-        sched = Schedule(start=(-1, 0, 0), makespan=0, critical_path=(2, 0))
+        sched = Schedule(start=(-1, 0, 0), makespan=0)
         report = validate_solution(ex1, sol, sched)
         assert not report.ok
 

@@ -136,7 +136,6 @@ class TestSolutionFormat:
         assert sol == EX1_SOL
         assert parsed_sched.start == sched.start
         assert parsed_sched.makespan == 8
-        assert parsed_sched.critical_path == sched.critical_path
         assert parsed_meta["method"] == "bnb"
         assert serialize_solution(ex1, sol, parsed_sched, parsed_meta) == text
 
@@ -155,7 +154,7 @@ class TestSolutionFormat:
         assert parsed.start == (0, Fraction(1, 2))
 
     def test_refuses_infeasible_solution(self, ex1):
-        bad = Schedule(start=(0, 1, 3), makespan=8, critical_path=())
+        bad = Schedule(start=(0, 1, 3), makespan=8)
         with pytest.raises(SolutionError, match="refusing"):
             serialize_solution(ex1, EX1_SOL, bad)
 
@@ -210,6 +209,17 @@ class TestNumbers:
             number_from_json("3/0", "x")
         with pytest.raises(SolutionError):
             number_from_json(True, "x")
+
+
+    @pytest.mark.parametrize("text", ["0e0", "3.6e2", "1e1000000", "1.5", " 7 ", "7\n", "+1", "1/-2", "\u0661", "1_000", ""])
+    def test_strings_other_than_a_or_a_over_b_are_refused(self, text):
+        with pytest.raises(SolutionError, match="bad rational literal"):
+            number_from_json(text, "x")
+
+    def test_string_grammar(self):
+        assert number_from_json("-3/4", "x") == Fraction(-3, 4)
+        assert number_from_json("007", "x") == 7
+        assert number_from_json("-0", "x") == 0
 
 
 class TestReport:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from fjs.core import Instance, MachineAssignment, Selection, SolutionPair, tight_schedule
+from fjs.core import Instance, MachineAssignment, Selection, SolutionPair, certified_critical_path, tight_schedule
 from fjs.exact import brute_force
 from fjs.heuristic import earliest_start_heuristic
 from fjs.milp import (
@@ -276,14 +276,14 @@ class TestEncodeDecode:
         assert sched.start == (0, 4, 3)
         assert sched.makespan == 8
         sol2, sched2 = decode_machine_indexed(ex1, point)
-        assert sched2.critical_path == (0, 2)
+        assert certified_critical_path(ex1, sol2, sched2.start) == (0, 2)
 
     def test_machine_indexed_decode_rejects_edge_violation(self, ex1):
         point = encode_machine_indexed(ex1, EX1_SOL)
         values = dict(point.values)
         values["s_1_1"] = 1  # starts before predecessor 0 finishes
         values["t_1_1"] = 3
-        with pytest.raises(PointError, match="edge"):
+        with pytest.raises(PointError, match=r"^infeasible point: arc \(0, 1\): 0 \+ 3 > 1$"):
             decode_machine_indexed(ex1, ModelPoint(values))
 
 
