@@ -23,7 +23,6 @@ from .core import (
     ValidationIssue,
     ValidationReport,
     disjunctive_pairs,
-    is_admissible,
     tight_schedule,
     validate_solution,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "encode_machine_indexed",
     "generate_dafjs",
     "generate_yfjs",
-    "is_admissible",
     "machine_indexed_gap_witness",
     "makespan_lower_bound",
     "parse_instance",

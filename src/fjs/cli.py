@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -85,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     emit = sub.add_parser("emit", help="write a model as an LP or MPS file")
     emit.add_argument("--model", choices=("new", "ooy"), required=True)
     emit.add_argument("--format", choices=("lp", "mps"), required=True)
-    emit.add_argument("--L", default="auto", help="makespan horizon: 'auto' or a positive rational")
+    emit.add_argument("--L", default="auto", help="makespan horizon: 'auto' or a positive rational, written a or a/b")
     emit.add_argument("--in", dest="infile", required=True)
     emit.add_argument("--out", required=True)
 
@@ -194,9 +193,9 @@ def _parse_horizon(text: str, instance: Instance):
     if text == "auto":
         _, sched = earliest_start_heuristic(instance)
         return default_horizon(instance, sched.makespan)
-    value = Fraction(text)
+    value = number_from_json(text, "--L")  # the grammar of numbers in files
     if value <= 0:
-        raise ValueError(f"non-positive horizon {value}")
+        raise SolutionError(f"non-positive horizon {value}")
     return int(value) if value.denominator == 1 else value
 
 
@@ -204,8 +203,8 @@ def _cmd_emit(args: argparse.Namespace) -> int:
     instance = _load_instance(args.infile)
     try:
         horizon = _parse_horizon(args.L, instance)
-    except (ValueError, ZeroDivisionError):
-        return _fail(f"--L must be 'auto' or a positive rational, got {args.L!r}", 2)
+    except SolutionError:
+        return _fail(f"--L must be 'auto' or a positive rational, got {_echo(args.L)}", 2)
     if horizon == 0:
         return _fail("--L auto gives no horizon for an instance without operations; give a positive --L", 2)
     model = MODEL_BUILDERS[args.model](instance, horizon)
@@ -262,6 +261,8 @@ def _report_elapsed(meta: dict) -> float:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     directory = Path(args.directory)
+    if not directory.is_dir():
+        raise _PathError(f"cannot read {args.directory}")
     instances: dict[str, Instance] = {}
     for path in sorted(directory.glob("*.fjs.json")):
         instance = parse_instance(_read(path))

@@ -42,7 +42,6 @@ __all__ = [
     "check_time",
     "certified_critical_path",
     "disjunctive_pairs",
-    "is_admissible",
     "selection_from_starts",
     "topological_order",
     "tight_schedule",
@@ -179,7 +178,7 @@ class Instance:
         )
         order = _kahn(n, self._preds)
         if len(order) < n:
-            cycle = _find_cycle(n, self._preds)
+            cycle = _find_cycle(self._preds, order)
             raise InstanceError("cycle", f"precedence arcs contain a cycle: {'->'.join(map(str, cycle))}")
         object.__setattr__(self, "_order", tuple(order))
 
@@ -382,12 +381,10 @@ def _longest_path(order: Iterable[int], preds: Sequence[Sequence[int]], weight: 
     return finish
 
 
-def _find_cycle(n: int, preds: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Return a directed cycle as a node tuple, or () if the graph is acyclic."""
-    order = _kahn(n, preds)
-    if len(order) == n:
-        return ()
-    remaining = set(range(n)).difference(order)
+def _find_cycle(preds: Sequence[Sequence[int]], order: Sequence[int]) -> tuple[int, ...]:
+    """A directed cycle as a node tuple, found among the nodes that ``order``,
+    an incomplete Kahn order of ``preds``, left out."""
+    remaining = set(range(len(preds))).difference(order)
     v = min(remaining)
     trail, pos = [], {}
     while v not in pos:
@@ -397,44 +394,38 @@ def _find_cycle(n: int, preds: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(reversed(trail[pos[v]:]))
 
 
-def _check_assignment(instance: Instance, assignment: MachineAssignment) -> None:
-    if len(assignment.machine) != instance.n_ops:
-        raise SelectionError(f"assignment covers {len(assignment.machine)} of {instance.n_ops} operations")
-    for v, k in enumerate(assignment.machine):
+def _selection_preds(instance: Instance, sol: SolutionPair) -> list[list[int]]:
+    """Precedence predecessors plus the operation just before each one on its machine.
+
+    Raises SelectionError unless every operation has an eligible machine and
+    each machine's sequence lists exactly its operations once.  These arcs
+    reach what the full orientation reaches, and with positive times no
+    other same-machine pair is ever tight.
+    """
+    n = instance.n_ops
+    f = sol.assignment.machine
+    if len(f) != n:
+        raise SelectionError(f"assignment covers {len(f)} of {n} operations")
+    for v, k in enumerate(f):
         if k not in instance.eligible[v]:
             raise SelectionError(f"operation {v} assigned to ineligible machine {k}")
-
-
-def _check_selection(instance: Instance, sol: SolutionPair) -> None:
-    """Raise SelectionError unless each machine's sequence lists exactly its operations once."""
-    _check_assignment(instance, sol.assignment)
-    f = sol.assignment.machine
     sequences = sol.selection.sequences
     if len(sequences) != instance.machines:
         raise SelectionError(f"selection has {len(sequences)} sequences for {instance.machines} machines")
-    seen = [False] * instance.n_ops
+    preds = [list(instance.predecessors(v)) for v in instance.ops]
+    seen = [False] * n
     for k, seq in enumerate(sequences, 1):
-        for v in seq:
-            if not (isinstance(v, int) and 0 <= v < instance.n_ops and f[v] == k):
+        for i, v in enumerate(seq):
+            if not (isinstance(v, int) and 0 <= v < n and f[v] == k):
                 raise SelectionError(f"operation {v!r} is sequenced on machine {k} but not assigned to it")
             if seen[v]:
                 raise SelectionError(f"operation {v} appears twice in the sequence of machine {k}")
             seen[v] = True
+            if i:
+                preds[v].append(seq[i - 1])
     for v in instance.ops:
         if not seen[v]:
             raise SelectionError(f"operation {v} is missing from the sequence of machine {f[v]}")
-
-
-def _combined_preds(instance: Instance, selection: Selection) -> list[list[int]]:
-    """Precedence predecessors plus the operation just before each one on its machine.
-
-    These arcs reach what the full orientation reaches, and with positive
-    times no other same-machine pair is ever tight.
-    """
-    preds = [list(instance.predecessors(v)) for v in instance.ops]
-    for seq in selection.sequences:
-        for a, b in zip(seq, seq[1:]):
-            preds[b].append(a)
     return preds
 
 
@@ -452,22 +443,11 @@ def selection_from_starts(
     return Selection(tuple(sequences.values()))
 
 
-def is_admissible(instance: Instance, sol: SolutionPair) -> bool:
-    """True iff the precedence arcs plus the selection form a DAG.
-
-    Raises SelectionError for a malformed selection; inadmissibility (a
-    directed cycle) is an ordinary False.
-    """
-    _check_selection(instance, sol)
-    preds = _combined_preds(instance, sol.selection)
-    return not _find_cycle(instance.n_ops, preds)
-
-
 def topological_order(n: int, preds: Sequence[Sequence[int]]) -> list[int]:
     """Kahn topological order with a min-id frontier; raises on cycles."""
     order = _kahn(n, preds)
     if len(order) != n:
-        raise InadmissibleError(_find_cycle(n, preds))
+        raise InadmissibleError(_find_cycle(preds, order))
     return order
 
 
@@ -477,10 +457,11 @@ def tight_schedule(instance: Instance, sol: SolutionPair) -> Schedule:
     Each start equals the longest path length into the operation (processing
     times of the path's nodes, excluding the operation itself), computed by
     dynamic programming over a topological order.  This schedule has minimum
-    makespan for the given assignment and selection.
+    makespan for the given assignment and selection.  Raises SelectionError
+    for a malformed selection and InadmissibleError, naming the cycle, when
+    the selection and the precedence arcs close a cycle.
     """
-    _check_selection(instance, sol)
-    preds = _combined_preds(instance, sol.selection)
+    preds = _selection_preds(instance, sol)
     p = [instance.ptime(v, k) for v, k in enumerate(sol.assignment.machine)]
     finish = _longest_path(topological_order(instance.n_ops, preds), preds, p)
     return Schedule(start=tuple(finish[v] - p[v] for v in instance.ops), makespan=max(finish, default=0))
@@ -495,12 +476,13 @@ def certified_critical_path(
 
     Backtracks from a makespan-achieving operation along edges met with
     equality; succeeds exactly when the given starts are tight along some
-    chain back to time zero.  Ties break by lowest id.
+    chain back to time zero.  Ties break by lowest id.  Raises
+    SelectionError for a malformed selection.
     """
     if instance.n_ops == 0:
         return ()
     f = sol.assignment.machine
-    preds = _combined_preds(instance, sol.selection)
+    preds = _selection_preds(instance, sol)
     finish = [start[v] + instance.ptime(v, f[v]) for v in instance.ops]
     path, tight = [], [finish.index(max(finish))]
     while tight:
@@ -556,15 +538,17 @@ def validate_solution(instance: Instance, sol: SolutionPair, sched: Schedule) ->
 
     s = sched.start
     try:
-        _check_selection(instance, sol)
+        preds = _selection_preds(instance, sol)
     except SelectionError as exc:
         issues.append(ValidationIssue("selection", str(exc)))
     else:
-        preds = _combined_preds(instance, sol.selection)
-        if _find_cycle(instance.n_ops, preds):
-            for v, w in sol.selection.pairs:  # name the cycle the full orientation gives
+        order = _kahn(instance.n_ops, preds)
+        if len(order) < instance.n_ops:
+            # the full orientation reaches what ``preds`` reaches, so ``order``
+            # leaves out the same nodes; name the cycle the full orientation gives
+            for v, w in sol.selection.pairs:
                 preds[w].append(v)
-            cycle = _find_cycle(instance.n_ops, preds)
+            cycle = _find_cycle(preds, order)
             issues.append(
                 ValidationIssue("admissibility", f"cycle {'->'.join(map(str, cycle))}", cycle)
             )

@@ -28,6 +28,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .core import (
     DisjunctivePairs,
     FjsError,
+    InadmissibleError,
     Instance,
     MachineAssignment,
     Rational,
@@ -37,7 +38,6 @@ from .core import (
     ValidationIssue,
     ValidationReport,
     disjunctive_pairs,
-    is_admissible,
     tight_schedule,
     topological_order,
     validate_solution,
@@ -432,10 +432,12 @@ def _assignment_from_x(x: list[dict[int, str]], point: ModelPoint) -> MachineAss
 
 
 def _selection_or_raise(instance: Instance, assignment: MachineAssignment, oriented: set[tuple[int, int]]) -> Selection:
-    """Sequence each machine by its oriented pairs; reject unoriented or cyclic points.
+    """Sequence each machine by its oriented pairs; reject unoriented or intransitive points.
 
     An operation's index counts those oriented before it; the indices are a
-    permutation iff the orientation is transitive, that is, acyclic.
+    permutation iff the orientation is transitive, that is, acyclic on each
+    machine.  Cycles through the precedence arcs are left to the decoder's
+    schedule check.
     """
     f = assignment.machine
     on_machine: list[list[int]] = [[] for _ in range(instance.machines + 1)]
@@ -452,7 +454,7 @@ def _selection_or_raise(instance: Instance, assignment: MachineAssignment, orien
         transitive = transitive and sorted(index.values()) == list(range(len(ops_k)))
         sequences.append(sorted(ops_k, key=index.__getitem__))
     selection = Selection(sequences)
-    if not transitive or not is_admissible(instance, SolutionPair(assignment, selection)):
+    if not transitive:
         raise PointError("infeasible point: selection induces a precedence cycle")
     return selection
 
@@ -471,7 +473,10 @@ def decode_compact(instance: Instance, point: ModelPoint) -> tuple[SolutionPair,
     oriented = {pair for pair, name in y.items() if _binary(point, name)}
     selection = _selection_or_raise(instance, assignment, oriented)
     sol = SolutionPair(assignment, selection)
-    sched = tight_schedule(instance, sol)
+    try:
+        sched = tight_schedule(instance, sol)
+    except InadmissibleError as exc:
+        raise PointError("infeasible point: selection induces a precedence cycle") from exc
     if instance.n_ops and sched.makespan > point["z"]:
         raise PointError(f"infeasible point: z = {point['z']} below the tight makespan {sched.makespan}")
     return sol, sched
@@ -481,7 +486,8 @@ def decode_machine_indexed(instance: Instance, point: ModelPoint) -> tuple[Solut
     """Recover the solution encoded by an integral machine-indexed point.
 
     The schedule uses the point's own start values on the chosen machines;
-    ``validate_solution`` decides whether they fit the recovered solution.
+    ``validate_solution`` decides whether they fit the recovered solution,
+    and whether its selection closes a cycle with the precedence arcs.
     """
     s, t, x, y = _machine_indexed_names(instance, disjunctive_pairs(instance))
     _expect_names(point, {"z", *(name for row in (*s, *t, *x, *y.values()) for name in row.values())})
@@ -513,19 +519,12 @@ def machine_indexed_gap_witness(instance: Instance, L: Rational) -> ModelPoint:
     All timing variables are zero, every assignment binary is spread
     uniformly over the operation's eligible machines, every sequencing
     binary is 1/2, and z = 0.  Requires every processing time at most L/2
-    and at least two eligible machines everywhere (the uniform assignment
-    row then keeps each component at most 1/2, which is what the zeroed
-    completion rows tolerate).  Its objective value 0 shows the relaxation
-    bound can be arbitrarily far below the true optimum.
+    and at least two eligible machines for every operation (the uniform
+    assignment row then keeps each component at most 1/2, which is what the
+    zeroed completion rows tolerate).  Its objective value 0 shows the
+    relaxation bound can be arbitrarily far below the true optimum.
     """
     _check_horizon(L)
-    on_machine: dict[int, int] = {k: 0 for k in range(1, instance.machines + 1)}
-    for v in instance.ops:
-        for k in instance.eligible[v]:
-            on_machine[k] += 1
-    for k, count in on_machine.items():
-        if count < 2:
-            raise WitnessError(f"machine {k} is eligible for {count} operation(s); need at least 2")
     for v in instance.ops:
         if len(instance.eligible[v]) < 2:
             raise WitnessError(f"operation {v} has a single eligible machine; need at least 2")

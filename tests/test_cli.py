@@ -13,7 +13,7 @@ from fjs.generate import YfjsParams, generate_yfjs
 from fjs.heuristic import earliest_start_heuristic
 from fjs.io import parse_instance, parse_solution, serialize_instance, serialize_solution
 from fjs.milp import encode_compact, encode_machine_indexed
-from fjs.core import MachineAssignment, Selection, SolutionPair, tight_schedule
+from fjs.core import MachineAssignment, Selection, SolutionPair, _echo, tight_schedule
 
 from conftest import make_ex1
 
@@ -154,6 +154,29 @@ def test_emit_rejects_non_positive_horizon(ex1_file, tmp_path, capsys, horizon):
     assert code == 2
     assert capsys.readouterr().err.startswith("fjs: --L must be 'auto' or a positive rational")
     assert not (tmp_path / "x.lp").exists()
+
+
+@pytest.mark.parametrize(
+    "horizon", ["1e100000", "1e-100000", "12.5", "1e3", " 7", "1/0", "-0", pytest.param("x" * 200, id="x*200")]
+)
+def test_emit_reads_the_horizon_with_the_number_grammar_of_files(ex1_file, tmp_path, capsys, horizon):
+    code = main([
+        "emit", "--model", "new", "--format", "lp", "--L", horizon,
+        "--in", str(ex1_file), "--out", str(tmp_path / "x.lp"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"fjs: --L must be 'auto' or a positive rational, got {_echo(horizon)}\n"
+    assert not (tmp_path / "x.lp").exists()
+
+
+@pytest.mark.parametrize("horizon, shown", [("20", "20"), ("007", "7"), ("41/2", "41/2"), ("40/2", "20")])
+def test_emit_accepts_integer_and_fraction_horizons(ex1_file, tmp_path, capsys, horizon, shown):
+    code = main([
+        "emit", "--model", "new", "--format", "lp", "--L", horizon,
+        "--in", str(ex1_file), "--out", str(tmp_path / "x.lp"),
+    ])
+    assert code == 0
+    assert capsys.readouterr().out.endswith(f", L = {shown}\n")
 
 
 def test_emit_auto_horizon_of_an_empty_instance_is_a_usage_error(tmp_path, capsys):
@@ -553,6 +576,15 @@ def test_a_directory_as_input_file_is_a_usage_error(ex1_file, tmp_path, capsys, 
     path.mkdir()
     assert main(_argv_reading(command, ex1_file, tmp_path, path)) == 2
     assert capsys.readouterr().err == f"fjs: cannot read {path}\n"
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_report_on_a_directory_it_cannot_read_is_a_usage_error(ex1_file, tmp_path, capsys, kind):
+    directory = tmp_path / "missing" if kind == "missing" else ex1_file
+    out = tmp_path / "out.report.txt"
+    assert main(["report", "--dir", str(directory), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"fjs: cannot read {directory}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", READERS)

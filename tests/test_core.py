@@ -15,7 +15,6 @@ from fjs.core import (
     SolutionPair,
     certified_critical_path,
     disjunctive_pairs,
-    is_admissible,
     tight_schedule,
     validate_solution,
     weakly_connected_components,
@@ -93,34 +92,35 @@ class TestSelection:
 
 class TestAdmissibility:
     def test_ex1_forward_orientation(self, ex1):
-        assert is_admissible(ex1, EX1_SOL) is True
+        assert tight_schedule(ex1, EX1_SOL).makespan == 8
 
     def test_ex1_backward_orientation_cycles(self, ex1):
         sol = SolutionPair(MachineAssignment((1, 1, 2)), Selection(((1, 0), (2,))))
-        assert is_admissible(ex1, sol) is False
+        with pytest.raises(InadmissibleError, match="selection induces a cycle: 1->0"):
+            tight_schedule(ex1, sol)
 
     def test_empty_selection_on_distinct_machines(self):
         inst = Instance.from_tables("distinct", 2, {0: {1: 2}, 1: {2: 3}}, [])
         sol = SolutionPair(MachineAssignment((1, 2)), Selection(((0,), (1,))))
-        assert is_admissible(inst, sol) is True
+        assert tight_schedule(inst, sol).makespan == 3
 
     def test_missing_orientation_is_malformed_not_inadmissible(self, ex1):
         # operation 1 is left out of machine 1's sequence
         sol = SolutionPair(MachineAssignment((1, 1, 2)), Selection(((0,), (2,))))
         with pytest.raises(SelectionError, match="operation 1 is missing"):
-            is_admissible(ex1, sol)
+            tight_schedule(ex1, sol)
 
     def test_double_orientation_is_malformed(self, ex1):
         # operation 0 is listed twice, so machine 1 has no single order
         sol = SolutionPair(MachineAssignment((1, 1, 2)), Selection(((0, 1, 0), (2,))))
         with pytest.raises(SelectionError, match="operation 0 appears twice"):
-            is_admissible(ex1, sol)
+            tight_schedule(ex1, sol)
 
     def test_off_machine_pair_is_malformed(self, ex1):
         # operation 1 is assigned to machine 2 but sequenced on machine 1
         sol = SolutionPair(MachineAssignment((1, 2, 2)), Selection(((0, 1), (1, 2))))
         with pytest.raises(SelectionError, match="operation 1 is sequenced on machine 1 but not assigned"):
-            is_admissible(ex1, sol)
+            tight_schedule(ex1, sol)
 
     def test_inadmissible_solution_has_cycle_certificate(self, ex1):
         sol = SolutionPair(MachineAssignment((1, 1, 2)), Selection(((1, 0), (2,))))
@@ -130,6 +130,51 @@ class TestAdmissibility:
         edges = set(ex1.arcs) | set(sol.selection.pairs)
         closed = list(zip(cycle, cycle[1:])) + [(cycle[-1], cycle[0])]
         assert all(edge in edges for edge in closed)
+
+
+class TestOneSortPerGraph:
+    """Each acyclicity question is one Kahn run, including naming the cycle."""
+
+    CYCLIC = SolutionPair(MachineAssignment((1, 1, 2)), Selection(((1, 0), (2,))))
+
+    @pytest.fixture
+    def kahn_runs(self, monkeypatch):
+        import fjs.core
+
+        runs = []
+        kahn = fjs.core._kahn
+
+        def counted(n, preds):
+            runs.append(n)
+            return kahn(n, preds)
+
+        monkeypatch.setattr(fjs.core, "_kahn", counted)
+        return runs
+
+    def test_instance_with_cyclic_arcs(self, kahn_runs):
+        with pytest.raises(InstanceError, match="cycle: 1->0"):
+            Instance.from_tables("loop", 1, {0: {1: 1}, 1: {1: 1}}, [(0, 1), (1, 0)])
+        assert len(kahn_runs) == 1
+
+    def test_tight_schedule_of_a_cyclic_selection(self, ex1, kahn_runs):
+        with pytest.raises(InadmissibleError):
+            tight_schedule(ex1, self.CYCLIC)
+        assert len(kahn_runs) == 1
+
+    def test_validate_solution_of_a_cyclic_selection(self, ex1, kahn_runs):
+        report = validate_solution(ex1, self.CYCLIC, Schedule((0, 3, 3), 8))
+        assert report.issues[0].message == "cycle 1->0"
+        assert len(kahn_runs) == 1
+
+    @pytest.mark.parametrize("model", ["compact", "machine_indexed"])
+    def test_decode_of_the_encoded_ex1_point(self, ex1, kahn_runs, model):
+        from fjs import milp
+
+        point = getattr(milp, f"encode_{model}")(ex1, EX1_SOL)
+        kahn_runs.clear()
+        sol, _ = getattr(milp, f"decode_{model}")(ex1, point)
+        assert sol == EX1_SOL
+        assert len(kahn_runs) == 1
 
 
 class TestTightSchedule:

@@ -226,6 +226,21 @@ class TestEncodeDecode:
         with pytest.raises(PointError, match="cycle"):
             decode_compact(ex1, ModelPoint(values))
 
+    @pytest.mark.parametrize(
+        "encode, decode, suffix, message",
+        [
+            (encode_compact, decode_compact, "", "selection induces a precedence cycle"),
+            (encode_machine_indexed, decode_machine_indexed, "_1", "cycle 1->0"),
+        ],
+        ids=["compact", "machine-indexed"],
+    )
+    def test_decode_names_a_cycle_through_the_arcs(self, ex1, encode, decode, suffix, message):
+        # 1 before 0 on machine 1 against arc (0, 1)
+        values = dict(encode(ex1, EX1_SOL).values)
+        values[f"y_0_1{suffix}"], values[f"y_1_0{suffix}"] = 0, 1
+        with pytest.raises(PointError, match=f"^infeasible point: {message}$"):
+            decode(ex1, ModelPoint(values))
+
     def test_decode_rejects_unoriented_and_doubly_oriented_pairs(self, ex1):
         point = encode_compact(ex1, EX1_SOL)
         values = dict(point.values)
@@ -399,12 +414,15 @@ class TestGapWitness:
         with pytest.raises(WitnessError, match="exceeds L/2"):
             machine_indexed_gap_witness(inst, 11)  # p(2,1)=6 > 11/2
 
-    def test_underused_machine_fails_precondition(self):
+    @pytest.mark.parametrize("machines", [3, 4])  # machine 3 is eligible for one operation, machine 4 for none
+    def test_underused_and_idle_machines_need_no_precondition(self, machines):
         inst = Instance.from_tables(
-            "thin", 3, {0: {1: 2, 2: 2}, 1: {1: 2, 2: 2}, 2: {2: 2, 3: 2}}, []
+            "thin", machines, {0: {1: 2, 2: 2}, 1: {1: 2, 2: 2}, 2: {2: 2, 3: 2}}, []
         )
-        with pytest.raises(WitnessError, match="machine 3"):
-            machine_indexed_gap_witness(inst, 10)
+        witness = machine_indexed_gap_witness(inst, 10)
+        report = check_feasible(build_machine_indexed_model(inst, 10), witness, tol=0)
+        assert report.ok, report.summary()
+        assert witness["z"] == 0
 
     def test_compact_model_rejects_the_analogous_point(self):
         # With positive minimum times the compact relaxation cannot reach
