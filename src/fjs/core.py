@@ -21,7 +21,8 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Set
-from itertools import islice
+from itertools import chain, islice, repeat
+from operator import eq, lt
 from typing import Iterable, Mapping, Sequence
 
 Rational = int | Fraction
@@ -31,6 +32,8 @@ __all__ = [
     "InstanceError",
     "SelectionError",
     "InadmissibleError",
+    "MAX_DIGITS",
+    "MAX_MACHINES",
     "Instance",
     "DisjunctivePairs",
     "MachineAssignment",
@@ -103,19 +106,38 @@ class _Echo(reprlib.Repr):
 _echo = _Echo().repr
 
 
-def check_time(value: object) -> Rational:
-    """Validate a processing-time value: a positive int or Fraction.
+MAX_MACHINES = 10_000
+"""The most machines an instance may declare.  Solvers and model builders
+allocate per declared machine; literature instances have a few dozen."""
 
-    Fractions with denominator 1 are normalised to int.  Floats are refused
-    because schedule feasibility is decided with exact comparisons.
+MAX_DIGITS = 1000
+"""The most decimal digits of a processing time, and of each part of an exact
+number read from a file or flag.  A sum or product of two such numbers has at
+most 2001 digits, well inside the interpreter's 4,300-digit limit on turning
+an int into text."""
+
+_DIGITS_BOUND = 10**MAX_DIGITS  # the least int of more than MAX_DIGITS digits
+
+
+def check_time(value: object) -> Rational:
+    """Validate a processing-time value: a positive int or Fraction whose
+    numerator and denominator have at most ``MAX_DIGITS`` digits.
+
+    The value is returned as an ``int`` when it is integral.  Floats are
+    refused because schedule feasibility is decided with exact comparisons.
     """
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise InstanceError("bad-time", f"processing time must be int or Fraction, got {_echo(value)}")
     if value <= 0:
         raise InstanceError("nonpositive-time", f"processing time must be positive, got {value}")
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    return value
+    if max(value.numerator, value.denominator) >= _DIGITS_BOUND:
+        raise InstanceError("bad-time", f"processing time must have at most {MAX_DIGITS} digits, got {_echo(value)}")
+    return int(value) if value.denominator == 1 else value
+
+
+def _ints_within(values: list, low: int, high: int) -> bool:
+    """Whether every value is an ``int`` (not a bool) in ``low..high``, checked in bulk."""
+    return not values or (set(map(type, values)) == {int} and low <= min(values) and max(values) <= high)
 
 
 @dataclass(frozen=True)
@@ -125,8 +147,10 @@ class Instance:
     ``eligible[v]`` is the sorted tuple of machines that can run operation
     ``v`` and ``times[v][i]`` its processing time on ``eligible[v][i]``.
     ``arcs`` is the precedence DAG, kept sorted and deduplicated.  Validity
-    (dense ids, machine ranges, positive times, acyclicity) is enforced at
-    construction, so every ``Instance`` in circulation is well formed.
+    (a machine count in ``1..MAX_MACHINES``, machine ranges, positive times
+    of at most ``MAX_DIGITS`` digits, arcs between known ids, acyclicity) is
+    enforced at construction, so every ``Instance`` in circulation is well
+    formed.
     """
 
     name: str
@@ -136,31 +160,39 @@ class Instance:
     arcs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.machines < 1:
-            raise InstanceError("bad-machine-count", f"machine count must be >= 1, got {self.machines}")
+        machines = self.machines
+        if isinstance(machines, bool) or not isinstance(machines, int):
+            raise InstanceError("bad-machine-count", "machines must be an integer")
+        if machines < 1:
+            raise InstanceError("bad-machine-count", f"machine count must be >= 1, got {machines}")
+        if machines > MAX_MACHINES:
+            raise InstanceError("bad-machine-count", f"machine count must be <= {MAX_MACHINES}, got {_echo(machines)}")
         n = len(self.eligible)
         if len(self.times) != n:
             raise InstanceError("shape-mismatch", "eligible and times must have one entry per operation")
-        eligible = tuple(tuple(row) for row in self.eligible)
-        times = tuple(tuple(check_time(t) for t in row) for row in self.times)
-        for v, machs in enumerate(eligible):
-            if not machs:
-                raise InstanceError("empty-eligible", f"operation {v} has no eligible machine")
-            if len(times[v]) != len(machs):
-                raise InstanceError("shape-mismatch", f"operation {v}: one time per eligible machine required")
-            if any(k < 1 or k > self.machines for k in machs):
-                raise InstanceError("bad-machine", f"operation {v}: machine id outside 1..{self.machines}")
-            if tuple(sorted(set(machs))) != machs:
-                raise InstanceError("bad-machine", f"operation {v}: eligible machines must be sorted and distinct")
-        arcs = []
-        for arc in self.arcs:
-            u, w = arc
-            ids = isinstance(u, int) and isinstance(w, int) and not (isinstance(u, bool) or isinstance(w, bool))
-            if not ids or not (0 <= u < n and 0 <= w < n):
-                raise InstanceError("dangling-arc", f"arc {_echo(arc)} references an unknown operation id")
-            if u == w:
-                raise InstanceError("self-loop", f"arc ({u}, {w}) is a self-loop")
-            arcs.append((u, w))
+        # Each rule is checked in bulk over the flattened rows; only when one
+        # fails does a loop walk the rows in order to name the first fault.
+        eligible = tuple(map(tuple, self.eligible))
+        times = tuple(map(tuple, self.times))
+        if not _ints_within(list(chain.from_iterable(times)), 1, _DIGITS_BOUND - 1):
+            times = tuple(tuple(map(check_time, row)) for row in times)  # raises, or makes Fractions exact
+        lengths = list(map(len, eligible))
+        machine_ids = list(chain.from_iterable(eligible))
+        # (v, k) for each eligible machine k of each operation v, in row order
+        keys = list(zip(chain.from_iterable(map(repeat, range(n), lengths)), machine_ids))
+        if not (
+            all(lengths)
+            and lengths == list(map(len, times))
+            and _ints_within(machine_ids, 1, machines)
+            and all(map(lt, keys, keys[1:]))  # each row strictly increasing
+        ):
+            _raise_row_fault(eligible, times, machines)
+        arcs = tuple(map(tuple, self.arcs))
+        ends = list(chain.from_iterable(arcs))
+        if not (
+            set(map(len, arcs)) <= {2} and _ints_within(ends, 0, n - 1) and not any(map(eq, ends[::2], ends[1::2]))
+        ):
+            _raise_arc_fault(arcs, n)
         arcs = tuple(sorted(set(arcs)))
         object.__setattr__(self, "eligible", eligible)
         object.__setattr__(self, "times", times)
@@ -171,11 +203,9 @@ class Instance:
         for u, w in arcs:
             preds[w].append(u)
             succs[u].append(w)
-        object.__setattr__(self, "_preds", tuple(tuple(x) for x in preds))
-        object.__setattr__(self, "_succs", tuple(tuple(x) for x in succs))
-        object.__setattr__(
-            self, "_ptime", {(v, k): times[v][i] for v in range(n) for i, k in enumerate(eligible[v])}
-        )
+        object.__setattr__(self, "_preds", tuple(map(tuple, preds)))
+        object.__setattr__(self, "_succs", tuple(map(tuple, succs)))
+        object.__setattr__(self, "_ptime", dict(zip(keys, chain.from_iterable(times))))
         order = _kahn(n, self._preds)
         if len(order) < n:
             cycle = _find_cycle(self._preds, order)
@@ -223,6 +253,35 @@ class Instance:
         eligible = tuple(tuple(sorted(ptimes[v])) for v in range(n))
         times = tuple(tuple(ptimes[v][k] for k in eligible[v]) for v in range(n))
         return cls(name, machines, eligible, times, tuple(arcs))
+
+
+def _raise_row_fault(eligible: tuple[tuple, ...], times: tuple[tuple, ...], machines: int) -> None:
+    """Raise the InstanceError for the first operation whose machines break a rule."""
+    for v, machs in enumerate(eligible):
+        if not machs:
+            raise InstanceError("empty-eligible", f"operation {v} has no eligible machine")
+        if len(times[v]) != len(machs):
+            raise InstanceError("shape-mismatch", f"operation {v}: one time per eligible machine required")
+        for k in machs:
+            if type(k) is not int:
+                raise InstanceError("bad-machine", f"operation {v}: machine id {_echo(k)} is not an integer")
+        if any(k < 1 or k > machines for k in machs):
+            raise InstanceError("bad-machine", f"operation {v}: machine id outside 1..{machines}")
+        if tuple(sorted(set(machs))) != machs:
+            for i, k in enumerate(machs):
+                if k in machs[:i]:
+                    raise InstanceError("bad-machine", f"operation {v}: machine {k} listed twice")
+            raise InstanceError("bad-machine", f"operation {v}: eligible machines must be sorted and distinct")
+
+
+def _raise_arc_fault(arcs: tuple[tuple, ...], n: int) -> None:
+    """Raise the InstanceError for the first arc that is not a pair of distinct operation ids."""
+    for arc in arcs:
+        u, w = arc
+        if not (type(u) is int and type(w) is int and 0 <= u < n and 0 <= w < n):
+            raise InstanceError("dangling-arc", f"arc {_echo(arc)} references an unknown operation id")
+        if u == w:
+            raise InstanceError("self-loop", f"arc ({u}, {w}) is a self-loop")
 
 
 @dataclass(frozen=True)

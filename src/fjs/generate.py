@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance
+from .core import MAX_MACHINES, Instance
 from .rng import Xoshiro256StarStar
 
 __all__ = [
@@ -47,6 +47,8 @@ class YfjsParams:
             raise ValueError("all yfjs parameters must be >= 1")
         if self.max_eligible > self.machines:
             raise ValueError("max_eligible cannot exceed the machine count")
+        if self.machines > MAX_MACHINES:
+            raise ValueError(f"machines must be <= {MAX_MACHINES}")
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,8 @@ class DafjsParams:
             raise ValueError("n_jobs must be >= 1")
         if self.machines < 2:
             raise ValueError("machines must be >= 2")
+        if self.machines > MAX_MACHINES:
+            raise ValueError(f"machines must be <= {MAX_MACHINES}")
 
 
 def _ceil_div(a: int, b: int) -> int:

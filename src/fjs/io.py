@@ -1,11 +1,13 @@
 """Canonical JSON file formats for instances and solutions, plus text reports.
 
 Instances travel as ``.fjs.json`` documents and solutions as ``.sol.json``;
-both are emitted in canonical form (sorted keys, two-space indent, trailing
-newline) so identical data produces identical bytes.  Instance files carry
-integer times only; solution files may carry exact non-integer rationals as
-``"numerator/denominator"`` strings.  Reports are fixed-layout text tables
-with one row per solved instance.
+both are emitted in canonical form, the text of ``json.dumps(document,
+sort_keys=True, indent=2)`` plus a newline, so identical data produces
+identical bytes.  The writers render that text directly, because with
+``indent`` set ``json.dumps`` runs its pure-Python encoder.  Instance files
+carry integer times only; solution files may carry exact non-integer
+rationals as ``"numerator/denominator"`` strings.  Reports are fixed-layout
+text tables with one row per solved instance.
 """
 
 from __future__ import annotations
@@ -15,9 +17,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
+    MAX_DIGITS,
     FjsError,
     Instance,
     InstanceError,
@@ -28,7 +32,9 @@ from .core import (
     selection_from_starts,
     validate_solution,
     weakly_connected_components,
+    _DIGITS_BOUND,
     _echo,
+    _ints_within,
 )
 
 __all__ = [
@@ -58,8 +64,25 @@ class SolutionError(FjsError):
     """Malformed or infeasible solution document."""
 
 
-def _canonical(document: dict) -> str:
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+def _array(items: Sequence[str], depth: int) -> str:
+    """A JSON array as ``json.dumps(indent=2)`` lays it out ``depth`` levels
+    deep, from its items already rendered one level deeper."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
+def _pairs(pairs: Iterable[tuple[object, object]], depth: int) -> str:
+    """``_array`` of ``[a, b]`` pairs whose values are ints or JSON text."""
+    item, value = "  " * (depth + 1), "  " * (depth + 2)
+    return _array([f"[\n{value}{a},\n{value}{b}\n{item}]" for a, b in pairs], depth)
+
+
+def _json_values(values: Sequence[object]) -> Sequence[object]:
+    """``values`` for ``_pairs``: ints as they are, since ``str`` writes an int
+    as JSON does, and otherwise each value's ``json.dumps`` text."""
+    return values if set(map(type, values)) <= {int} else [json.dumps(value) for value in values]
 
 
 def number_to_json(value: Rational) -> int | str:
@@ -73,16 +96,23 @@ def number_to_json(value: Rational) -> int | str:
 
 def number_from_json(value: object, where: str) -> Rational:
     """Inverse of :func:`number_to_json`: an int, or a string ``"a"`` or ``"a/b"``
-    of decimal digits with an optional leading minus; anything else is refused."""
+    of decimal digits with an optional leading minus; anything else is refused,
+    and so is a number with a part (``a`` or ``b``) of more than ``MAX_DIGITS``
+    digits."""
     if isinstance(value, bool):
         raise SolutionError(f"{where}: expected a number, got {_echo(value)}")
     if isinstance(value, int):
+        if abs(value) >= _DIGITS_BOUND:
+            raise SolutionError(f"{where}: {_echo(value)} has more than {MAX_DIGITS} digits")
         return value
     if isinstance(value, str):
-        if re.fullmatch(r"-?[0-9]+(/[0-9]+)?", value):
+        match = re.fullmatch(r"-?([0-9]+)(?:/([0-9]+))?", value)
+        if match:
+            if max(map(len, match.groups(""))) > MAX_DIGITS:
+                raise SolutionError(f"{where}: {_echo(value)} has a part of more than {MAX_DIGITS} digits")
             try:
                 return Fraction(value)
-            except (ValueError, ZeroDivisionError):  # a zero denominator, or too many digits for int()
+            except ZeroDivisionError:
                 pass
         raise SolutionError(f"{where}: bad rational literal {_echo(value)}")
     raise SolutionError(f"{where}: expected int or 'a/b' string, got {_echo(value)}")
@@ -90,25 +120,27 @@ def number_from_json(value: object, where: str) -> Rational:
 
 def serialize_instance(instance: Instance) -> str:
     """Canonical instance document; requires integer processing times."""
-    operations = []
-    for v in instance.ops:
-        times = []
-        for k, t in zip(instance.eligible[v], instance.times[v]):
-            if isinstance(t, Fraction):
-                if t.denominator != 1:
-                    raise InstanceError("bad-time", f"instance files carry integer times; p({v},{k}) = {t}")
-                t = int(t)
-            times.append([k, t])
-        operations.append({"id": v, "times": times})
-    document = {
-        "format": FORMAT_INSTANCE,
-        "name": instance.name,
-        "machines": instance.machines,
-        "operations": operations,
-        "arcs": [list(arc) for arc in instance.arcs],
-        "jobs": [list(group) for group in weakly_connected_components(instance)],
-    }
-    return _canonical(document)
+    if set(map(type, chain.from_iterable(instance.times))) - {int}:
+        v, k, t = next(
+            (v, k, t)
+            for v in instance.ops
+            for k, t in zip(instance.eligible[v], instance.times[v])
+            if type(t) is not int
+        )
+        raise InstanceError("bad-time", f"instance files carry integer times; p({v},{k}) = {t}")
+    operations = [
+        f'{{\n      "id": {v},\n      "times": {_pairs(zip(machs, row), 3)}\n    }}'
+        for v, (machs, row) in enumerate(zip(instance.eligible, instance.times))
+    ]
+    jobs = [_array(list(map(str, group)), 2) for group in weakly_connected_components(instance)]
+    return (
+        f'{{\n  "arcs": {_pairs(instance.arcs, 1)},\n'
+        f'  "format": {json.dumps(FORMAT_INSTANCE)},\n'
+        f'  "jobs": {_array(jobs, 1)},\n'
+        f'  "machines": {instance.machines},\n'
+        f'  "name": {json.dumps(instance.name)},\n'
+        f'  "operations": {_array(operations, 1)}\n}}\n'
+    )
 
 
 def decode_json(text: str, error: Callable[[str], FjsError]) -> object:
@@ -124,8 +156,22 @@ def decode_json(text: str, error: Callable[[str], FjsError]) -> object:
         raise error("JSON nested too deeply to decode") from exc
 
 
+def _int_pairs(entries: list) -> bool:
+    """Whether every entry is a list of two ints, checked in bulk."""
+    return (
+        set(map(type, entries)) <= {list}
+        and set(map(len, entries)) <= {2}
+        and set(map(type, chain.from_iterable(entries))) <= {int}
+    )
+
+
 def parse_instance(text: str) -> Instance:
-    """Parse and fully validate a canonical instance document."""
+    """Parse a canonical instance document.
+
+    The document's shape is checked here: an object with the required
+    fields, operation entries with fresh dense ids, ``[machine, time]`` and
+    ``[from, to]`` pairs of integers.  Every value is checked by ``Instance``.
+    """
     document = decode_json(text, partial(InstanceError, "syntax"))
     if not isinstance(document, dict):
         raise InstanceError("bad-format", "top-level value must be an object")
@@ -136,48 +182,47 @@ def parse_instance(text: str) -> Instance:
             raise InstanceError("missing-field", f"missing field {field!r}")
     if not isinstance(document["name"], str):
         raise InstanceError("bad-format", f"instance name {_echo(document['name'])} is not a string")
-    machines = document["machines"]
-    if not isinstance(machines, int) or isinstance(machines, bool):
-        raise InstanceError("bad-machine-count", "machines must be an integer")
     operations = document["operations"]
     if not isinstance(operations, list):
         raise InstanceError("bad-format", "operations must be a list")
-    ptimes: dict[int, dict[int, int]] = {}
+    rows: dict[int, list] = {}
     for op in operations:
         if not isinstance(op, dict) or "id" not in op or "times" not in op:
             raise InstanceError("bad-format", f"operation entry {_echo(op)} needs 'id' and 'times'")
         v = op["id"]
-        if not isinstance(v, int) or isinstance(v, bool) or v in ptimes:
+        if type(v) is not int or v in rows:
             raise InstanceError("bad-id", f"operation id {_echo(v)} is not a fresh integer")
-        row: dict[int, int] = {}
         if not isinstance(op["times"], list):
             raise InstanceError("bad-format", f"operation {v}: times must be a list of [machine, time] pairs")
-        for pair in op["times"]:
+        rows[v] = op["times"]
+    if not _ints_within(list(rows), 0, len(rows) - 1):  # distinct ids in 0..n-1 are all of them
+        raise InstanceError("bad-id", "operation ids must be dense integers 0..n-1")
+    if not _int_pairs(list(chain.from_iterable(rows.values()))):
+        _raise_times_fault(rows)
+    arcs = document["arcs"]
+    if not isinstance(arcs, list):
+        raise InstanceError("bad-format", "arcs must be a list of [from, to] pairs")
+    if not _int_pairs(arcs):
+        arc = next(arc for arc in arcs if not _int_pairs([arc]))
+        raise InstanceError("bad-format", f"arc entry {_echo(arc)} must be a pair of ids")
+    # each row sorted by machine, then split into its machines and its times
+    columns = [tuple(zip(*sorted(rows[v]))) or ((), ()) for v in range(len(rows))]
+    eligible, times = tuple(zip(*columns)) or ((), ())
+    return Instance(document["name"], document["machines"], eligible, times, tuple(map(tuple, arcs)))
+
+
+def _raise_times_fault(rows: dict[int, list]) -> None:
+    """Raise the InstanceError for the first entry of ``rows`` that is not a
+    ``[machine, time]`` pair of integers."""
+    for v, row in rows.items():
+        for pair in row:
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise InstanceError("bad-format", f"operation {v}: times must be [machine, time] pairs")
             k, t = pair
-            if not isinstance(k, int) or isinstance(k, bool):
+            if type(k) is not int:
                 raise InstanceError("bad-machine", f"operation {v}: machine id {_echo(k)} is not an integer")
-            if not isinstance(t, int) or isinstance(t, bool):
+            if type(t) is not int:
                 raise InstanceError("bad-time", f"operation {v}: time {_echo(t)} is not an integer")
-            if k in row:
-                raise InstanceError("bad-machine", f"operation {v}: machine {k} listed twice")
-            row[k] = t
-        ptimes[v] = row
-    if sorted(ptimes) != list(range(len(ptimes))):
-        raise InstanceError("bad-id", "operation ids must be dense integers 0..n-1")
-    if not isinstance(document["arcs"], list):
-        raise InstanceError("bad-format", "arcs must be a list of [from, to] pairs")
-    arcs = []
-    for arc in document["arcs"]:
-        if not (
-            isinstance(arc, list)
-            and len(arc) == 2
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in arc)
-        ):
-            raise InstanceError("bad-format", f"arc entry {_echo(arc)} must be a pair of ids")
-        arcs.append((arc[0], arc[1]))
-    return Instance.from_tables(document["name"], machines, ptimes, arcs)
 
 
 def serialize_solution(
@@ -194,15 +239,17 @@ def serialize_solution(
         key: number_to_json(value) if isinstance(value, Fraction) else value
         for key, value in (meta or {}).items()
     }
-    document = {
-        "format": FORMAT_SOLUTION,
-        "instance": instance.name,
-        "assignment": [[v, sol.assignment.machine[v]] for v in instance.ops],
-        "starts": [[v, number_to_json(sched.start[v])] for v in instance.ops],
-        "makespan": number_to_json(sched.makespan),
-        "meta": clean_meta,
-    }
-    return _canonical(document)
+    meta_text = json.dumps(clean_meta, sort_keys=True, indent=2).replace("\n", "\n  ")
+    assignment = _json_values(sol.assignment.machine)
+    starts = _json_values([number_to_json(s) for s in sched.start])
+    return (
+        f'{{\n  "assignment": {_pairs(zip(instance.ops, assignment), 1)},\n'
+        f'  "format": {json.dumps(FORMAT_SOLUTION)},\n'
+        f'  "instance": {json.dumps(instance.name)},\n'
+        f'  "makespan": {json.dumps(number_to_json(sched.makespan))},\n'
+        f'  "meta": {meta_text},\n'
+        f'  "starts": {_pairs(zip(instance.ops, starts), 1)}\n}}\n'
+    )
 
 
 def solution_document(source: str | dict) -> dict:

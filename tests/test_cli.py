@@ -179,6 +179,40 @@ def test_emit_accepts_integer_and_fraction_horizons(ex1_file, tmp_path, capsys, 
     assert capsys.readouterr().out.endswith(f", L = {shown}\n")
 
 
+@pytest.mark.parametrize("model, fmt", [("new", "lp"), ("new", "mps"), ("ooy", "lp"), ("ooy", "mps")])
+def test_emit_horizon_parts_hold_at_most_max_digits(ex1_file, tmp_path, capsys, model, fmt):
+    out = tmp_path / f"x.{fmt}"
+    for horizon in ("1/" + "9" * 1001, "1/" + "9" * 4300):
+        argv = ["emit", "--model", model, "--format", fmt, "--L", horizon, "--in", str(ex1_file), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"fjs: --L must be 'auto' or a positive rational, got {_echo(horizon)}\n"
+        assert not out.exists()
+    horizon = "1/" + "9" * 1000
+    argv = ["emit", "--model", model, "--format", fmt, "--L", horizon, "--in", str(ex1_file), "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith(f", L = {horizon}\n")
+
+
+def test_validate_start_parts_hold_at_most_max_digits(ex1_file, tmp_path, capsys):
+    ex1 = make_ex1()
+    solution = json.loads(serialize_solution(ex1, EX1_SOL, tight_schedule(ex1, EX1_SOL)))
+    sol_path = tmp_path / "ex1.sol.json"
+    argv = ["validate", "--in", str(ex1_file), "--sol", str(sol_path)]
+    for start in ("30000000000/" + "9" * 4300, "30000000000/" + "9" * 1001):
+        solution["starts"][2][1] = start
+        sol_path.write_text(json.dumps(solution))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"fjs: start of operation 2: {_echo(start)} has a part of more than 1000 digits\n"
+        )
+    # at the limit the file is read, and the messages print sums of up to 2001 digits
+    solution["starts"][2][1] = "30000000000/" + "9" * 1000
+    sol_path.write_text(json.dumps(solution))
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[1] for line in err] == [" precedence", " makespan"]
+
+
 def test_emit_auto_horizon_of_an_empty_instance_is_a_usage_error(tmp_path, capsys):
     from fjs.core import Instance
 
@@ -527,8 +561,10 @@ def test_numbers_in_files_are_ints_or_fraction_strings(ex1_file, tmp_path, capsy
         (["yfjs", "--n", "0", "--o", "2", "--m", "2", "--q", "1"], "all yfjs parameters must be >= 1"),
         (["yfjs", "--n", "2", "--o", "2", "--m", "2", "--q", "3"], "max_eligible cannot exceed the machine count"),
         (["dafjs", "--n", "2", "--m", "1"], "machines must be >= 2"),
+        (["yfjs", "--n", "1", "--o", "1", "--m", "10001", "--q", "1"], "machines must be <= 10000"),
+        (["dafjs", "--n", "1", "--m", "10001"], "machines must be <= 10000"),
     ],
-    ids=["yfjs-n0", "yfjs-q-above-m", "dafjs-m1"],
+    ids=["yfjs-n0", "yfjs-q-above-m", "dafjs-m1", "yfjs-m-above-cap", "dafjs-m-above-cap"],
 )
 def test_generate_rejects_bad_sizes_as_usage_errors(tmp_path, capsys, argv, message):
     out = tmp_path / "g.fjs.json"

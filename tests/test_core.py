@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from fjs.core import (
+    MAX_MACHINES,
     InadmissibleError,
     Instance,
     InstanceError,
@@ -346,6 +349,19 @@ class TestInstanceValidation:
         with pytest.raises(InstanceError) as err:
             Instance.from_tables("bad", 1, {0: {1: 1.5}}, [])
         assert err.value.code == "bad-time"
+
+    def test_times_of_max_digits(self):
+        assert Instance.from_tables("ok", 1, {0: {1: 10**1000 - 1}, 1: {1: Fraction(1, 10**1000 - 1)}}, []).n_ops == 2
+        for time in (10**1000, Fraction(1, 10**1000), Fraction(10**1000, 3)):
+            with pytest.raises(InstanceError, match="at most 1000 digits") as err:
+                Instance.from_tables("bad", 1, {0: {1: time}}, [])
+            assert err.value.code == "bad-time"
+
+    def test_machine_count_cap(self):
+        assert Instance("ok", MAX_MACHINES, ((MAX_MACHINES,),), ((1,),), ()).machines == MAX_MACHINES
+        with pytest.raises(InstanceError, match=f"machine count must be <= {MAX_MACHINES}") as err:
+            Instance("bad", MAX_MACHINES + 1, ((1,),), ((1,),), ())
+        assert err.value.code == "bad-machine-count"
 
     def test_machine_out_of_range(self):
         with pytest.raises(InstanceError) as err:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fjs.core import Instance
+from fjs.core import MAX_MACHINES, Instance
 from fjs.generate import (
     DafjsParams,
     YfjsParams,
@@ -135,6 +135,11 @@ class TestYfjs:
         with pytest.raises(ValueError):
             YfjsParams(1, 3, 3, 4, seed=1)
 
+    def test_machine_count_cap(self):
+        assert YfjsParams(1, 1, MAX_MACHINES, 1, seed=1).machines == MAX_MACHINES
+        with pytest.raises(ValueError, match=f"machines must be <= {MAX_MACHINES}"):
+            YfjsParams(1, 1, MAX_MACHINES + 1, 1, seed=1)
+
 
 class TestDafjs:
     def test_equal_maximal_paths_and_ranges(self):
@@ -183,6 +188,11 @@ class TestDafjs:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             DafjsParams(1, 1, seed=0)
+
+    def test_machine_count_cap(self):
+        assert DafjsParams(1, MAX_MACHINES, seed=1).machines == MAX_MACHINES
+        with pytest.raises(ValueError, match=f"machines must be <= {MAX_MACHINES}"):
+            DafjsParams(1, MAX_MACHINES + 1, seed=1)
 
 
 class TestRng:

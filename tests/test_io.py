@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fjs.cli import main
 from fjs.core import (
     Instance,
     InstanceError,
@@ -18,6 +19,8 @@ from fjs.core import (
     SolutionPair,
     tight_schedule,
     validate_solution,
+    weakly_connected_components,
+    _echo,
 )
 from fjs.io import (
     ReportRow,
@@ -36,7 +39,7 @@ from fjs.io import (
     solution_document,
 )
 
-from conftest import random_admissible_solution, small_random_instance
+from conftest import make_ex1, random_admissible_solution, small_random_instance
 
 EX1_SOL = SolutionPair(MachineAssignment((1, 1, 2)), Selection(((0, 1), (2,))))
 DEEP_JSON = "[" * 100_000 + "]" * 100_000  # json.loads raises RecursionError on it
@@ -221,6 +224,30 @@ class TestNumbers:
         assert number_from_json("007", "x") == 7
         assert number_from_json("-0", "x") == 0
 
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            ("9" * 1000, 10**1000 - 1),
+            ("-" + "9" * 1000, 1 - 10**1000),
+            ("1/" + "9" * 1000, Fraction(1, 10**1000 - 1)),
+            ("0" * 1000 + "/" + "7" * 1000, 0),
+            (10**1000 - 1, 10**1000 - 1),
+            (1 - 10**1000, 1 - 10**1000),
+        ],
+        ids=["digits", "negative", "denominator", "leading-zeros", "int", "negative-int"],
+    )
+    def test_parts_of_max_digits_are_read(self, value, expected):
+        assert number_from_json(value, "x") == expected
+
+    @pytest.mark.parametrize(
+        "value",
+        ["9" * 1001, "1/" + "9" * 1001, "0" * 1001, "30000000000/" + "9" * 4300, 10**1000, -(10**1000)],
+        ids=["digits", "denominator", "zeros", "far-over", "int", "negative-int"],
+    )
+    def test_a_part_of_more_than_max_digits_is_refused(self, value):
+        with pytest.raises(SolutionError, match=r"^x: .* has (a part of )?more than 1000 digits$"):
+            number_from_json(value, "x")
+
 
 class TestReport:
     def test_gap_cell_formatting(self):
@@ -245,3 +272,218 @@ class TestReport:
 
     def test_instance_size(self, ex1):
         assert instance_size(ex1) == (1, 3, 3, 2)
+
+
+# ---------------------------------------------------------------------------
+# The writers against their reference: json.dumps(sort_keys=True, indent=2)
+
+
+def _reference_instance_text(instance: Instance) -> str:
+    document = {
+        "format": "fjs-instance/1",
+        "name": instance.name,
+        "machines": instance.machines,
+        "operations": [
+            {"id": v, "times": [[k, t] for k, t in zip(instance.eligible[v], instance.times[v])]}
+            for v in instance.ops
+        ],
+        "arcs": [list(arc) for arc in instance.arcs],
+        "jobs": [list(group) for group in weakly_connected_components(instance)],
+    }
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
+def _reference_solution_text(instance: Instance, sol: SolutionPair, sched: Schedule, meta: dict) -> str:
+    document = {
+        "format": "fjs-solution/1",
+        "instance": instance.name,
+        "assignment": [[v, sol.assignment.machine[v]] for v in instance.ops],
+        "starts": [[v, number_to_json(sched.start[v])] for v in instance.ops],
+        "makespan": number_to_json(sched.makespan),
+        "meta": {key: number_to_json(value) if isinstance(value, Fraction) else value for key, value in meta.items()},
+    }
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
+# quotes, backslashes, control characters, non-ASCII text and surrogates
+NAMES = st.text(alphabet=st.sampled_from('"\\\n\t\x00\x1fa Zé€\U0001f600\ud800/') | st.characters(), max_size=12)
+
+
+@st.composite
+def instances(draw, fractional: bool = False):
+    """Small instances; times are ints, ``Fraction``s with denominator 1, or
+    (when ``fractional``) any positive ``Fraction``."""
+    machines = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 6))
+    big = st.integers(1, 10**30)
+    whole = big | big.map(Fraction)
+    time = whole | st.fractions(min_value=Fraction(1, 10**6), max_value=10**6) if fractional else whole
+    eligible, times = [], []
+    for _ in range(n):
+        row = draw(st.lists(st.integers(1, machines), min_size=1, max_size=machines, unique=True))
+        eligible.append(tuple(sorted(row)))
+        times.append(tuple(draw(time) for _ in row))
+    candidates = [(u, w) for u in range(n) for w in range(u + 1, n)]
+    arcs = draw(st.lists(st.sampled_from(candidates), unique=True)) if candidates else []
+    return Instance(draw(NAMES), machines, tuple(eligible), tuple(times), tuple(arcs))
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | NAMES
+META = st.dictionaries(
+    NAMES,
+    st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(NAMES, inner, max_size=3))
+    | st.fractions(),
+    max_size=5,
+)
+
+
+class TestCanonicalWriters:
+    @given(instances())
+    @settings(max_examples=150, derandomize=True)
+    def test_instance_text_is_the_json_dumps_text(self, inst):
+        text = serialize_instance(inst)
+        assert text == _reference_instance_text(inst)
+        assert parse_instance(text) == inst
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            Instance("empty", 1, (), (), ()),
+            Instance('no "arcs" \\ é', 3, ((1, 3), (2,)), ((Fraction(4), 5), (Fraction(7, 1),)), ()),
+        ],
+        ids=["no-operations", "no-arcs"],
+    )
+    def test_edge_instances(self, inst):
+        assert serialize_instance(inst) == _reference_instance_text(inst)
+
+    @given(instances(fractional=True), st.integers(0, 10**6), META)
+    @settings(max_examples=150, derandomize=True)
+    def test_solution_text_is_the_json_dumps_text(self, inst, seed, meta):
+        sol = random_admissible_solution(inst, seed)
+        sched = tight_schedule(inst, sol)
+        assert serialize_solution(inst, sol, sched, meta) == _reference_solution_text(inst, sol, sched, meta)
+
+    def test_fractional_starts_are_strings(self):
+        inst = Instance("fr", 1, ((1,), (1,)), ((Fraction(1, 3),), (Fraction(2, 3),)), ())
+        sol = SolutionPair(MachineAssignment((1, 1)), Selection(((0, 1),)))
+        sched = tight_schedule(inst, sol)
+        meta = {"bound": Fraction(1, 3), "none": None, "flag": True, "ratio": 0.5, "nested": {"ü": [1, {"x": None}]}}
+        text = serialize_solution(inst, sol, sched, meta)
+        assert text == _reference_solution_text(inst, sol, sched, meta)
+        assert '"1/3"' in text and '"bound": "1/3"' in text
+
+
+# ---------------------------------------------------------------------------
+# The reader: one malformed instance document per rule, with its code, its
+# message and the exit code of `fjs validate --in`
+
+
+def _ex1_document() -> dict:
+    return json.loads(serialize_instance(make_ex1()))
+
+
+def _edit(**fields):
+    def edit(document):
+        document.update(fields)
+        return document
+
+    return edit
+
+
+def _edit_op(v, **fields):
+    def edit(document):
+        document["operations"][v].update(fields)
+        return document
+
+    return edit
+
+
+def _drop(field):
+    def edit(document):
+        del document[field]
+        return document
+
+    return edit
+
+
+MALFORMED_INSTANCES = [
+    # ids
+    ("id-not-fresh", _edit_op(1, id=0), "bad-id", "operation id 0 is not a fresh integer"),
+    ("id-bool", _edit_op(0, id=False), "bad-id", "operation id False is not a fresh integer"),
+    ("ids-not-dense", _edit_op(2, id=5), "bad-id", "operation ids must be dense integers 0..n-1"),
+    # machines
+    ("machines-not-int", _edit(machines="2"), "bad-machine-count", "machines must be an integer"),
+    ("machines-zero", _edit(machines=0), "bad-machine-count", "machine count must be >= 1, got 0"),
+    ("machines-above-cap", _edit(machines=10_001), "bad-machine-count", "machine count must be <= 10000, got 10001"),
+    ("machine-id-not-int", _edit_op(0, times=[["1", 3]]), "bad-machine", "operation 0: machine id '1' is not an integer"),
+    ("machine-id-out-of-range", _edit_op(0, times=[[3, 3]]), "bad-machine", "operation 0: machine id outside 1..2"),
+    # times
+    ("time-not-int", _edit_op(0, times=[[1, "3"]]), "bad-time", "operation 0: time '3' is not an integer"),
+    ("time-float", _edit_op(0, times=[[1, 1.5]]), "bad-time", "operation 0: time 1.5 is not an integer"),
+    ("time-zero", _edit_op(1, times=[[1, 2], [2, 0]]), "nonpositive-time", "processing time must be positive, got 0"),
+    (
+        "time-too-long",
+        _edit_op(0, times=[[1, 10**1000]]),
+        "bad-time",
+        f"processing time must have at most 1000 digits, got {_echo(10**1000)}",
+    ),
+    # arcs
+    ("arc-dangling", _edit(arcs=[[0, 9]]), "dangling-arc", "arc (0, 9) references an unknown operation id"),
+    ("arc-not-a-pair", _edit(arcs=[[0, 1], [0]]), "bad-format", "arc entry [0] must be a pair of ids"),
+    ("arc-bool-end", _edit(arcs=[[True, 0]]), "bad-format", "arc entry [True, 0] must be a pair of ids"),
+    ("arcs-not-a-list", _edit(arcs=5), "bad-format", "arcs must be a list of [from, to] pairs"),
+    # self-loop
+    ("self-loop", _edit(arcs=[[0, 1], [1, 1]]), "self-loop", "arc (1, 1) is a self-loop"),
+    # cycle
+    ("cycle", _edit(arcs=[[0, 1], [1, 2], [2, 0]]), "cycle", "precedence arcs contain a cycle: 1->2->0"),
+    # shape
+    ("not-an-object", lambda document: [document], "bad-format", "top-level value must be an object"),
+    ("wrong-format", _edit(format="fjs-instance/2"), "bad-format", "expected format 'fjs-instance/1', got 'fjs-instance/2'"),
+    ("missing-field", _drop("arcs"), "missing-field", "missing field 'arcs'"),
+    ("operations-not-a-list", _edit(operations={}), "bad-format", "operations must be a list"),
+    (
+        "entry-without-times",
+        lambda document: {**document, "operations": [{"id": 0}]},
+        "bad-format",
+        "operation entry {'id': 0} needs 'id' and 'times'",
+    ),
+    ("times-not-a-list", _edit_op(0, times=5), "bad-format", "operation 0: times must be a list of [machine, time] pairs"),
+    ("pair-of-three", _edit_op(0, times=[[1, 3, 4]]), "bad-format", "operation 0: times must be [machine, time] pairs"),
+    ("no-machines", _edit_op(0, times=[]), "empty-eligible", "operation 0 has no eligible machine"),
+    # eligible order: rows may list machines in any order, but each once
+    ("machine-listed-twice", _edit_op(1, times=[[2, 4], [1, 2], [2, 3]]), "bad-machine", "operation 1: machine 2 listed twice"),
+]
+
+
+class TestInstanceReaderRules:
+    @pytest.mark.parametrize(
+        "edit, code, message", [case[1:] for case in MALFORMED_INSTANCES], ids=[case[0] for case in MALFORMED_INSTANCES]
+    )
+    def test_malformed_document(self, tmp_path, capsys, edit, code, message):
+        text = json.dumps(edit(_ex1_document()))
+        with pytest.raises(InstanceError) as err:
+            parse_instance(text)
+        assert (err.value.code, str(err.value)) == (code, message)
+        path = tmp_path / "bad.fjs.json"
+        path.write_text(text)
+        assert main(["validate", "--in", str(path)]) == 1
+        assert capsys.readouterr().err == f"fjs: {code}: {message}\n"
+
+    def test_rows_may_list_machines_in_any_order(self, ex1):
+        text = json.dumps(_edit_op(1, times=[[2, 4], [1, 2]])(_ex1_document()))
+        assert parse_instance(text) == ex1
+
+    def test_operations_may_come_in_any_id_order(self, ex1):
+        document = _ex1_document()
+        document["operations"].reverse()
+        assert parse_instance(json.dumps(document)) == ex1
+
+    @pytest.mark.parametrize(
+        "eligible, message",
+        [(((2, 1),), "operation 0: eligible machines must be sorted and distinct"), (((1, 1),), "operation 0: machine 1 listed twice")],
+        ids=["unsorted", "duplicate"],
+    )
+    def test_constructor_wants_sorted_distinct_machines(self, eligible, message):
+        with pytest.raises(InstanceError) as err:
+            Instance("bad", 2, eligible, ((1, 1),), ())
+        assert (err.value.code, str(err.value)) == ("bad-machine", message)
