@@ -10,7 +10,6 @@ formats and text reports (`io`, `cli`).
 __version__ = "0.1.0"
 
 from .core import (
-    DisjunctivePairs,
     FjsError,
     InadmissibleError,
     Instance,
@@ -33,7 +32,6 @@ from .io import parse_instance, parse_solution, serialize_instance, serialize_so
 from .milp import (
     MilpModel,
     ModelPoint,
-    ModelStats,
     build_compact_model,
     build_machine_indexed_model,
     check_feasible,
@@ -48,7 +46,6 @@ from .milp import (
 
 __all__ = [
     "__version__",
-    "DisjunctivePairs",
     "FjsError",
     "InadmissibleError",
     "Instance",
@@ -56,7 +53,6 @@ __all__ = [
     "MachineAssignment",
     "MilpModel",
     "ModelPoint",
-    "ModelStats",
     "Schedule",
     "Selection",
     "SelectionError",

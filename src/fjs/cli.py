@@ -33,6 +33,7 @@ from .io import (
     solution_document,
 )
 from .milp import (
+    BINARY,
     ModelPoint,
     PointError,
     build_compact_model,
@@ -209,10 +210,10 @@ def _cmd_emit(args: argparse.Namespace) -> int:
         return _fail("--L auto gives no horizon for an instance without operations; give a positive --L", 2)
     model = MODEL_BUILDERS[args.model](instance, horizon)
     _write(args.out, WRITERS[args.format](model))
-    stats = model.stats
+    n_binary = sum(var.kind == BINARY for var in model.variables)
     print(
-        f"wrote {model.name}: {stats.n_constraints} constraints, "
-        f"{stats.n_variables} variables ({stats.n_binary} binary), L = {horizon}"
+        f"wrote {model.name}: {len(model.constraints)} constraints, "
+        f"{len(model.variables) - 1} variables ({n_binary} binary), L = {horizon}"
     )
     return 0
 
@@ -249,7 +250,12 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _report_bound(meta: dict, key: str, makespan: Rational) -> Rational:
-    return number_from_json(meta[key], key) if key in meta else makespan
+    if key not in meta:
+        return makespan
+    value = number_from_json(meta[key], key)
+    if abs(value) > sys.float_info.max:  # a report cell shows a non-integral bound as a float
+        raise SolutionError(f"{key}: {_echo(meta[key])} is beyond the range of a float")
+    return value
 
 
 def _report_elapsed(meta: dict) -> float:

@@ -35,7 +35,6 @@ __all__ = [
     "MAX_DIGITS",
     "MAX_MACHINES",
     "Instance",
-    "DisjunctivePairs",
     "MachineAssignment",
     "Selection",
     "SolutionPair",
@@ -284,36 +283,13 @@ def _raise_arc_fault(arcs: tuple[tuple, ...], n: int) -> None:
             raise InstanceError("self-loop", f"arc ({u}, {w}) is a self-loop")
 
 
-@dataclass(frozen=True)
-class DisjunctivePairs:
-    """Ordered pairs of distinct operations that can share a machine.
-
-    ``by_machine[k]`` lists the pairs eligible together on machine ``k``;
-    ``pairs`` is their union and ``beta`` the sum of the per-machine counts
-    (a pair appears once per shared machine).
-    """
-
-    by_machine: Mapping[int, tuple[tuple[int, int], ...]]
-    pairs: tuple[tuple[int, int], ...]
-    beta: int
-
-
-def disjunctive_pairs(instance: Instance) -> DisjunctivePairs:
-    """Enumerate the potential machine conflicts of an instance."""
+def disjunctive_pairs(instance: Instance) -> dict[int, tuple[tuple[int, int], ...]]:
+    """Map each machine ``k`` to the ordered pairs of distinct operations eligible together on ``k``."""
     on_machine: dict[int, list[int]] = {k: [] for k in range(1, instance.machines + 1)}
     for v in instance.ops:
         for k in instance.eligible[v]:
             on_machine[k].append(v)
-    by_machine = {}
-    union: set[tuple[int, int]] = set()
-    beta = 0
-    for k in range(1, instance.machines + 1):
-        ops_k = on_machine[k]
-        pairs_k = tuple((v, w) for v in ops_k for w in ops_k if v != w)
-        by_machine[k] = pairs_k
-        union.update(pairs_k)
-        beta += len(pairs_k)
-    return DisjunctivePairs(by_machine=by_machine, pairs=tuple(sorted(union)), beta=beta)
+    return {k: tuple((v, w) for v in ops_k for w in ops_k if v != w) for k, ops_k in on_machine.items()}
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ text tables with one row per solved instance.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,7 +49,6 @@ __all__ = [
     "solution_document",
     "parse_solution",
     "serialize_solution",
-    "selection_from_starts",
     "render_report",
     "format_bound_cell",
     "instance_size",
@@ -327,8 +327,19 @@ class ReportRow:
 
 
 def format_bound_cell(lower: Rational, upper: Rational) -> str:
-    """Render an open optimality gap as ``[lb;ub] gap%`` of the upper bound."""
-    gap = 0.0 if upper == 0 else float((upper - lower) / upper) * 100
+    """Render an open optimality gap as ``[lb;ub] gap%`` of the upper bound.
+
+    Raises SolutionError when the gap is beyond the range of a float.
+    """
+    try:
+        gap = 0.0 if upper == 0 else float((upper - lower) / upper) * 100
+    except OverflowError:
+        gap = math.inf
+    if math.isinf(gap):
+        raise SolutionError(
+            f"lower_bound {_echo(number_to_json(lower))} and upper_bound {_echo(number_to_json(upper))}: "
+            "their gap is beyond the range of a float"
+        )
     return f"[{_cell_num(lower)};{_cell_num(upper)}] {gap:.2f}%"
 
 

@@ -26,7 +26,6 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from .core import (
-    DisjunctivePairs,
     FjsError,
     InadmissibleError,
     Instance,
@@ -50,7 +49,6 @@ __all__ = [
     "WitnessError",
     "Variable",
     "LinearConstraint",
-    "ModelStats",
     "MilpModel",
     "ModelPoint",
     "build_compact_model",
@@ -115,26 +113,11 @@ class LinearConstraint(NamedTuple):
 
 
 @dataclass(frozen=True)
-class ModelStats:
-    n_constraints: int
-    n_variables: int  # excludes the makespan variable z
-    n_binary: int
-    phi: int
-    phi_hat: int
-    beta: int
-    bound: Rational
-
-
-@dataclass(frozen=True)
 class MilpModel:
     name: str
     variables: tuple[Variable, ...]
     objective: tuple[tuple[Rational, str], ...]
     constraints: tuple[LinearConstraint, ...]
-    stats: ModelStats
-
-    def variable_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
 
 
 @dataclass(frozen=True)
@@ -147,29 +130,24 @@ class ModelPoint:
         return self.values[name]
 
 
-def _sizes(instance: Instance):
-    pairs = disjunctive_pairs(instance)
-    phi = sum(len(row) for row in instance.eligible)
-    terminal = [v for v in instance.ops if not instance.successors(v)]
-    phi_hat = sum(len(instance.eligible[v]) for v in terminal)
-    return pairs, phi, phi_hat, terminal
-
-
 def _x_names(instance: Instance) -> list[dict[int, str]]:
     return [{k: f"x_{v}_{k}" for k in instance.eligible[v]} for v in instance.ops]
 
 
-def _compact_names(instance: Instance, pairs: DisjunctivePairs):
-    """The compact model's names ``s[v]``, ``x[v][k]`` and ``y[v, w]``, each keyed in model order."""
-    y = {pair: f"y_{pair[0]}_{pair[1]}" for pair in pairs.pairs}
+def _compact_names(instance: Instance, by_machine: Mapping[int, tuple[tuple[int, int], ...]]):
+    """The compact model's names ``s[v]``, ``x[v][k]`` and ``y[v, w]``, each keyed in model order.
+
+    ``y`` covers the sorted union of the per-machine conflict pairs ``by_machine``.
+    """
+    y = {pair: f"y_{pair[0]}_{pair[1]}" for pair in sorted(set().union(*by_machine.values()))}
     return [f"s_{v}" for v in instance.ops], _x_names(instance), y
 
 
-def _machine_indexed_names(instance: Instance, pairs: DisjunctivePairs):
+def _machine_indexed_names(instance: Instance, by_machine: Mapping[int, tuple[tuple[int, int], ...]]):
     """The machine-indexed names ``s[v][k]``, ``t[v][k]``, ``x[v][k]`` and ``y[k][v, w]``, keyed in model order."""
     s = [{k: f"s_{v}_{k}" for k in instance.eligible[v]} for v in instance.ops]
     t = [{k: f"t_{v}_{k}" for k in instance.eligible[v]} for v in instance.ops]
-    y = {k: {pair: f"y_{pair[0]}_{pair[1]}_{k}" for pair in row} for k, row in pairs.by_machine.items()}
+    y = {k: {pair: f"y_{pair[0]}_{pair[1]}_{k}" for pair in row} for k, row in by_machine.items()}
     return s, t, _x_names(instance), y
 
 
@@ -189,11 +167,11 @@ def build_compact_model(instance: Instance, L: Rational) -> MilpModel:
     beta`` rows and ``|V| + phi + |B|`` variables besides z.
     """
     _check_horizon(L)
-    pairs, phi, phi_hat, _ = _sizes(instance)
+    by_machine = disjunctive_pairs(instance)
     ops = instance.ops
 
     # Each name, and each term that recurs, is made once and shared by every row using it.
-    s, x, y = _compact_names(instance, pairs)
+    s, x, y = _compact_names(instance, by_machine)
     s_plus = [(1, name) for name in s]
     s_minus = [(-1, name) for name in s]
     x_minus = [{k: (-1, name) for k, name in row.items()} for row in x]
@@ -208,8 +186,8 @@ def build_compact_model(instance: Instance, L: Rational) -> MilpModel:
 
     rows = [LinearConstraint(f"cmax_{v}", (s_plus[v], *ptime_terms[v], minus_z), "<=", 0) for v in ops]
     rows += [LinearConstraint(f"assign_{v}", tuple([(1, name) for name in x[v].values()]), "=", 1) for v in ops]
-    for k in range(1, instance.machines + 1):
-        for v, w in pairs.by_machine[k]:
+    for k, pairs_k in by_machine.items():
+        for v, w in pairs_k:
             terms = (y_plus[v, w], y_plus[w, v], x_minus[v][k], x_minus[w][k])
             rows.append(LinearConstraint(f"sel_{k}_{v}_{w}", terms, ">=", -1))
     for u, v in instance.arcs:
@@ -219,22 +197,11 @@ def build_compact_model(instance: Instance, L: Rational) -> MilpModel:
         terms = (s_plus[v], *ptime_terms[v], (L, name), s_minus[w])
         rows.append(LinearConstraint(f"disj_{v}_{w}", terms, "<=", L))
 
-    n_binary = phi + len(pairs.pairs)
-    stats = ModelStats(
-        n_constraints=len(rows),
-        n_variables=len(variables) - 1,
-        n_binary=n_binary,
-        phi=phi,
-        phi_hat=phi_hat,
-        beta=pairs.beta,
-        bound=L,
-    )
     return MilpModel(
         name=f"{instance.name}-compact",
         variables=tuple(variables),
         objective=((1, "z"),),
         constraints=tuple(rows),
-        stats=stats,
     )
 
 
@@ -248,11 +215,10 @@ def build_machine_indexed_model(instance: Instance, L: Rational) -> MilpModel:
     variables besides z.
     """
     _check_horizon(L)
-    pairs, phi, phi_hat, terminal = _sizes(instance)
     ops, eligible = instance.ops, instance.eligible
 
     # Each name, and each term that recurs, is made once and shared by every row using it.
-    s, t, x, y = _machine_indexed_names(instance, pairs)
+    s, t, x, y = _machine_indexed_names(instance, disjunctive_pairs(instance))
     s_plus = [{k: (1, name) for k, name in row.items()} for row in s]
     s_minus = [{k: (-1, name) for k, name in row.items()} for row in s]
     t_plus = [{k: (1, name) for k, name in row.items()} for row in t]
@@ -266,7 +232,10 @@ def build_machine_indexed_model(instance: Instance, L: Rational) -> MilpModel:
 
     minus_z = (-1, "z")
     rows = [
-        LinearConstraint(f"cmax_{v}_{k}", (term, minus_z), "<=", 0) for v in terminal for k, term in t_plus[v].items()
+        LinearConstraint(f"cmax_{v}_{k}", (term, minus_z), "<=", 0)
+        for v in ops
+        if not instance.successors(v)
+        for k, term in t_plus[v].items()
     ]
     rows += [LinearConstraint(f"assign_{v}", tuple([(1, name) for name in x[v].values()]), "=", 1) for v in ops]
     minus_2L = -2 * L
@@ -275,7 +244,7 @@ def build_machine_indexed_model(instance: Instance, L: Rational) -> MilpModel:
             terms = (s_plus[v][k], t_plus[v][k], (minus_2L, name))
             rows.append(LinearConstraint(f"link_{v}_{k}", terms, "<=", 0))
     for k, plus in y_plus.items():
-        for v, w in pairs.by_machine[k]:
+        for v, w in plus:
             rows.append(LinearConstraint(f"sel_{k}_{v}_{w}", (plus[v, w], plus[w, v]), "=", 1))
     for v in ops:
         for k, p in zip(eligible[v], instance.times[v]):
@@ -290,21 +259,11 @@ def build_machine_indexed_model(instance: Instance, L: Rational) -> MilpModel:
         terms = (*t_plus[u].values(), *s_minus[v].values())
         rows.append(LinearConstraint(f"pprec_{u}_{v}", terms, "<=", 0))
 
-    stats = ModelStats(
-        n_constraints=len(rows),
-        n_variables=len(variables) - 1,
-        n_binary=phi + pairs.beta,
-        phi=phi,
-        phi_hat=phi_hat,
-        beta=pairs.beta,
-        bound=L,
-    )
     return MilpModel(
         name=f"{instance.name}-machine-indexed",
         variables=tuple(variables),
         objective=((1, "z"),),
         constraints=tuple(rows),
-        stats=stats,
     )
 
 
@@ -314,7 +273,7 @@ def check_feasible(model: MilpModel, point: ModelPoint, tol: Rational = 0) -> Va
     Integrality is never enforced, so this doubles as the LP-relaxation
     check.  With exact rational inputs ``tol=0`` is meaningful.
     """
-    _expect_names(point, set(model.variable_names()))
+    _expect_names(point, {var.name for var in model.variables})
     values = point.values
     issues: list[ValidationIssue] = []
     for var in model.variables:

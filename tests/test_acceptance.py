@@ -20,6 +20,7 @@ from fjs.generate import DafjsParams, YfjsParams, generate_dafjs, generate_yfjs
 from fjs.heuristic import earliest_start_heuristic
 from fjs.io import parse_instance, serialize_instance
 from fjs.milp import (
+    BINARY,
     build_compact_model,
     build_machine_indexed_model,
     check_feasible,
@@ -168,14 +169,14 @@ def test_criterion_4_model_count_formulas():
         with_succ = {u for u, _ in inst.arcs}
         phi_hat = sum(len(F[v]) for v in V if v not in with_succ)
         horizon = default_horizon(inst)
-        compact = build_compact_model(inst, horizon).stats
-        assert compact.n_constraints == 2 * len(V) + len(inst.arcs) + nB + beta
-        assert compact.n_variables == len(V) + phi + nB
-        assert compact.n_binary == phi + nB
-        indexed = build_machine_indexed_model(inst, horizon).stats
-        assert indexed.n_constraints == len(V) + len(inst.arcs) + phi_hat + 2 * phi + 2 * beta
-        assert indexed.n_variables == 3 * phi + beta
-        assert indexed.n_binary == phi + beta
+        compact = build_compact_model(inst, horizon)
+        assert len(compact.constraints) == 2 * len(V) + len(inst.arcs) + nB + beta
+        assert len(compact.variables) - 1 == len(V) + phi + nB
+        assert sum(var.kind == BINARY for var in compact.variables) == phi + nB
+        indexed = build_machine_indexed_model(inst, horizon)
+        assert len(indexed.constraints) == len(V) + len(inst.arcs) + phi_hat + 2 * phi + 2 * beta
+        assert len(indexed.variables) - 1 == 3 * phi + beta
+        assert sum(var.kind == BINARY for var in indexed.variables) == phi + beta
     passed(4, f"count formulas exact on {len(generated_corpus())} instances")
 
 

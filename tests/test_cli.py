@@ -126,14 +126,20 @@ def test_validate_bad_solution_fails(ex1_file, tmp_path, capsys):
 
 
 def test_emit_lp_matches_golden(ex1_file, tmp_path, golden_dir, capsys):
-    out = tmp_path / "ex1.lp"
-    code = main([
-        "emit", "--model", "new", "--format", "lp", "--L", "auto",
-        "--in", str(ex1_file), "--out", str(out),
-    ])
-    assert code == 0
-    assert "16 constraints" in capsys.readouterr().out
-    assert out.read_text() == (golden_dir / "ex1-new.lp").read_text()
+    summary = {
+        "new": "wrote EX1-compact: 16 constraints, 11 variables (8 binary), L = 8\n",
+        "ooy": "wrote EX1-machine-indexed: 24 constraints, 16 variables (8 binary), L = 8\n",
+    }
+    for model in ("new", "ooy"):
+        for fmt in ("lp", "mps"):
+            out = tmp_path / f"ex1-{model}.{fmt}"
+            code = main([
+                "emit", "--model", model, "--format", fmt, "--L", "auto",
+                "--in", str(ex1_file), "--out", str(out),
+            ])
+            assert code == 0
+            assert capsys.readouterr().out == summary[model]
+            assert out.read_text() == (golden_dir / out.name).read_text()
 
 
 def test_emit_rejects_bad_horizon(ex1_file, tmp_path, capsys):
@@ -494,10 +500,30 @@ BAD_ELAPSED = "elapsed: expected a finite non-negative number of seconds, got "
         ({"elapsed": 10**400}, BAD_ELAPSED + "1" + "0" * 37 + "..." + "0" * 39),
         ({"lower_bound": 12.7}, "lower_bound: expected int or 'a/b' string, got 12.7"),
         ({"upper_bound": 8.0}, "upper_bound: expected int or 'a/b' string, got 8.0"),
+        ({"lower_bound": 10**400}, "lower_bound: " + "1" + "0" * 37 + "..." + "0" * 39 + " is beyond the range of a float"),
+        (
+            {"lower_bound": "1" + "0" * 400 + "/3"},
+            "lower_bound: '1" + "0" * 36 + "..." + "0" * 36 + "/3' is beyond the range of a float",
+        ),
+        (
+            {"status": "optimal", "upper_bound": "1" + "0" * 400 + "/3"},
+            "upper_bound: '1" + "0" * 36 + "..." + "0" * 36 + "/3' is beyond the range of a float",
+        ),
+        (
+            {"upper_bound": "1/1" + "0" * 900},
+            "lower_bound 8 and upper_bound '1/1" + "0" * 34 + "..." + "0" * 38
+            + "': their gap is beyond the range of a float",
+        ),
+        (
+            {"lower_bound": 10**308, "upper_bound": 1},
+            "lower_bound " + "1" + "0" * 37 + "..." + "0" * 39
+            + " and upper_bound 1: their gap is beyond the range of a float",
+        ),
     ],
     ids=[
         "elapsed-str", "elapsed-list", "elapsed-null", "elapsed-bool", "elapsed-nan", "elapsed-negative",
-        "elapsed-overflow", "float-lower", "float-upper",
+        "elapsed-overflow", "float-lower", "float-upper", "lower-overflow", "lower-fraction-overflow",
+        "optimal-upper-overflow", "gap-overflow", "gap-times-100-overflow",
     ],
 )
 def test_report_rejects_bad_meta_values(tmp_path, capsys, meta, message):

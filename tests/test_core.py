@@ -51,30 +51,27 @@ EX1_SOL = SolutionPair(MachineAssignment((1, 1, 2)), Selection(((0, 1), (2,))))
 class TestDisjunctivePairs:
     def test_ex1_sets(self, ex1):
         dp = disjunctive_pairs(ex1)
-        assert set(dp.by_machine[1]) == {(0, 1), (1, 0)}
-        assert set(dp.by_machine[2]) == {(1, 2), (2, 1)}
-        assert len(dp.pairs) == 4
-        assert dp.beta == 4
+        assert dp.keys() == {1, 2}
+        assert set(dp[1]) == {(0, 1), (1, 0)}
+        assert set(dp[2]) == {(1, 2), (2, 1)}
 
     def test_disjoint_eligibility_gives_empty(self):
         inst = Instance.from_tables("disjoint", 2, {0: {1: 2}, 1: {2: 3}}, [])
-        dp = disjunctive_pairs(inst)
-        assert dp.pairs == ()
-        assert dp.beta == 0
+        assert disjunctive_pairs(inst) == {1: (), 2: ()}
 
     def test_single_operation(self):
         inst = Instance.from_tables("one", 1, {0: {1: 7}}, [])
-        assert disjunctive_pairs(inst).pairs == ()
+        assert disjunctive_pairs(inst) == {1: ()}
 
     def test_symmetry_on_random_instances(self):
         for seed in range(20):
             inst = small_random_instance(seed)
             dp = disjunctive_pairs(inst)
-            pair_set = set(dp.pairs)
-            assert all((w, v) in pair_set for v, w in pair_set)
-            for k, pairs_k in dp.by_machine.items():
-                assert set(pairs_k) <= pair_set
-            assert dp.beta >= len(dp.pairs)
+            assert dp.keys() == set(range(1, inst.machines + 1))
+            for k, pairs_k in dp.items():
+                assert len(set(pairs_k)) == len(pairs_k)
+                assert all((w, v) in pairs_k for v, w in pairs_k)
+                assert all(v != w and k in inst.eligible[v] and k in inst.eligible[w] for v, w in pairs_k)
 
 
 class TestSelection:

@@ -153,7 +153,7 @@ def _bounded_model() -> MilpModel:
         Variable("x_0", BINARY, 0, 1),
     )
     row = LinearConstraint("r", tuple((1, v.name) for v in variables), "<=", 9)
-    return MilpModel("bounded", variables, ((1, "s_0"),), (row,), stats=None)
+    return MilpModel("bounded", variables, ((1, "s_0"),), (row,))
 
 
 def test_mps_writes_continuous_bounds():

@@ -17,6 +17,7 @@ from fjs.core import (
     Schedule,
     Selection,
     SolutionPair,
+    selection_from_starts,
     tight_schedule,
     validate_solution,
     weakly_connected_components,
@@ -33,7 +34,6 @@ from fjs.io import (
     parse_instance,
     parse_solution,
     render_report,
-    selection_from_starts,
     serialize_instance,
     serialize_solution,
     solution_document,

@@ -62,34 +62,29 @@ def independent_sizes(instance):
     return len(V), len(instance.arcs), len(B), beta, phi, phi_hat
 
 
+def sizes(model):
+    """(rows, variables besides z, binaries) of a model, counted from its variables and rows."""
+    n_binary = sum(var.kind == BINARY for var in model.variables)
+    return len(model.constraints), len(model.variables) - 1, n_binary
+
+
 class TestModelSizes:
     def test_ex1_compact_counts(self, ex1):
         model = build_compact_model(ex1, 14)
-        assert model.stats.n_constraints == 16  # 2*3 + 2 + 4 + 4
-        assert model.stats.n_variables == 11  # 3 + 4 + 4
-        assert model.stats.n_binary == 8
-        assert model.stats.bound == 14
+        assert sizes(model) == (16, 11, 8)  # 2*3 + 2 + 4 + 4 rows; 3 + 4 + 4 variables
 
     def test_ex1_machine_indexed_counts(self, ex1):
         model = build_machine_indexed_model(ex1, 14)
-        assert model.stats.n_constraints == 24  # 3 + 2 + 3 + 2*4 + 2*4
-        assert model.stats.n_variables == 16  # 3*4 + 4
-        assert model.stats.n_binary == 8
+        assert sizes(model) == (24, 16, 8)  # 3 + 2 + 3 + 2*4 + 2*4 rows; 3*4 + 4 variables
 
     @pytest.mark.parametrize("seed", range(15))
     def test_count_formulas_on_random_instances(self, seed):
         inst = small_random_instance(seed, max_ops=7, max_machines=3, max_eligible=3)
         nV, nA, nB, beta, phi, phi_hat = independent_sizes(inst)
-        compact = build_compact_model(inst, default_horizon(inst)).stats
-        assert compact.n_constraints == 2 * nV + nA + nB + beta
-        assert compact.n_variables == nV + phi + nB
-        assert compact.n_binary == phi + nB
-        indexed = build_machine_indexed_model(inst, default_horizon(inst)).stats
-        assert indexed.n_constraints == nV + nA + phi_hat + 2 * phi + 2 * beta
-        assert indexed.n_variables == 3 * phi + beta
-        assert indexed.n_binary == phi + beta
-        for stats in (compact, indexed):
-            assert (stats.phi, stats.phi_hat, stats.beta) == (phi, phi_hat, beta)
+        compact = build_compact_model(inst, default_horizon(inst))
+        assert sizes(compact) == (2 * nV + nA + nB + beta, nV + phi + nB, phi + nB)
+        indexed = build_machine_indexed_model(inst, default_horizon(inst))
+        assert sizes(indexed) == (nV + nA + phi_hat + 2 * phi + 2 * beta, 3 * phi + beta, phi + beta)
 
     def test_no_conflict_pairs_no_y_rows(self):
         inst = Instance.from_tables("disjoint", 2, {0: {1: 2}, 1: {2: 3}}, [(0, 1)])
@@ -103,12 +98,11 @@ class TestModelSizes:
         inst = Instance.from_tables("one", 1, {0: {1: 5}}, [])
         model = build_compact_model(inst, 5)
         assert [r.name for r in model.constraints] == ["cmax_0", "assign_0"]
-        assert model.stats.n_constraints == 2
-        assert model.stats.n_variables == 2
+        assert sizes(model) == (2, 2, 1)
 
     def test_model_wellformedness(self, ex1):
         for model in (build_compact_model(ex1, 14), build_machine_indexed_model(ex1, 14)):
-            names = model.variable_names()
+            names = [var.name for var in model.variables]
             assert len(set(names)) == len(names)
             declared = set(names)
             for row in model.constraints:
@@ -439,7 +433,7 @@ class TestGapWitness:
                 values[f"x_{v}_{k}"] = share
         from fjs.core import disjunctive_pairs
 
-        for v, w in disjunctive_pairs(inst).pairs:
+        for v, w in set().union(*disjunctive_pairs(inst).values()):
             values[f"y_{v}_{w}"] = Fraction(1, 2)
         report = check_feasible(model, ModelPoint(values))
         assert any(i.message.startswith("cmax_") for i in report.issues)
