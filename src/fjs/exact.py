@@ -15,8 +15,11 @@ optimality.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 from .core import (
     Instance,
@@ -107,8 +110,7 @@ def brute_force(instance: Instance, max_ops: int = 9, max_assignments: int = 100
     return SolveResult(sol, sched, best_mks, best_mks, STATUS_OPTIMAL, examined, time.monotonic() - t0)
 
 
-@dataclass(frozen=True)
-class BnbNode:
+class BnbNode(NamedTuple):
     """A partial forward schedule: a prefix of (operation, machine) decisions.
 
     Its makespan so far is ``max(machine_avail)``: each machine's newest
@@ -123,54 +125,73 @@ class BnbNode:
 
 
 class _Search:
-    """State of one depth-first branch-and-bound run."""
+    """State of one depth-first branch-and-bound run.
+
+    The instance is read once, into zero-based tables: ``options[v]`` holds
+    the ``(machine, time)`` pairs of operation v and ``ptime[v]`` the same as
+    a dict; ``rows`` holds, in topological order, ``(v, 1 << v, eligible
+    machines, ((u, 1 << u) for each predecessor u), least time of v)``; and
+    ``single`` holds, per machine, the ``(1 << v, least time)`` of each
+    operation that only that machine can run.
+    """
 
     def __init__(self, instance: Instance, deadline: float):
-        self.instance = instance
         self.deadline = deadline
         n = instance.n_ops
         self.n = n
         self.full_mask = (1 << n) - 1
-        self.pmin = [min(row) for row in instance.times]
-        self.topo = instance.order
-        self.pred_mask = [sum(1 << u for u in instance.predecessors(v)) for v in range(n)]
-        self.single_machine_ops: dict[int, list[int]] = {}
+        eligible = [tuple(k - 1 for k in row) for row in instance.eligible]
+        self.options = [tuple(zip(machs, times)) for machs, times in zip(eligible, instance.times)]
+        self.ptime = [dict(pairs) for pairs in self.options]
+        pmin = [min(times) for times in instance.times]
+        preds = [instance.predecessors(v) for v in range(n)]
+        self.rows = [(v, 1 << v, eligible[v], tuple((u, 1 << u) for u in preds[v]), pmin[v]) for v in instance.order]
+        self.pred_mask = [sum(1 << u for u in preds[v]) for v in range(n)]
+        self.successors = [instance.successors(v) for v in range(n)]
+        single: dict[int, list[tuple[int, Rational]]] = {}
         for v in range(n):
-            if len(instance.eligible[v]) == 1:
-                self.single_machine_ops.setdefault(instance.eligible[v][0], []).append(v)
+            if len(eligible[v]) == 1:
+                single.setdefault(eligible[v][0], []).append((1 << v, pmin[v]))
+        self.single = list(single.items())
+        self.dp: list[Rational] = [0] * n  # read only at unscheduled operations, each set earlier in the order
         self.stack: list[BnbNode] = []
         self.nodes = 0
         self.best_value: Rational = None  # set before search starts
         self.best_leaf = None
 
-    def lower_bound(self, node_ready, mask, avail) -> Rational:
+    def lower_bound(self, ready, mask, avail, cutoff=math.inf) -> Rational:
         """Max of the path bound with minimum times and the machine workload bound.
 
-        A machine without single-machine operations adds nothing to
-        ``max(avail)``, where the bound starts.
+        Returns as soon as the running bound reaches ``cutoff``: the caller
+        prunes such a node whatever its full bound is.  Below ``cutoff`` the
+        value is the full bound.  A machine without single-machine
+        operations adds nothing to ``max(avail)``, where the bound starts.
         """
-        inst = self.instance
         lb = max(avail)
-        dp = [0] * self.n  # read only at unscheduled operations, each set earlier in the order
-        for v in self.topo:
-            if mask >> v & 1:
+        if lb >= cutoff:
+            return lb
+        dp = self.dp
+        for v, bit, eligible, preds, p in self.rows:
+            if mask & bit:
                 continue
-            release = node_ready[v]
-            for u in inst.predecessors(v):
-                if not (mask >> u & 1) and dp[u] > release:
+            release = ready[v]
+            for u, u_bit in preds:
+                if not mask & u_bit and dp[u] > release:
                     release = dp[u]
-            base = min(avail[k - 1] for k in inst.eligible[v])
+            base = min(map(avail.__getitem__, eligible))
             if base > release:
                 release = base
-            c = release + self.pmin[v]
+            c = release + p
             dp[v] = c
             if c > lb:
                 lb = c
-        for k, ops in self.single_machine_ops.items():
-            load = avail[k - 1]
-            for v in ops:
-                if not (mask >> v & 1):
-                    load += self.pmin[v]
+                if lb >= cutoff:
+                    return lb
+        for k, ops in self.single:
+            load = avail[k]
+            for bit, p in ops:
+                if not mask & bit:
+                    load += p
             if load > lb:
                 lb = load
         return lb
@@ -191,36 +212,37 @@ class _Search:
         freed.  That is a child too, as positive times (``check_time``)
         start it before theta.
         """
-        inst = self.instance
-        mask = node.scheduled_mask
+        _, mask, node_ready, node_avail, node_seq = node
         pred_mask = self.pred_mask
         ready_ops = [v for v in range(self.n) if not mask >> v & 1 and mask & pred_mask[v] == pred_mask[v]]
-        best = None
+        theta = k = None
+        options = self.options
         for v in ready_ops:
-            rt = node.ready_time[v]
-            for k in inst.eligible[v]:
-                avail = node.machine_avail[k - 1]
-                key = ((avail if avail > rt else rt) + inst.ptime(v, k), k)
-                if best is None or key < best:
-                    best = key
-        theta, k = best
-        avail_k = node.machine_avail[k - 1]
+            rt = node_ready[v]
+            for m, p in options[v]:
+                a = node_avail[m]
+                c = (a if a > rt else rt) + p
+                if theta is None or c < theta or (c == theta and m < k):
+                    theta, k = c, m
+        avail_k = node_avail[k]
         children = []
         cutoff = self.best_value
+        ptime, successors = self.ptime, self.successors
         for v in ready_ops:
-            if k not in inst.eligible[v]:
+            p = ptime[v].get(k)
+            if p is None:
                 continue
-            rt = node.ready_time[v]
+            rt = node_ready[v]
             est = avail_k if avail_k > rt else rt
             if est >= theta:
                 continue  # starting v at est would idle k past theta
-            ect = est + inst.ptime(v, k)
-            seqs = list(node.machine_seq)
-            seqs[k - 1] = seqs[k - 1] + (v,)
+            ect = est + p
+            seqs = list(node_seq)
+            seqs[k] += (v,)
             machine_seq = tuple(seqs)
             child_mask = mask | (1 << v)
-            avail = list(node.machine_avail)
-            avail[k - 1] = ect
+            avail = list(node_avail)
+            avail[k] = ect
             if child_mask == self.full_mask:
                 makespan = max(avail)
                 if makespan < self.best_value:
@@ -228,15 +250,15 @@ class _Search:
                     self.best_leaf = machine_seq
                     cutoff = makespan
                 continue
-            ready = list(node.ready_time)
-            for w in inst.successors(v):
+            ready = list(node_ready)
+            for w in successors[v]:
                 if ect > ready[w]:
                     ready[w] = ect
-            lb = self.lower_bound(ready, child_mask, avail)
+            lb = self.lower_bound(ready, child_mask, avail, cutoff)
             if lb >= cutoff:
                 continue
             children.append(BnbNode(lb, child_mask, tuple(ready), tuple(avail), machine_seq))
-        children.sort(key=lambda c: c.lower_bound, reverse=True)
+        children.sort(key=itemgetter(0), reverse=True)
         return children
 
     def run(self) -> None:

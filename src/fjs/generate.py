@@ -23,12 +23,20 @@ __all__ = [
     "rewired_chain_arcs",
     "job_shape_arcs",
     "DAFJS_JOB_KINDS",
+    "MAX_ELIGIBLE_PAIRS",
 ]
 
 # Job shapes of the dafjs generator, in draw order: an initial path splitting
 # into 2 or 3 parallel paths (D), parallel paths merging into a final path
 # (A), or both (DA).
 DAFJS_JOB_KINDS = ("D2", "D3", "A2", "A3", "DA2", "DA3")
+
+MAX_ELIGIBLE_PAIRS = 1_000_000
+"""Most (operation, eligible machine) pairs that the sizes of one instance may
+let a generator draw in the worst case: ``n·o·q`` for yfjs, and
+``n·3m·ceil(0.7m)`` for dafjs, whose jobs have fewer than ``3m`` operations
+(for m >= 2) with at most ``ceil(0.7m)`` eligible machines each.  Larger
+sizes are refused before any draw."""
 
 
 @dataclass(frozen=True)
@@ -49,6 +57,8 @@ class YfjsParams:
             raise ValueError("max_eligible cannot exceed the machine count")
         if self.machines > MAX_MACHINES:
             raise ValueError(f"machines must be <= {MAX_MACHINES}")
+        if self.n_jobs * self.ops_per_job * self.max_eligible > MAX_ELIGIBLE_PAIRS:
+            raise ValueError(f"n_jobs * ops_per_job * max_eligible must be <= {MAX_ELIGIBLE_PAIRS}")
 
 
 @dataclass(frozen=True)
@@ -66,6 +76,9 @@ class DafjsParams:
             raise ValueError("machines must be >= 2")
         if self.machines > MAX_MACHINES:
             raise ValueError(f"machines must be <= {MAX_MACHINES}")
+        m = self.machines
+        if self.n_jobs * 3 * m * _ceil_div(7 * m, 10) > MAX_ELIGIBLE_PAIRS:
+            raise ValueError(f"n_jobs * 3 * machines * ceil(0.7 * machines) must be <= {MAX_ELIGIBLE_PAIRS}")
 
 
 def _ceil_div(a: int, b: int) -> int:

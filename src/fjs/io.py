@@ -344,8 +344,19 @@ def format_bound_cell(lower: Rational, upper: Rational) -> str:
 
 
 def _cell_num(value: Rational) -> str:
+    """An integer exactly, any other value as a float ``%g``.
+
+    Raises SolutionError for a non-integral value that a float cannot show:
+    one beyond its range, or one so near 0 that it would show as ``0``.
+    """
     if isinstance(value, Fraction) and value.denominator != 1:
-        return f"{float(value):g}"
+        try:
+            shown = float(value)
+        except OverflowError:
+            raise SolutionError(f"bound {_echo(number_to_json(value))} is beyond the range of a float") from None
+        if shown == 0:
+            raise SolutionError(f"bound {_echo(number_to_json(value))} is not 0 but would show as 0 in a float")
+        return f"{shown:g}"
     return str(int(value))
 
 

@@ -510,6 +510,10 @@ BAD_ELAPSED = "elapsed: expected a finite non-negative number of seconds, got "
             "upper_bound: '1" + "0" * 36 + "..." + "0" * 36 + "/3' is beyond the range of a float",
         ),
         (
+            {"status": "optimal", "upper_bound": "1/1" + "0" * 900},
+            "bound '1/1" + "0" * 34 + "..." + "0" * 38 + "' is not 0 but would show as 0 in a float",
+        ),
+        (
             {"upper_bound": "1/1" + "0" * 900},
             "lower_bound 8 and upper_bound '1/1" + "0" * 34 + "..." + "0" * 38
             + "': their gap is beyond the range of a float",
@@ -523,7 +527,7 @@ BAD_ELAPSED = "elapsed: expected a finite non-negative number of seconds, got "
     ids=[
         "elapsed-str", "elapsed-list", "elapsed-null", "elapsed-bool", "elapsed-nan", "elapsed-negative",
         "elapsed-overflow", "float-lower", "float-upper", "lower-overflow", "lower-fraction-overflow",
-        "optimal-upper-overflow", "gap-overflow", "gap-times-100-overflow",
+        "optimal-upper-overflow", "optimal-upper-underflow", "gap-overflow", "gap-times-100-overflow",
     ],
 )
 def test_report_rejects_bad_meta_values(tmp_path, capsys, meta, message):
@@ -589,8 +593,11 @@ def test_numbers_in_files_are_ints_or_fraction_strings(ex1_file, tmp_path, capsy
         (["dafjs", "--n", "2", "--m", "1"], "machines must be >= 2"),
         (["yfjs", "--n", "1", "--o", "1", "--m", "10001", "--q", "1"], "machines must be <= 10000"),
         (["dafjs", "--n", "1", "--m", "10001"], "machines must be <= 10000"),
+        (["dafjs", "--n", "1", "--m", "10000"], "n_jobs * 3 * machines * ceil(0.7 * machines) must be <= 1000000"),
+        (["yfjs", "--n", "1001", "--o", "100", "--m", "10", "--q", "10"],
+         "n_jobs * ops_per_job * max_eligible must be <= 1000000"),
     ],
-    ids=["yfjs-n0", "yfjs-q-above-m", "dafjs-m1", "yfjs-m-above-cap", "dafjs-m-above-cap"],
+    ids=["yfjs-n0", "yfjs-q-above-m", "dafjs-m1", "yfjs-m-above-cap", "dafjs-m-above-cap", "dafjs-work", "yfjs-work"],
 )
 def test_generate_rejects_bad_sizes_as_usage_errors(tmp_path, capsys, argv, message):
     out = tmp_path / "g.fjs.json"

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from fjs import exact
@@ -149,3 +152,103 @@ def test_result_metadata(ex1):
     assert result.nodes_explored >= 0
     assert result.elapsed >= 0
     assert validate_solution(ex1, result.solution, result.schedule).ok
+
+
+def reference_lower_bound(instance, ready, mask, avail):
+    """A node's bound as the search computed it straight from the instance, with 1-based machines.
+
+    The path bound with each operation's least time and its earliest free
+    eligible machine, and the workload of each machine's single-machine
+    operations, both from ``max(avail)``.
+    """
+    pmin = [min(row) for row in instance.times]
+    single_machine_ops: dict[int, list[int]] = {}
+    for v in instance.ops:
+        if len(instance.eligible[v]) == 1:
+            single_machine_ops.setdefault(instance.eligible[v][0], []).append(v)
+    lb = max(avail)
+    dp = [0] * instance.n_ops
+    for v in instance.order:
+        if mask >> v & 1:
+            continue
+        release = ready[v]
+        for u in instance.predecessors(v):
+            if not (mask >> u & 1) and dp[u] > release:
+                release = dp[u]
+        base = min(avail[k - 1] for k in instance.eligible[v])
+        if base > release:
+            release = base
+        c = release + pmin[v]
+        dp[v] = c
+        if c > lb:
+            lb = c
+    for k, ops in single_machine_ops.items():
+        load = avail[k - 1]
+        for v in ops:
+            if not (mask >> v & 1):
+                load += pmin[v]
+        if load > lb:
+            lb = load
+    return lb
+
+
+class _Recording(exact._Search):
+    """Keeps every search it makes, each with every node it pushes."""
+
+    made: list[_Recording] = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.pushed = []
+        self.made.append(self)
+
+    def run(self):
+        self.pushed.extend(self.stack)  # the root
+        super().run()
+
+    def expand(self, node):
+        children = super().expand(node)
+        self.pushed.extend(children)
+        return children
+
+
+def test_bound_matches_the_reference_on_every_pushed_node(monkeypatch):
+    monkeypatch.setattr(_Recording, "made", [])
+    monkeypatch.setattr(exact, "_Search", _Recording)
+    pushed = 0
+    for seed in range(30):
+        inst = small_random_instance(seed, max_ops=12, max_machines=4, max_eligible=3)
+        assert solve_branch_and_bound(inst, 60).status == "optimal"
+        (search,) = _Recording.made
+        _Recording.made.clear()
+        for node in search.pushed:
+            ready, mask, avail = node.ready_time, node.scheduled_mask, node.machine_avail
+            reference = reference_lower_bound(inst, ready, mask, avail)
+            assert node.lower_bound == search.lower_bound(ready, mask, avail) == reference, inst.name
+            low = max(avail)
+            for cutoff in {low, (low + reference) / Fraction(2), reference - 1, reference, reference + 1}:
+                bound = search.lower_bound(ready, mask, list(avail), cutoff)
+                assert (bound >= cutoff) == (reference >= cutoff), (inst.name, cutoff)
+                assert bound >= cutoff or bound == reference
+        pushed += len(search.pushed)
+    assert pushed > 500
+
+
+@pytest.mark.parametrize("seed, nodes", [(1, 5), (3, 5), (9, 10), (13, 10), (23, 10)])
+def test_a_timed_out_run_reports_full_bounds(monkeypatch, seed, nodes):
+    # The clock reads 0 at the start and one more at each node the search
+    # would expand, so the deadline strikes after exactly `nodes` nodes.
+    monkeypatch.setattr(_Recording, "made", [])
+    monkeypatch.setattr(exact, "_Search", _Recording)
+    inst = small_random_instance(seed)
+    with monkeypatch.context() as patch:
+        clock = itertools.count()
+        patch.setattr(exact.time, "monotonic", lambda: float(next(clock)))
+        result = solve_branch_and_bound(inst, time_limit=nodes + 0.5)
+    (search,) = _Recording.made
+    assert result.nodes_explored == nodes
+    assert result.status == "bound-pair"
+    assert result.lower_bound <= brute_force(inst).upper_bound <= result.upper_bound
+    left = [reference_lower_bound(inst, nd.ready_time, nd.scheduled_mask, nd.machine_avail) for nd in search.stack]
+    assert [nd.lower_bound for nd in search.stack] == left
+    assert result.lower_bound == min([result.upper_bound, *left])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fjs.core import MAX_MACHINES, Instance
 from fjs.generate import (
+    MAX_ELIGIBLE_PAIRS,
     DafjsParams,
     YfjsParams,
     generate_dafjs,
@@ -190,9 +191,52 @@ class TestDafjs:
             DafjsParams(1, 1, seed=0)
 
     def test_machine_count_cap(self):
-        assert DafjsParams(1, MAX_MACHINES, seed=1).machines == MAX_MACHINES
+        # MAX_MACHINES itself passes the machine cap and is then refused for its work
+        with pytest.raises(ValueError, match=r"^n_jobs \* 3 \* machines"):
+            DafjsParams(1, MAX_MACHINES, seed=1)
         with pytest.raises(ValueError, match=f"machines must be <= {MAX_MACHINES}"):
             DafjsParams(1, MAX_MACHINES + 1, seed=1)
+
+
+YFJS_WORK = f"n_jobs * ops_per_job * max_eligible must be <= {MAX_ELIGIBLE_PAIRS}"
+DAFJS_WORK = f"n_jobs * 3 * machines * ceil(0.7 * machines) must be <= {MAX_ELIGIBLE_PAIRS}"
+
+
+class TestWorkBound:
+    @pytest.mark.parametrize(
+        "family, sizes",
+        [
+            (YfjsParams, (200, 10, 20, 3)),  # the largest yfjs size of the perfbench corpus
+            (YfjsParams, (4, 10, 7, 3)),  # the README
+            (YfjsParams, (30, 10, 10, 3)),  # the largest yfjs size of the CLI tests
+            (DafjsParams, (60, 10)),  # the largest dafjs size of the perfbench corpus
+            (DafjsParams, (10, 10)),  # the largest dafjs size of the acceptance tests
+            (DafjsParams, (4, 5)),  # the README
+            (YfjsParams, (1000, 100, 10, 10)),  # n·o·q at the bound
+            (YfjsParams, (1, 1, MAX_MACHINES, 1)),
+            (DafjsParams, (1, 690)),  # 3·690·483 = 999,810
+            (DafjsParams, (MAX_ELIGIBLE_PAIRS // 12, 2)),  # 3·2·2 = 12 per job
+        ],
+        ids=lambda value: "-".join(map(str, value)) if isinstance(value, tuple) else value.__name__,
+    )
+    def test_sizes_within_the_bound_are_accepted(self, family, sizes):
+        assert family(*sizes, seed=1).seed == 1
+
+    @pytest.mark.parametrize(
+        "family, sizes, message",
+        [
+            (YfjsParams, (1001, 100, 10, 10), YFJS_WORK),
+            (YfjsParams, (1, 1001, 1000, 1000), YFJS_WORK),
+            (YfjsParams, (10**9, 10**9, 2, 2), YFJS_WORK),
+            (DafjsParams, (1, 691), DAFJS_WORK),  # 3·691·484 = 1,003,332
+            (DafjsParams, (1 + MAX_ELIGIBLE_PAIRS // 12, 2), DAFJS_WORK),
+        ],
+        ids=["yfjs-jobs", "yfjs-eligible", "yfjs-huge", "dafjs-m691", "dafjs-jobs"],
+    )
+    def test_sizes_beyond_the_bound_are_refused(self, family, sizes, message):
+        with pytest.raises(ValueError) as caught:
+            family(*sizes, seed=1)
+        assert str(caught.value) == message
 
 
 class TestRng:

@@ -270,6 +270,30 @@ class TestReport:
         assert "[859;881] 2.50%" in lines[2]
         assert "3, 2-5, 4" in lines[2]
 
+    @pytest.mark.parametrize(
+        "value, echo, fault",
+        [
+            (Fraction(10**400, 3), "'1" + "0" * 36 + "..." + "0" * 36 + "/3'", "is beyond the range of a float"),
+            (Fraction(1, 10**900), "'1/1" + "0" * 34 + "..." + "0" * 38 + "'", "is not 0 but would show as 0 in a float"),
+            (Fraction(-1, 10**900), "'-1/1" + "0" * 33 + "..." + "0" * 38 + "'", "is not 0 but would show as 0 in a float"),
+        ],
+        ids=["overflow", "underflow", "negative-underflow"],
+    )
+    def test_a_bound_a_float_cannot_show_is_refused(self, value, echo, fault):
+        rows = [
+            ReportRow("A", 1, 1, 1, 1, 10, "bnb", "optimal", 8, value, 0.0),
+            ReportRow("A", 1, 1, 1, 1, 10, "bnb", "bound-pair", value, value, 0.0),
+            ReportRow("A", 1, 1, 1, 1, value, "bnb", "optimal", 8, 8, 0.0),
+        ]
+        for row in rows:
+            with pytest.raises(SolutionError) as caught:
+                render_report([row])
+            assert str(caught.value) == f"bound {echo} {fault}"
+
+    def test_a_tiny_bound_a_float_can_show_is_rendered(self):
+        row = ReportRow("A", 1, 1, 1, 1, 10, "bnb", "optimal", 8, Fraction(1, 10**320), 0.0)
+        assert render_report([row]).splitlines()[1].split()[-2] == f"{1e-320:g}"
+
     def test_instance_size(self, ex1):
         assert instance_size(ex1) == (1, 3, 3, 2)
 
