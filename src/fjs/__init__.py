@@ -14,7 +14,6 @@ from .core import (
     InadmissibleError,
     Instance,
     InstanceError,
-    MachineAssignment,
     Schedule,
     Selection,
     SelectionError,
@@ -50,7 +49,6 @@ __all__ = [
     "InadmissibleError",
     "Instance",
     "InstanceError",
-    "MachineAssignment",
     "MilpModel",
     "ModelPoint",
     "Schedule",

@@ -35,7 +35,6 @@ __all__ = [
     "MAX_DIGITS",
     "MAX_MACHINES",
     "Instance",
-    "MachineAssignment",
     "Selection",
     "SolutionPair",
     "Schedule",
@@ -87,6 +86,21 @@ class _Echo(reprlib.Repr):
         self.maxstring = self.maxother = self.maxlong = 80
         self.maxlist = self.maxdict = self.maxtuple = 8
         self.maxlevel = 3
+
+    def repr_int(self, x, level):
+        if abs(x) < 10**self.maxlong:
+            return super().repr_int(x, level)
+        # cut as reprlib does, but without turning the whole int into text,
+        # which the interpreter refuses past 4,300 digits
+        sign, a = "-" if x < 0 else "", abs(x)
+        digits = int((a.bit_length() - 1) * 0.30102999566398120) + 1  # those of 2**(bit_length - 1)
+        digits += a >= 10**digits
+        head = (self.maxlong - 3) // 2
+        tail = self.maxlong - 3 - head
+        return f"{sign}{a // 10 ** (digits - head + len(sign))}...{a % 10**tail:0{tail}d}"
+
+    def repr_Fraction(self, x, level):
+        return f"Fraction({self.repr_int(x.numerator, level)}, {self.repr_int(x.denominator, level)})"
 
     def repr_str(self, x, level):
         return repr(x) if len(x) <= self.maxstring else super().repr_str(x, level)
@@ -292,13 +306,6 @@ def disjunctive_pairs(instance: Instance) -> dict[int, tuple[tuple[int, int], ..
     return {k: tuple((v, w) for v in ops_k for w in ops_k if v != w) for k, ops_k in on_machine.items()}
 
 
-@dataclass(frozen=True)
-class MachineAssignment:
-    """One machine per operation; ``machine[v]`` is the machine of operation ``v``."""
-
-    machine: tuple[int, ...]
-
-
 class _PairView(Set):
     """The ordered same-machine pairs of a selection, as a read-only set built on use."""
 
@@ -344,9 +351,12 @@ class Selection:
 
 @dataclass(frozen=True)
 class SolutionPair:
-    """A machine assignment together with a selection; fixes everything but timing."""
+    """A machine assignment together with a selection; fixes everything but timing.
 
-    assignment: MachineAssignment
+    ``assignment[v]`` is the machine of operation ``v``.
+    """
+
+    assignment: tuple[int, ...]
     selection: Selection
 
 
@@ -367,7 +377,6 @@ class Schedule:
 class ValidationIssue:
     kind: str
     message: str
-    ops: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -438,7 +447,7 @@ def _selection_preds(instance: Instance, sol: SolutionPair) -> list[list[int]]:
     other same-machine pair is ever tight.
     """
     n = instance.n_ops
-    f = sol.assignment.machine
+    f = sol.assignment
     if len(f) != n:
         raise SelectionError(f"assignment covers {len(f)} of {n} operations")
     for v, k in enumerate(f):
@@ -464,9 +473,7 @@ def _selection_preds(instance: Instance, sol: SolutionPair) -> list[list[int]]:
     return preds
 
 
-def selection_from_starts(
-    instance: Instance, assignment: MachineAssignment, start: Sequence[Rational]
-) -> Selection:
+def selection_from_starts(instance: Instance, assignment: tuple[int, ...], start: Sequence[Rational]) -> Selection:
     """Sequence each machine's operations by start time (ties by id).
 
     An operation on a machine the instance lacks is left out; the
@@ -474,7 +481,7 @@ def selection_from_starts(
     """
     sequences: dict[int, list[int]] = {k: [] for k in range(1, instance.machines + 1)}
     for v in sorted(instance.ops, key=lambda v: (start[v], v)):
-        sequences.get(assignment.machine[v], []).append(v)
+        sequences.get(assignment[v], []).append(v)
     return Selection(tuple(sequences.values()))
 
 
@@ -497,7 +504,7 @@ def tight_schedule(instance: Instance, sol: SolutionPair) -> Schedule:
     the selection and the precedence arcs close a cycle.
     """
     preds = _selection_preds(instance, sol)
-    p = [instance.ptime(v, k) for v, k in enumerate(sol.assignment.machine)]
+    p = [instance.ptime(v, k) for v, k in enumerate(sol.assignment)]
     finish = _longest_path(topological_order(instance.n_ops, preds), preds, p)
     return Schedule(start=tuple(finish[v] - p[v] for v in instance.ops), makespan=max(finish, default=0))
 
@@ -516,7 +523,7 @@ def certified_critical_path(
     """
     if instance.n_ops == 0:
         return ()
-    f = sol.assignment.machine
+    f = sol.assignment
     preds = _selection_preds(instance, sol)
     finish = [start[v] + instance.ptime(v, f[v]) for v in instance.ops]
     path, tight = [], [finish.index(max(finish))]
@@ -555,7 +562,7 @@ def validate_solution(instance: Instance, sol: SolutionPair, sched: Schedule) ->
     their own order (``selection_from_starts``) when it is malformed or cyclic.
     """
     issues: list[ValidationIssue] = []
-    f = sol.assignment.machine
+    f = sol.assignment
     if len(f) != instance.n_ops:
         issues.append(
             ValidationIssue("assignment", f"assignment covers {len(f)} of {instance.n_ops} operations")
@@ -563,7 +570,7 @@ def validate_solution(instance: Instance, sol: SolutionPair, sched: Schedule) ->
     else:
         for v, k in enumerate(f):
             if k not in instance.eligible[v]:
-                issues.append(ValidationIssue("assignment", f"operation {v} on ineligible machine {k}", (v,)))
+                issues.append(ValidationIssue("assignment", f"operation {v} on ineligible machine {k}"))
     if len(sched.start) != instance.n_ops:
         issues.append(
             ValidationIssue("schedule", f"schedule covers {len(sched.start)} of {instance.n_ops} operations")
@@ -584,33 +591,21 @@ def validate_solution(instance: Instance, sol: SolutionPair, sched: Schedule) ->
             for v, w in sol.selection.pairs:
                 preds[w].append(v)
             cycle = _find_cycle(preds, order)
-            issues.append(
-                ValidationIssue("admissibility", f"cycle {'->'.join(map(str, cycle))}", cycle)
-            )
+            issues.append(ValidationIssue("admissibility", f"cycle {'->'.join(map(str, cycle))}"))
     # an issue so far is a malformed or cyclic selection: then follow the starts' own order
     sequences = (selection_from_starts(instance, sol.assignment, s) if issues else sol.selection).sequences
 
     p = [instance.ptime(v, f[v]) for v in instance.ops]
     for v in instance.ops:
         if s[v] < 0:
-            issues.append(ValidationIssue("start-range", f"operation {v} starts at {s[v]} < 0", (v,)))
+            issues.append(ValidationIssue("start-range", f"operation {v} starts at {s[v]} < 0"))
     for u, w in instance.arcs:
         if s[u] + p[u] > s[w]:
-            issues.append(
-                ValidationIssue(
-                    "precedence", f"arc ({u}, {w}): {s[u]} + {p[u]} > {s[w]}", (u, w)
-                )
-            )
+            issues.append(ValidationIssue("precedence", f"arc ({u}, {w}): {s[u]} + {p[u]} > {s[w]}"))
     for k, seq in enumerate(sequences, 1):
         for a, b in zip(seq, seq[1:]):
             if s[a] + p[a] > s[b]:
-                issues.append(
-                    ValidationIssue(
-                        "machine-conflict",
-                        f"operations {a} and {b} overlap on machine {k}",
-                        (a, b),
-                    )
-                )
+                issues.append(ValidationIssue("machine-conflict", f"operations {a} and {b} overlap on machine {k}"))
     if instance.n_ops:
         actual = max(s[v] + p[v] for v in instance.ops)
         if sched.makespan != actual:

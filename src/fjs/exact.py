@@ -23,7 +23,6 @@ from typing import NamedTuple
 
 from .core import (
     Instance,
-    MachineAssignment,
     Rational,
     Schedule,
     Selection,
@@ -80,7 +79,7 @@ def brute_force(instance: Instance, max_ops: int = 9, max_assignments: int = 100
         raise CapError(f"{n_assignments} assignments exceed the cap of {max_assignments}")
 
     if n == 0:
-        sol = SolutionPair(MachineAssignment(()), Selection(((),) * instance.machines))
+        sol = SolutionPair((), Selection(((),) * instance.machines))
         sched = Schedule((), 0)
         return SolveResult(sol, sched, 0, 0, STATUS_OPTIMAL, 1, time.monotonic() - t0)
 
@@ -105,7 +104,7 @@ def brute_force(instance: Instance, max_ops: int = 9, max_assignments: int = 100
             mks = max(_longest_path(order, preds, p))
             if best_mks is None or mks < best_mks:
                 best_mks = mks
-                best = SolutionPair(MachineAssignment(assignment), Selection(sequences))
+                best = SolutionPair(assignment, Selection(sequences))
     sol, sched = best, tight_schedule(instance, best)
     return SolveResult(sol, sched, best_mks, best_mks, STATUS_OPTIMAL, examined, time.monotonic() - t0)
 
@@ -310,6 +309,6 @@ def solve_branch_and_bound(instance: Instance, time_limit: float = 3600.0) -> So
         for k, seq in enumerate(search.best_leaf, 1):
             for v in seq:
                 machine[v] = k
-        sol = SolutionPair(MachineAssignment(tuple(machine)), Selection(search.best_leaf))
+        sol = SolutionPair(tuple(machine), Selection(search.best_leaf))
         sched = tight_schedule(instance, sol)
     return SolveResult(sol, sched, lower, upper, status, search.nodes, elapsed)

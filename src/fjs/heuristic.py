@@ -16,7 +16,6 @@ from math import lcm
 
 from .core import (
     Instance,
-    MachineAssignment,
     Rational,
     Schedule,
     Selection,
@@ -132,5 +131,5 @@ def earliest_start_heuristic(instance: Instance) -> tuple[SolutionPair, Schedule
             if pending[succ] == 0:
                 release(succ)
 
-    sol = SolutionPair(MachineAssignment(tuple(chosen_machine)), Selection(machine_seq))
+    sol = SolutionPair(tuple(chosen_machine), Selection(machine_seq))
     return sol, tight_schedule(instance, sol)

@@ -26,7 +26,6 @@ from .core import (
     FjsError,
     Instance,
     InstanceError,
-    MachineAssignment,
     Rational,
     Schedule,
     SolutionPair,
@@ -240,7 +239,7 @@ def serialize_solution(
         for key, value in (meta or {}).items()
     }
     meta_text = json.dumps(clean_meta, sort_keys=True, indent=2).replace("\n", "\n  ")
-    assignment = _json_values(sol.assignment.machine)
+    assignment = _json_values(sol.assignment)
     starts = _json_values([number_to_json(s) for s in sched.start])
     return (
         f'{{\n  "assignment": {_pairs(zip(instance.ops, assignment), 1)},\n'
@@ -300,7 +299,7 @@ def parse_solution(source: str | dict, instance: Instance) -> tuple[SolutionPair
     starts_raw = id_map(document["starts"], "starts")
     start = tuple(number_from_json(starts_raw[v], f"start of operation {v}") for v in instance.ops)
     makespan = number_from_json(document["makespan"], "makespan")
-    assignment = MachineAssignment(tuple(machines[v] for v in instance.ops))
+    assignment = tuple(machines[v] for v in instance.ops)
     selection = selection_from_starts(instance, assignment, start)
     sol = SolutionPair(assignment, selection)
     meta = document.get("meta", {})
@@ -346,7 +345,8 @@ def format_bound_cell(lower: Rational, upper: Rational) -> str:
 def _cell_num(value: Rational) -> str:
     """An integer exactly, any other value as a float ``%g``.
 
-    Raises SolutionError for a non-integral value that a float cannot show:
+    Raises SolutionError for an integer of more digits than the interpreter
+    turns into text, and for a non-integral value that a float cannot show:
     one beyond its range, or one so near 0 that it would show as ``0``.
     """
     if isinstance(value, Fraction) and value.denominator != 1:
@@ -357,7 +357,10 @@ def _cell_num(value: Rational) -> str:
         if shown == 0:
             raise SolutionError(f"bound {_echo(number_to_json(value))} is not 0 but would show as 0 in a float")
         return f"{shown:g}"
-    return str(int(value))
+    try:
+        return str(int(value))
+    except ValueError:  # beyond the 4,300-digit limit on int-to-text
+        raise SolutionError(f"bound {_echo(int(value))} has too many digits to show") from None
 
 
 def render_report(rows: Sequence[ReportRow]) -> str:

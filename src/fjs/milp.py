@@ -13,8 +13,8 @@ machine-indexed ones ``s_v_k``, ``t_v_k``, ``x_v_k`` and ``y_v_w_k``
 Feasible solutions translate to feasible model points and back; the codecs
 here implement both directions exactly (exact arithmetic: ``int``
 coefficients for integral data, ``Fraction`` only where needed).
-``check_feasible`` evaluates a point against a model with tolerance 0 by
-default, which also serves the LP-relaxation checks: it never enforces
+``check_feasible`` evaluates a point against a model exactly, which also
+serves the LP-relaxation checks: it never enforces
 integrality, so a fractional point can be certified against the relaxed
 polyhedron directly.
 """
@@ -23,13 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 from .core import (
     FjsError,
     InadmissibleError,
     Instance,
-    MachineAssignment,
     Rational,
     Schedule,
     Selection,
@@ -267,20 +266,20 @@ def build_machine_indexed_model(instance: Instance, L: Rational) -> MilpModel:
     )
 
 
-def check_feasible(model: MilpModel, point: ModelPoint, tol: Rational = 0) -> ValidationReport:
-    """Evaluate every constraint and bound of the model at the point.
+def check_feasible(model: MilpModel, point: ModelPoint) -> ValidationReport:
+    """Evaluate every constraint and bound of the model at the point, exactly.
 
     Integrality is never enforced, so this doubles as the LP-relaxation
-    check.  With exact rational inputs ``tol=0`` is meaningful.
+    check.
     """
     _expect_names(point, {var.name for var in model.variables})
     values = point.values
     issues: list[ValidationIssue] = []
     for var in model.variables:
         val = values[var.name]
-        if val < var.lower - tol:
+        if val < var.lower:
             issues.append(ValidationIssue("bound", f"{var.name} = {val} below lower bound {var.lower}"))
-        if var.upper is not None and val > var.upper + tol:
+        if var.upper is not None and val > var.upper:
             issues.append(ValidationIssue("bound", f"{var.name} = {val} above upper bound {var.upper}"))
     for row in model.constraints:
         lhs = sum([coef * values[name] for coef, name in row.terms])
@@ -290,7 +289,7 @@ def check_feasible(model: MilpModel, point: ModelPoint, tol: Rational = 0) -> Va
             excess = row.rhs - lhs
         else:
             excess = abs(lhs - row.rhs)
-        if excess > tol:
+        if excess > 0:
             issues.append(
                 ValidationIssue("constraint", f"{row.name}: lhs {lhs} {row.relation} {row.rhs} violated by {excess}")
             )
@@ -306,7 +305,7 @@ def encode_compact(instance: Instance, sol: SolutionPair) -> ModelPoint:
     """
     sched = tight_schedule(instance, sol)
     s, x, y = _compact_names(instance, disjunctive_pairs(instance))
-    f = sol.assignment.machine
+    f = sol.assignment
     pos = sol.selection.positions()
     values: dict[str, Rational] = {"z": sched.makespan}
     for v in instance.ops:
@@ -318,26 +317,19 @@ def encode_compact(instance: Instance, sol: SolutionPair) -> ModelPoint:
     return ModelPoint(values)
 
 
-def encode_machine_indexed(
-    instance: Instance, sol: SolutionPair, op_order: Sequence[int] | None = None
-) -> ModelPoint:
+def encode_machine_indexed(instance: Instance, sol: SolutionPair) -> ModelPoint:
     """Map an admissible solution to a feasible machine-indexed point.
 
-    Off-machine sequencing binaries follow the given operation order (the
-    identity by default): an unassigned-versus-assigned pair always yields to
-    the assigned one, and two unassigned operations order by position.  The
+    Off-machine sequencing binaries follow operation ids: an
+    unassigned-versus-assigned pair always yields to the assigned one, and
+    two unassigned operations order by id, the higher first.  The
     point satisfies the model whenever ``L >= makespan`` and ``L`` is at
     least every processing time.
     """
     sched = tight_schedule(instance, sol)
-    if op_order is None:
-        op_order = tuple(instance.ops)
-    if sorted(op_order) != list(instance.ops):
-        raise ValueError("op_order must be a permutation of the operation ids")
-    order_pos = {v: i for i, v in enumerate(op_order)}
     pos = sol.selection.positions()
     s, t, x, y = _machine_indexed_names(instance, disjunctive_pairs(instance))
-    f = sol.assignment.machine
+    f = sol.assignment
     values: dict[str, Rational] = {"z": sched.makespan}
     for v in instance.ops:
         for k, p in zip(instance.eligible[v], instance.times[v]):
@@ -352,7 +344,7 @@ def encode_machine_indexed(
             elif f[v] != k and f[w] == k:
                 bit = 1
             elif f[v] != k and f[w] != k:
-                bit = 1 if order_pos[v] > order_pos[w] else 0
+                bit = 1 if v > w else 0
             else:
                 bit = 0
             values[name] = bit
@@ -378,7 +370,7 @@ def _binary(point: ModelPoint, name: str) -> int:
     raise PointError(f"non-integral binary {name} = {val}")
 
 
-def _assignment_from_x(x: list[dict[int, str]], point: ModelPoint) -> MachineAssignment:
+def _assignment_from_x(x: list[dict[int, str]], point: ModelPoint) -> tuple[int, ...]:
     machine = []
     for v, row in enumerate(x):
         chosen = [k for k, name in row.items() if _binary(point, name)]
@@ -387,10 +379,10 @@ def _assignment_from_x(x: list[dict[int, str]], point: ModelPoint) -> MachineAss
         if len(chosen) > 1:
             raise PointError(f"multiple machines selected for operation {v}: {chosen}")
         machine.append(chosen[0])
-    return MachineAssignment(tuple(machine))
+    return tuple(machine)
 
 
-def _selection_or_raise(instance: Instance, assignment: MachineAssignment, oriented: set[tuple[int, int]]) -> Selection:
+def _selection_or_raise(instance: Instance, f: tuple[int, ...], oriented: set[tuple[int, int]]) -> Selection:
     """Sequence each machine by its oriented pairs; reject unoriented or intransitive points.
 
     An operation's index counts those oriented before it; the indices are a
@@ -398,7 +390,6 @@ def _selection_or_raise(instance: Instance, assignment: MachineAssignment, orien
     machine.  Cycles through the precedence arcs are left to the decoder's
     schedule check.
     """
-    f = assignment.machine
     on_machine: list[list[int]] = [[] for _ in range(instance.machines + 1)]
     for v in instance.ops:
         on_machine[f[v]].append(v)
@@ -451,15 +442,14 @@ def decode_machine_indexed(instance: Instance, point: ModelPoint) -> tuple[Solut
     s, t, x, y = _machine_indexed_names(instance, disjunctive_pairs(instance))
     _expect_names(point, {"z", *(name for row in (*s, *t, *x, *y.values()) for name in row.values())})
 
-    assignment = _assignment_from_x(x, point)
-    f = assignment.machine
+    f = _assignment_from_x(x, point)
     oriented = set()
     for k, row in y.items():
         for (v, w), name in row.items():
             if f[v] == k and f[w] == k and _binary(point, name):
                 oriented.add((v, w))
-    selection = _selection_or_raise(instance, assignment, oriented)
-    sol = SolutionPair(assignment, selection)
+    selection = _selection_or_raise(instance, f, oriented)
+    sol = SolutionPair(f, selection)
 
     start = tuple(point[s[v][f[v]]] for v in instance.ops)
     makespan = max((start[v] + instance.ptime(v, f[v]) for v in instance.ops), default=0)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fjs.core import Instance, MachineAssignment, Selection, SolutionPair
+from fjs.core import Instance, Selection, SolutionPair
 from fjs.generate import DafjsParams, YfjsParams, generate_dafjs, generate_yfjs
 from fjs.milp import MilpModel
 from fjs.rng import Xoshiro256StarStar
@@ -82,7 +82,7 @@ def random_admissible_solution(instance: Instance, seed: int) -> SolutionPair:
     sequences: list[list[int]] = [[] for _ in range(instance.machines)]
     for v in sorted(instance.ops, key=position.__getitem__):
         sequences[machine[v] - 1].append(v)
-    return SolutionPair(MachineAssignment(machine), Selection(sequences))
+    return SolutionPair(machine, Selection(sequences))
 
 
 def integral_instances() -> list[Instance]:

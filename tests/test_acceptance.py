@@ -191,10 +191,10 @@ def test_criterion_5_encode_decode_round_trips():
             sol = random_admissible_solution(inst, i * 101 + sub)
             mks = tight_schedule(inst, sol).makespan
             pc = encode_compact(inst, sol)
-            assert check_feasible(compact, pc, tol=0).ok
+            assert check_feasible(compact, pc).ok
             sol_c, sched_c = decode_compact(inst, pc)
             pm = encode_machine_indexed(inst, sol)
-            assert check_feasible(indexed, pm, tol=0).ok
+            assert check_feasible(indexed, pm).ok
             sol_m, sched_m = decode_machine_indexed(inst, pm)
             for decoded, sched in ((sol_c, sched_c), (sol_m, sched_m)):
                 assert decoded.assignment == sol.assignment
@@ -211,7 +211,7 @@ def test_criterion_6_relaxation_witness_and_lower_bound():
         witness = machine_indexed_gap_witness(inst, horizon)
         assert witness["z"] == 0
         relaxed = build_machine_indexed_model(inst, horizon)
-        report = check_feasible(relaxed, witness, tol=0)
+        report = check_feasible(relaxed, witness)
         assert report.ok, f"{inst.name}: {report.summary()}"
         lb = makespan_lower_bound(inst)
         assert lb > 0

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -13,11 +15,11 @@ from fjs.generate import YfjsParams, generate_yfjs
 from fjs.heuristic import earliest_start_heuristic
 from fjs.io import parse_instance, parse_solution, serialize_instance, serialize_solution
 from fjs.milp import encode_compact, encode_machine_indexed
-from fjs.core import MachineAssignment, Selection, SolutionPair, _echo, tight_schedule
+from fjs.core import Instance, Selection, SolutionPair, _echo, tight_schedule
 
 from conftest import make_ex1
 
-EX1_SOL = SolutionPair(MachineAssignment((1, 1, 2)), Selection(((0, 1), (2,))))
+EX1_SOL = SolutionPair((1, 1, 2), Selection(((0, 1), (2,))))
 
 
 @pytest.fixture
@@ -701,3 +703,46 @@ def test_decode_echoes_a_long_variable_name_cut(ex1_file, tmp_path, capsys, case
     else:
         assert err.startswith({"unknown-name": "fjs: unknown variable names in point: ['qqq", "bad-value": "fjs: 'qqq"}[case])
         assert "..." in err and len(err.encode()) < 200
+
+
+def _readme_exit_rows() -> list[tuple[str, int, str]]:
+    """(command, code, output prefix) of each row of the README's exit-code table."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| Condition | Example | Code | Output starts with |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        _, command, code, prefix = (cell.strip() for cell in line.strip("|").split(" | "))
+        rows.append((command.strip("`"), int(code), prefix.strip("`")))
+    return rows
+
+
+@pytest.mark.parametrize("command, code, prefix", _readme_exit_rows())
+def test_readme_exit_code_table(tmp_path, monkeypatch, capsys, command, code, prefix):
+    ex1 = make_ex1()
+    late = json.loads(serialize_solution(ex1, EX1_SOL, tight_schedule(ex1, EX1_SOL)))
+    late["makespan"] = 9
+    trap = Instance.from_tables("trap", 2, {0: {1: 9, 2: 3}, 1: {2: 3}}, [])
+    files = {
+        "ex1.fjs.json": serialize_instance(ex1),
+        "late.sol.json": json.dumps(late),
+        "trap.fjs.json": serialize_instance(trap),
+        "empty.json": "{}",
+        "syntax.json": "{",
+        "deep.json": "[" * 100_000,
+        "huge.json": "1" * 4301,
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "latin1.json").write_bytes(b"\xff")
+    monkeypatch.chdir(tmp_path)
+    program, *argv = shlex.split(command)
+    assert program == "fjs"
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code
+    assert (captured.err if code in (1, 2) else captured.out).startswith(prefix)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import reprlib
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from fjs.core import (
     InadmissibleError,
     Instance,
     InstanceError,
-    MachineAssignment,
     Schedule,
     Selection,
     SelectionError,
@@ -21,6 +21,7 @@ from fjs.core import (
     tight_schedule,
     validate_solution,
     weakly_connected_components,
+    _echo,
 )
 from fjs.rng import Xoshiro256StarStar
 
@@ -30,7 +31,7 @@ from conftest import random_admissible_solution, small_random_instance
 def all_paths_longest_start(instance, sol):
     """Independent oracle: max path length into each op by full enumeration."""
     edges = set(instance.arcs) | set(sol.selection.pairs)
-    f = sol.assignment.machine
+    f = sol.assignment
     p = [instance.ptime(v, f[v]) for v in instance.ops]
     preds = {v: [u for (u, w) in edges if w == v] for v in instance.ops}
 
@@ -45,7 +46,7 @@ def all_paths_longest_start(instance, sol):
     return [longest_into(v, {v}) for v in instance.ops]
 
 
-EX1_SOL = SolutionPair(MachineAssignment((1, 1, 2)), Selection(((0, 1), (2,))))
+EX1_SOL = SolutionPair((1, 1, 2), Selection(((0, 1), (2,))))
 
 
 class TestDisjunctivePairs:
@@ -95,35 +96,35 @@ class TestAdmissibility:
         assert tight_schedule(ex1, EX1_SOL).makespan == 8
 
     def test_ex1_backward_orientation_cycles(self, ex1):
-        sol = SolutionPair(MachineAssignment((1, 1, 2)), Selection(((1, 0), (2,))))
+        sol = SolutionPair((1, 1, 2), Selection(((1, 0), (2,))))
         with pytest.raises(InadmissibleError, match="selection induces a cycle: 1->0"):
             tight_schedule(ex1, sol)
 
     def test_empty_selection_on_distinct_machines(self):
         inst = Instance.from_tables("distinct", 2, {0: {1: 2}, 1: {2: 3}}, [])
-        sol = SolutionPair(MachineAssignment((1, 2)), Selection(((0,), (1,))))
+        sol = SolutionPair((1, 2), Selection(((0,), (1,))))
         assert tight_schedule(inst, sol).makespan == 3
 
     def test_missing_orientation_is_malformed_not_inadmissible(self, ex1):
         # operation 1 is left out of machine 1's sequence
-        sol = SolutionPair(MachineAssignment((1, 1, 2)), Selection(((0,), (2,))))
+        sol = SolutionPair((1, 1, 2), Selection(((0,), (2,))))
         with pytest.raises(SelectionError, match="operation 1 is missing"):
             tight_schedule(ex1, sol)
 
     def test_double_orientation_is_malformed(self, ex1):
         # operation 0 is listed twice, so machine 1 has no single order
-        sol = SolutionPair(MachineAssignment((1, 1, 2)), Selection(((0, 1, 0), (2,))))
+        sol = SolutionPair((1, 1, 2), Selection(((0, 1, 0), (2,))))
         with pytest.raises(SelectionError, match="operation 0 appears twice"):
             tight_schedule(ex1, sol)
 
     def test_off_machine_pair_is_malformed(self, ex1):
         # operation 1 is assigned to machine 2 but sequenced on machine 1
-        sol = SolutionPair(MachineAssignment((1, 2, 2)), Selection(((0, 1), (1, 2))))
+        sol = SolutionPair((1, 2, 2), Selection(((0, 1), (1, 2))))
         with pytest.raises(SelectionError, match="operation 1 is sequenced on machine 1 but not assigned"):
             tight_schedule(ex1, sol)
 
     def test_inadmissible_solution_has_cycle_certificate(self, ex1):
-        sol = SolutionPair(MachineAssignment((1, 1, 2)), Selection(((1, 0), (2,))))
+        sol = SolutionPair((1, 1, 2), Selection(((1, 0), (2,))))
         with pytest.raises(InadmissibleError) as err:
             tight_schedule(ex1, sol)
         cycle = err.value.cycle
@@ -135,7 +136,7 @@ class TestAdmissibility:
 class TestOneSortPerGraph:
     """Each acyclicity question is one Kahn run, including naming the cycle."""
 
-    CYCLIC = SolutionPair(MachineAssignment((1, 1, 2)), Selection(((1, 0), (2,))))
+    CYCLIC = SolutionPair((1, 1, 2), Selection(((1, 0), (2,))))
 
     @pytest.fixture
     def kahn_runs(self, monkeypatch):
@@ -187,7 +188,7 @@ class TestTightSchedule:
 
     def test_single_operation(self):
         inst = Instance.from_tables("one", 1, {0: {1: 7}}, [])
-        sol = SolutionPair(MachineAssignment((1,)), Selection(((0,),)))
+        sol = SolutionPair((1,), Selection(((0,),)))
         sched = tight_schedule(inst, sol)
         assert sched.start == (0,)
         assert sched.makespan == 7
@@ -195,7 +196,7 @@ class TestTightSchedule:
 
     def test_chain_forced_by_precedence(self):
         inst = Instance.from_tables("chain", 3, {0: {1: 1}, 1: {2: 1}, 2: {3: 1}}, [(0, 1), (1, 2)])
-        sol = SolutionPair(MachineAssignment((1, 2, 3)), Selection(((0,), (1,), (2,))))
+        sol = SolutionPair((1, 2, 3), Selection(((0,), (1,), (2,))))
         sched = tight_schedule(inst, sol)
         assert sched.start == (0, 1, 2)
         assert sched.makespan == 3
@@ -213,7 +214,7 @@ class TestTightSchedule:
             sol = random_admissible_solution(inst, seed + 100)
             sched = tight_schedule(inst, sol)
             rng = Xoshiro256StarStar(seed)
-            f = sol.assignment.machine
+            f = sol.assignment
             p = [inst.ptime(v, f[v]) for v in inst.ops]
             edges = set(inst.arcs) | set(sol.selection.pairs)
             preds = {v: [u for (u, w) in edges if w == v] for v in inst.ops}
@@ -232,7 +233,7 @@ class TestTightSchedule:
             inst = small_random_instance(seed)
             sol = random_admissible_solution(inst, seed + 999)
             sched = tight_schedule(inst, sol)
-            f = sol.assignment.machine
+            f = sol.assignment
             p = [inst.ptime(v, f[v]) for v in inst.ops]
             edges = set(inst.arcs) | set(sol.selection.pairs)
             preds = {v: [u for (u, w) in edges if w == v] for v in inst.ops}
@@ -245,7 +246,7 @@ class TestTightSchedule:
             inst = small_random_instance(seed)
             sol = random_admissible_solution(inst, seed + 5)
             sched = tight_schedule(inst, sol)
-            f = sol.assignment.machine
+            f = sol.assignment
             path = certified_critical_path(inst, sol, sched.start)
             assert path, "tight schedules always admit a certificate"
             assert sum(inst.ptime(v, f[v]) for v in path) == sched.makespan
@@ -263,11 +264,11 @@ class TestValidateSolution:
         kinds = [i.kind for i in report.issues]
         assert "precedence" in kinds
         entry = next(i for i in report.issues if i.kind == "precedence")
-        assert entry.ops == (0, 1)
+        assert entry.message == "arc (0, 1): 0 + 3 > 2"
 
     def test_machine_conflict_reported(self):
         inst = Instance.from_tables("two", 1, {0: {1: 2}, 1: {1: 3}}, [])
-        sol = SolutionPair(MachineAssignment((1, 1)), Selection(((0, 1),)))
+        sol = SolutionPair((1, 1), Selection(((0, 1),)))
         sched = Schedule(start=(0, 1), makespan=4)
         report = validate_solution(inst, sol, sched)
         assert any(i.kind == "machine-conflict" for i in report.issues)
@@ -276,10 +277,10 @@ class TestValidateSolution:
         # in order of start the two operations do not overlap, but the
         # selection puts 0 first
         inst = Instance.from_tables("two", 1, {0: {1: 2}, 1: {1: 3}}, [])
-        sol = SolutionPair(MachineAssignment((1, 1)), Selection(((0, 1),)))
+        sol = SolutionPair((1, 1), Selection(((0, 1),)))
         report = validate_solution(inst, sol, Schedule(start=(3, 0), makespan=5))
-        assert [(i.kind, i.message, i.ops) for i in report.issues] == [
-            ("machine-conflict", "operations 0 and 1 overlap on machine 1", (0, 1))
+        assert [(i.kind, i.message) for i in report.issues] == [
+            ("machine-conflict", "operations 0 and 1 overlap on machine 1")
         ]
 
     def test_bad_makespan_reported(self, ex1):
@@ -289,7 +290,7 @@ class TestValidateSolution:
         assert any(i.kind == "makespan" for i in report.issues)
 
     def test_ineligible_assignment_reported(self, ex1):
-        sol = SolutionPair(MachineAssignment((2, 1, 2)), Selection(((1,), (0, 2))))
+        sol = SolutionPair((2, 1, 2), Selection(((1,), (0, 2))))
         sched = Schedule(start=(0, 3, 3), makespan=8)
         report = validate_solution(ex1, sol, sched)
         assert any(i.kind == "assignment" for i in report.issues)
@@ -299,15 +300,33 @@ class TestValidateSolution:
         # 1 first among all earlier operations, so the cycle is 1->0, not
         # the neighbour chain 1->2->0
         inst = Instance.from_tables("c", 1, {0: {1: 1}, 1: {1: 1}, 2: {1: 1}}, [(0, 1)])
-        sol = SolutionPair(MachineAssignment((1, 1, 1)), Selection(((1, 2, 0),)))
+        sol = SolutionPair((1, 1, 1), Selection(((1, 2, 0),)))
         report = validate_solution(inst, sol, Schedule((0, 1, 2), 3))
-        assert [(i.kind, i.message, i.ops) for i in report.issues] == [("admissibility", "cycle 1->0", (1, 0))]
+        assert [(i.kind, i.message) for i in report.issues] == [("admissibility", "cycle 1->0")]
 
     def test_never_raises_on_garbage(self, ex1):
-        sol = SolutionPair(MachineAssignment((1, 1, 2)), Selection(((1, 0, 1), (2,))))
+        sol = SolutionPair((1, 1, 2), Selection(((1, 0, 1), (2,))))
         sched = Schedule(start=(-1, 0, 0), makespan=0)
         report = validate_solution(ex1, sol, sched)
         assert not report.ok
+
+
+class TestEcho:
+    @pytest.mark.parametrize("digits", [1, 79, 80, 81, 200, 4300])
+    def test_an_int_is_echoed_as_reprlib_cuts_it(self, digits):
+        cutter = reprlib.Repr()
+        cutter.maxlong = 80
+        for x in (10**digits - 1, -(10**digits - 1), 7 * 10 ** (digits - 1) + 3):
+            assert _echo(x) == cutter.repr(x)
+            if len(repr(x)) <= 80:
+                assert _echo(x) == repr(x)
+
+    def test_an_int_past_the_text_limit_shows_its_first_and_last_digits(self):
+        x = 12345 * 10**5000 + 678
+        assert _echo(x) == f"12345{'0' * 33}...{'0' * 36}678"
+        assert _echo(-x) == f"-12345{'0' * 32}...{'0' * 36}678"
+        assert _echo(Fraction(x, 11)) == f"Fraction(12345{'0' * 33}...{'0' * 36}678, 11)"
+        assert _echo(Fraction(-1, 3)) == repr(Fraction(-1, 3))
 
 
 class TestInstanceValidation:
@@ -353,6 +372,13 @@ class TestInstanceValidation:
             with pytest.raises(InstanceError, match="at most 1000 digits") as err:
                 Instance.from_tables("bad", 1, {0: {1: time}}, [])
             assert err.value.code == "bad-time"
+
+    def test_an_int_too_long_for_text_is_echoed_cut(self):
+        cut = f"1{'0' * 37}...{'0' * 39}"
+        with pytest.raises(InstanceError, match=rf"at most 1000 digits, got {cut}$"):
+            Instance.from_tables("bad", 1, {0: {1: 10**5000}}, [])
+        with pytest.raises(InstanceError, match=rf"must be <= {MAX_MACHINES}, got {cut}$"):
+            Instance("bad", 10**5000, ((1,),), ((1,),), ())
 
     def test_machine_count_cap(self):
         assert Instance("ok", MAX_MACHINES, ((MAX_MACHINES,),), ((1,),), ()).machines == MAX_MACHINES

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 from fjs.core import (
     Instance,
-    MachineAssignment,
     Selection,
     SolutionPair,
     tight_schedule,
@@ -21,7 +20,7 @@ def test_ex1_trace(ex1):
     # At time 3 the candidates (b,1), (b,2), (c,2) all start at 3; c wins the
     # tie with the larger tail weight (5 vs 3), so b follows a on machine 1.
     sol, sched = earliest_start_heuristic(ex1)
-    assert sol.assignment.machine == (1, 1, 2)
+    assert sol.assignment == (1, 1, 2)
     assert sol.selection.sequences == ((0, 1), (2,))
     assert sched.makespan == 8
     assert sched.start == (0, 3, 3)
@@ -61,7 +60,7 @@ def test_single_operation_takes_lowest_machine_not_fastest():
     # machine-id tie-break picks machine 1 despite its longer time.
     inst = Instance.from_tables("one", 2, {0: {1: 5, 2: 3}}, [])
     sol, sched = earliest_start_heuristic(inst)
-    assert sol.assignment.machine == (1,)
+    assert sol.assignment == (1,)
     assert sched.makespan == 5
 
 
@@ -133,7 +132,7 @@ def _reference_est(instance):
             pending[succ] -= 1
             if pending[succ] == 0:
                 ready.append(succ)
-    sol = SolutionPair(MachineAssignment(tuple(chosen_machine)), Selection(machine_seq))
+    sol = SolutionPair(tuple(chosen_machine), Selection(machine_seq))
     return sol, tight_schedule(instance, sol)
 
 

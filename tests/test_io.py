@@ -13,7 +13,6 @@ from fjs.cli import main
 from fjs.core import (
     Instance,
     InstanceError,
-    MachineAssignment,
     Schedule,
     Selection,
     SolutionPair,
@@ -41,7 +40,7 @@ from fjs.io import (
 
 from conftest import make_ex1, random_admissible_solution, small_random_instance
 
-EX1_SOL = SolutionPair(MachineAssignment((1, 1, 2)), Selection(((0, 1), (2,))))
+EX1_SOL = SolutionPair((1, 1, 2), Selection(((0, 1), (2,))))
 DEEP_JSON = "[" * 100_000 + "]" * 100_000  # json.loads raises RecursionError on it
 
 
@@ -149,7 +148,7 @@ class TestSolutionFormat:
 
     def test_fractional_values_survive(self):
         inst = Instance.from_tables("fr", 1, {0: {1: Fraction(1, 2)}, 1: {1: Fraction(1, 2)}}, [])
-        sol = SolutionPair(MachineAssignment((1, 1)), Selection(((0, 1),)))
+        sol = SolutionPair((1, 1), Selection(((0, 1),)))
         sched = tight_schedule(inst, sol)
         assert sched.makespan == 1
         text = serialize_solution(inst, sol, sched)
@@ -290,6 +289,19 @@ class TestReport:
                 render_report([row])
             assert str(caught.value) == f"bound {echo} {fault}"
 
+    def test_an_int_too_long_for_text_is_refused(self):
+        long = 10**5000  # past the interpreter's 4,300-digit limit on int-to-text
+        rows = [
+            ReportRow("A", 1, 1, 1, 1, long, "bnb", "optimal", 8, 8, 0.0),
+            ReportRow("A", 1, 1, 1, 1, 10, "bnb", "optimal", 8, long, 0.0),
+            ReportRow("A", 1, 1, 1, 1, 10, "bnb", "bound-pair", long, long + 1, 0.0),
+            ReportRow("A", 1, 1, 1, 1, 10, "bnb", "bound-pair", 8, long, 0.0),
+        ]
+        for row in rows:
+            with pytest.raises(SolutionError) as caught:
+                render_report([row])
+            assert str(caught.value) == f"bound 1{'0' * 37}...{'0' * 39} has too many digits to show"
+
     def test_a_tiny_bound_a_float_can_show_is_rendered(self):
         row = ReportRow("A", 1, 1, 1, 1, 10, "bnb", "optimal", 8, Fraction(1, 10**320), 0.0)
         assert render_report([row]).splitlines()[1].split()[-2] == f"{1e-320:g}"
@@ -321,7 +333,7 @@ def _reference_solution_text(instance: Instance, sol: SolutionPair, sched: Sched
     document = {
         "format": "fjs-solution/1",
         "instance": instance.name,
-        "assignment": [[v, sol.assignment.machine[v]] for v in instance.ops],
+        "assignment": [[v, sol.assignment[v]] for v in instance.ops],
         "starts": [[v, number_to_json(sched.start[v])] for v in instance.ops],
         "makespan": number_to_json(sched.makespan),
         "meta": {key: number_to_json(value) if isinstance(value, Fraction) else value for key, value in meta.items()},
@@ -389,7 +401,7 @@ class TestCanonicalWriters:
 
     def test_fractional_starts_are_strings(self):
         inst = Instance("fr", 1, ((1,), (1,)), ((Fraction(1, 3),), (Fraction(2, 3),)), ())
-        sol = SolutionPair(MachineAssignment((1, 1)), Selection(((0, 1),)))
+        sol = SolutionPair((1, 1), Selection(((0, 1),)))
         sched = tight_schedule(inst, sol)
         meta = {"bound": Fraction(1, 3), "none": None, "flag": True, "ratio": 0.5, "nested": {"ü": [1, {"x": None}]}}
         text = serialize_solution(inst, sol, sched, meta)
