@@ -21,7 +21,7 @@ import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Set
-from itertools import chain, islice, repeat
+from itertools import chain, islice, permutations, repeat
 from operator import eq, lt
 from typing import Iterable, Mapping, Sequence
 
@@ -119,6 +119,17 @@ class _Echo(reprlib.Repr):
 _echo = _Echo().repr
 
 
+def _num_text(value: Rational) -> str:
+    """``str(value)``, except that an int, or a part of a Fraction, of more
+    digits than the interpreter turns into text is cut as ``_echo`` cuts it."""
+    try:
+        return str(value)
+    except ValueError:
+        if isinstance(value, Fraction):
+            return f"{_num_text(value.numerator)}/{_num_text(value.denominator)}"
+        return _echo(value)
+
+
 MAX_MACHINES = 10_000
 """The most machines an instance may declare.  Solvers and model builders
 allocate per declared machine; literature instances have a few dozen."""
@@ -142,7 +153,7 @@ def check_time(value: object) -> Rational:
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise InstanceError("bad-time", f"processing time must be int or Fraction, got {_echo(value)}")
     if value <= 0:
-        raise InstanceError("nonpositive-time", f"processing time must be positive, got {value}")
+        raise InstanceError("nonpositive-time", f"processing time must be positive, got {_num_text(value)}")
     if max(value.numerator, value.denominator) >= _DIGITS_BOUND:
         raise InstanceError("bad-time", f"processing time must have at most {MAX_DIGITS} digits, got {_echo(value)}")
     return int(value) if value.denominator == 1 else value
@@ -177,7 +188,7 @@ class Instance:
         if isinstance(machines, bool) or not isinstance(machines, int):
             raise InstanceError("bad-machine-count", "machines must be an integer")
         if machines < 1:
-            raise InstanceError("bad-machine-count", f"machine count must be >= 1, got {machines}")
+            raise InstanceError("bad-machine-count", f"machine count must be >= 1, got {_num_text(machines)}")
         if machines > MAX_MACHINES:
             raise InstanceError("bad-machine-count", f"machine count must be <= {MAX_MACHINES}, got {_echo(machines)}")
         n = len(self.eligible)
@@ -303,7 +314,7 @@ def disjunctive_pairs(instance: Instance) -> dict[int, tuple[tuple[int, int], ..
     for v in instance.ops:
         for k in instance.eligible[v]:
             on_machine[k].append(v)
-    return {k: tuple((v, w) for v in ops_k for w in ops_k if v != w) for k, ops_k in on_machine.items()}
+    return {k: tuple(permutations(ops_k, 2)) for k, ops_k in on_machine.items()}
 
 
 class _PairView(Set):
@@ -598,10 +609,11 @@ def validate_solution(instance: Instance, sol: SolutionPair, sched: Schedule) ->
     p = [instance.ptime(v, f[v]) for v in instance.ops]
     for v in instance.ops:
         if s[v] < 0:
-            issues.append(ValidationIssue("start-range", f"operation {v} starts at {s[v]} < 0"))
+            issues.append(ValidationIssue("start-range", f"operation {v} starts at {_num_text(s[v])} < 0"))
     for u, w in instance.arcs:
         if s[u] + p[u] > s[w]:
-            issues.append(ValidationIssue("precedence", f"arc ({u}, {w}): {s[u]} + {p[u]} > {s[w]}"))
+            message = f"arc ({u}, {w}): {_num_text(s[u])} + {p[u]} > {_num_text(s[w])}"
+            issues.append(ValidationIssue("precedence", message))
     for k, seq in enumerate(sequences, 1):
         for a, b in zip(seq, seq[1:]):
             if s[a] + p[a] > s[b]:
@@ -610,7 +622,7 @@ def validate_solution(instance: Instance, sol: SolutionPair, sched: Schedule) ->
         actual = max(s[v] + p[v] for v in instance.ops)
         if sched.makespan != actual:
             issues.append(
-                ValidationIssue("makespan", f"recorded makespan {sched.makespan} != {actual}")
+                ValidationIssue("makespan", f"recorded makespan {_num_text(sched.makespan)} != {_num_text(actual)}")
             )
     elif sched.makespan != 0:
         issues.append(ValidationIssue("makespan", "empty instance must have makespan 0"))

@@ -100,8 +100,8 @@ def write_lp(model: MilpModel) -> str:
     for var in model.variables:
         if var.kind == BINARY:
             lines.append(f" {var.name}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    lines += ["End", ""]
+    return "\n".join(lines)
 
 
 def write_mps(model: MilpModel) -> str:
@@ -141,7 +141,7 @@ def write_mps(model: MilpModel) -> str:
         if var.kind != BINARY and in_integer_block:
             lines.append(entry("MARKER2", "'MARKER'", "'INTEND'"))
             in_integer_block = False
-        column_cells = cells[var.name]
+        column_cells = cells.pop(var.name)  # freed once joined
         if column_cells:
             column = f"    {var.name:<{width}}"
             lines.append(column + ("\n" + column).join(column_cells))
@@ -161,5 +161,5 @@ def write_mps(model: MilpModel) -> str:
             lines.append(f" LO {bound_name}{var.name:<{width}}{_exact_decimal(var.lower)}")
         if var.upper is not None:
             lines.append(f" UP {bound_name}{var.name:<{width}}{_exact_decimal(var.upper)}")
-    lines.append("ENDATA")
-    return "\n".join(lines) + "\n"
+    lines += ["ENDATA", ""]
+    return "\n".join(lines)

@@ -41,6 +41,7 @@ from .core import (
     validate_solution,
     _echo,
     _longest_path,
+    _num_text,
 )
 
 __all__ = [
@@ -275,24 +276,25 @@ def check_feasible(model: MilpModel, point: ModelPoint) -> ValidationReport:
     _expect_names(point, {var.name for var in model.variables})
     values = point.values
     issues: list[ValidationIssue] = []
-    for var in model.variables:
-        val = values[var.name]
-        if val < var.lower:
-            issues.append(ValidationIssue("bound", f"{var.name} = {val} below lower bound {var.lower}"))
-        if var.upper is not None and val > var.upper:
-            issues.append(ValidationIssue("bound", f"{var.name} = {val} above upper bound {var.upper}"))
-    for row in model.constraints:
-        lhs = sum([coef * values[name] for coef, name in row.terms])
-        if row.relation == "<=":
-            excess = lhs - row.rhs
-        elif row.relation == ">=":
-            excess = row.rhs - lhs
+    for name, _, lower, upper in model.variables:
+        val = values[name]
+        if val < lower:
+            issues.append(ValidationIssue("bound", f"{name} = {_num_text(val)} below lower bound {_num_text(lower)}"))
+        if upper is not None and val > upper:
+            issues.append(ValidationIssue("bound", f"{name} = {_num_text(val)} above upper bound {_num_text(upper)}"))
+    for name, terms, relation, rhs in model.constraints:
+        lhs = 0
+        for coef, var in terms:
+            lhs += coef * values[var]
+        if relation == "<=":
+            excess = lhs - rhs
+        elif relation == ">=":
+            excess = rhs - lhs
         else:
-            excess = abs(lhs - row.rhs)
+            excess = abs(lhs - rhs)
         if excess > 0:
-            issues.append(
-                ValidationIssue("constraint", f"{row.name}: lhs {lhs} {row.relation} {row.rhs} violated by {excess}")
-            )
+            message = f"{name}: lhs {_num_text(lhs)} {relation} {_num_text(rhs)} violated by {_num_text(excess)}"
+            issues.append(ValidationIssue("constraint", message))
     return ValidationReport(tuple(issues))
 
 

@@ -25,7 +25,7 @@ from fjs.core import (
 )
 from fjs.rng import Xoshiro256StarStar
 
-from conftest import random_admissible_solution, small_random_instance
+from conftest import integral_instances, random_admissible_solution, small_random_instance
 
 
 def all_paths_longest_start(instance, sol):
@@ -48,6 +48,10 @@ def all_paths_longest_start(instance, sol):
 
 EX1_SOL = SolutionPair((1, 1, 2), Selection(((0, 1), (2,))))
 
+# 10**5000 and -10**5000 as ``_echo`` cuts them: 38 leading characters, "..." and 39 trailing digits
+BIG_CUT = f"1{'0' * 37}...{'0' * 39}"
+MINUS_BIG_CUT = f"-1{'0' * 36}...{'0' * 39}"
+
 
 class TestDisjunctivePairs:
     def test_ex1_sets(self, ex1):
@@ -63,6 +67,21 @@ class TestDisjunctivePairs:
     def test_single_operation(self):
         inst = Instance.from_tables("one", 1, {0: {1: 7}}, [])
         assert disjunctive_pairs(inst) == {1: ()}
+
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            *integral_instances(),
+            # machine 2 runs one operation and machine 3 none
+            Instance.from_tables("sparse", 3, {0: {1: 2}, 1: {1: 3, 2: 4}, 2: {1: 1}}, []),
+        ],
+        ids=lambda inst: inst.name,
+    )
+    def test_matches_the_nested_loop_definition(self, instance):
+        on_machine = {k: [v for v in instance.ops if k in instance.eligible[v]] for k in range(1, instance.machines + 1)}
+        expected = {k: tuple((v, w) for v in ops_k for w in ops_k if v != w) for k, ops_k in on_machine.items()}
+        assert disjunctive_pairs(instance) == expected
+        assert list(disjunctive_pairs(instance)) == list(expected)
 
     def test_symmetry_on_random_instances(self):
         for seed in range(20):
@@ -304,6 +323,23 @@ class TestValidateSolution:
         report = validate_solution(inst, sol, Schedule((0, 1, 2), 3))
         assert [(i.kind, i.message) for i in report.issues] == [("admissibility", "cycle 1->0")]
 
+    def test_a_start_too_long_for_text_is_cut(self, ex1):
+        report = validate_solution(ex1, EX1_SOL, Schedule(start=(-(10**5000), 3, 3), makespan=8))
+        assert [(i.kind, i.message) for i in report.issues] == [
+            ("start-range", f"operation 0 starts at {MINUS_BIG_CUT} < 0")
+        ]
+
+    def test_a_precedence_start_too_long_for_text_is_cut(self, ex1):
+        report = validate_solution(ex1, EX1_SOL, Schedule(start=(10**5000, 0, 10**5000 + 3), makespan=10**5000 + 8))
+        assert [(i.kind, i.message) for i in report.issues] == [
+            ("precedence", f"arc (0, 1): {BIG_CUT} + 3 > 0"),
+            ("machine-conflict", "operations 0 and 1 overlap on machine 1"),
+        ]
+
+    def test_a_makespan_too_long_for_text_is_cut(self, ex1):
+        report = validate_solution(ex1, EX1_SOL, Schedule(start=(0, 3, 3), makespan=10**5000))
+        assert [(i.kind, i.message) for i in report.issues] == [("makespan", f"recorded makespan {BIG_CUT} != 8")]
+
     def test_never_raises_on_garbage(self, ex1):
         sol = SolutionPair((1, 1, 2), Selection(((1, 0, 1), (2,))))
         sched = Schedule(start=(-1, 0, 0), makespan=0)
@@ -379,6 +415,20 @@ class TestInstanceValidation:
             Instance.from_tables("bad", 1, {0: {1: 10**5000}}, [])
         with pytest.raises(InstanceError, match=rf"must be <= {MAX_MACHINES}, got {cut}$"):
             Instance("bad", 10**5000, ((1,),), ((1,),), ())
+
+    def test_a_machine_count_too_long_for_text_is_cut(self):
+        with pytest.raises(InstanceError, match=rf"machine count must be >= 1, got {MINUS_BIG_CUT}$"):
+            Instance("bad", -(10**5000), ((1,),), ((1,),), ())
+
+    @pytest.mark.parametrize(
+        "time, shown",
+        [(-(10**5000), MINUS_BIG_CUT), (Fraction(-(10**5000), 3), f"{MINUS_BIG_CUT}/3"), (Fraction(-1, 2), "-1/2")],
+        ids=["int", "fraction", "short-fraction"],
+    )
+    def test_a_nonpositive_time_too_long_for_text_is_cut(self, time, shown):
+        with pytest.raises(InstanceError, match=rf"processing time must be positive, got {shown}$") as err:
+            Instance.from_tables("bad", 1, {0: {1: time}}, [])
+        assert err.value.code == "nonpositive-time"
 
     def test_machine_count_cap(self):
         assert Instance("ok", MAX_MACHINES, ((MAX_MACHINES,),), ((1,),), ()).machines == MAX_MACHINES

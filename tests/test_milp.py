@@ -10,13 +10,22 @@ from fractions import Fraction
 
 import pytest
 
-from fjs.core import Instance, Selection, SolutionPair, certified_critical_path, tight_schedule
+from fjs.core import (
+    Instance,
+    Selection,
+    SolutionPair,
+    ValidationIssue,
+    ValidationReport,
+    certified_critical_path,
+    tight_schedule,
+)
 from fjs.exact import brute_force
 from fjs.heuristic import earliest_start_heuristic
 from fjs.milp import (
     BINARY,
     CONTINUOUS,
     LinearConstraint,
+    MilpModel,
     ModelPoint,
     PointError,
     WitnessError,
@@ -322,6 +331,63 @@ class TestCheckFeasible:
         values["s_0"] = -1
         report = check_feasible(model, ModelPoint(values))
         assert any(i.kind == "bound" for i in report.issues)
+
+    def test_report_on_a_hand_built_model(self):
+        """Kinds, messages and order of every issue, bounds before rows, each in model order."""
+        model = MilpModel(
+            "hand",
+            (
+                Variable("a", CONTINUOUS, 0, 10),
+                Variable("b", CONTINUOUS, Fraction(1, 2)),
+                Variable("c", BINARY, 0, 1),
+                Variable("d", CONTINUOUS, -5, 5),
+            ),
+            ((1, "a"),),
+            (
+                LinearConstraint("le_ok", ((1, "a"), (2, "c")), "<=", 3),
+                LinearConstraint("le_bad", ((Fraction(1, 3), "b"), (1, "d")), "<=", Fraction(1, 2)),
+                LinearConstraint("ge_bad", ((1, "a"),), ">=", 0),
+                LinearConstraint("ge_ok", ((1, "b"), (-1, "c")), ">=", 5),
+                LinearConstraint("eq_bad", ((1, "c"), (-1, "a")), "=", 1),
+                LinearConstraint("eq_ok", ((Fraction(1, 4), "d"),), "=", Fraction(3, 16)),
+                LinearConstraint("empty_ok", (), "<=", 0),
+                LinearConstraint("empty_bad", (), ">=", 1),
+            ),
+        )
+        point = ModelPoint({"a": -1, "b": 7, "c": 2, "d": Fraction(3, 4)})
+        report = check_feasible(model, point)
+        assert report == ValidationReport(
+            (
+                ValidationIssue("bound", "a = -1 below lower bound 0"),
+                ValidationIssue("bound", "c = 2 above upper bound 1"),
+                ValidationIssue("constraint", "le_bad: lhs 37/12 <= 1/2 violated by 31/12"),
+                ValidationIssue("constraint", "ge_bad: lhs -1 >= 0 violated by 1"),
+                ValidationIssue("constraint", "eq_bad: lhs 3 = 1 violated by 2"),
+                ValidationIssue("constraint", "empty_bad: lhs 0 >= 1 violated by 1"),
+            )
+        )
+
+    # ``_echo`` cuts an int to 38 leading characters, "..." and 39 trailing digits
+    BIG_MODEL = MilpModel(
+        "big",
+        (Variable("s", CONTINUOUS), Variable("b", BINARY, 0, 1)),
+        ((1, "s"),),
+        (LinearConstraint("r", ((1, "s"),), ">=", Fraction(1, 3)),),
+    )
+
+    def test_a_bound_value_too_long_for_text_is_cut(self):
+        report = check_feasible(self.BIG_MODEL, ModelPoint({"s": 1, "b": -(10**5000)}))
+        assert report.issues == (ValidationIssue("bound", f"b = -1{'0' * 36}...{'0' * 39} below lower bound 0"),)
+        report = check_feasible(self.BIG_MODEL, ModelPoint({"s": 1, "b": 10**5000}))
+        assert report.issues == (ValidationIssue("bound", f"b = 1{'0' * 37}...{'0' * 39} above upper bound 1"),)
+
+    def test_a_row_value_too_long_for_text_is_cut(self):
+        report = check_feasible(self.BIG_MODEL, ModelPoint({"s": -(10**5000), "b": 0}))
+        lhs, excess = f"-1{'0' * 36}...{'0' * 39}", f"3{'0' * 37}...{'0' * 38}1/3"
+        assert report.issues == (
+            ValidationIssue("bound", f"s = {lhs} below lower bound 0"),
+            ValidationIssue("constraint", f"r: lhs {lhs} >= 1/3 violated by {excess}"),
+        )
 
 
 MODELS = [
