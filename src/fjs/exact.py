@@ -78,11 +78,6 @@ def brute_force(instance: Instance, max_ops: int = 9, max_assignments: int = 100
     if n_assignments > max_assignments:
         raise CapError(f"{n_assignments} assignments exceed the cap of {max_assignments}")
 
-    if n == 0:
-        sol = SolutionPair((), Selection(((),) * instance.machines))
-        sched = Schedule((), 0)
-        return SolveResult(sol, sched, 0, 0, STATUS_OPTIMAL, 1, time.monotonic() - t0)
-
     base_preds = [list(instance.predecessors(v)) for v in range(n)]
     best_mks = None
     best = None
@@ -101,7 +96,7 @@ def brute_force(instance: Instance, max_ops: int = 9, max_assignments: int = 100
             order = _kahn(n, preds)
             if len(order) < n:
                 continue  # the sequences close a cycle with the arcs
-            mks = max(_longest_path(order, preds, p))
+            mks = max(_longest_path(order, preds, p), default=0)
             if best_mks is None or mks < best_mks:
                 best_mks = mks
                 best = SolutionPair(assignment, Selection(sequences))

@@ -10,7 +10,6 @@ admissible by construction; the final schedule is tight.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heappop, heappush
 from math import lcm
 
@@ -24,35 +23,21 @@ from .core import (
     _longest_path,
 )
 
-__all__ = ["mean_ptimes", "tail_weights", "earliest_start_heuristic"]
+__all__ = ["earliest_start_heuristic"]
 
 
-def mean_ptimes(instance: Instance) -> list[Fraction]:
-    """Mean processing time per operation over its eligible machines."""
-    return [Fraction(sum(row), len(row)) for row in instance.times]
+def _scaled_tails(instance: Instance) -> list[Rational]:
+    """Largest mean-time path weight starting at each operation, times ``scale``.
 
-
-def _scaled_tails(instance: Instance) -> tuple[list[Rational], int]:
-    """The tail weights multiplied by ``scale`` (the lcm of the eligible-set sizes), and ``scale``.
-
-    Each operation weighs ``sum(row) * (scale // len(row))``, which is
-    ``scale`` times its mean time, so the tails are ``int`` on integral
-    instances and order exactly as the mean-time tails do.
+    ``scale`` is the lcm of the eligible-set sizes and an operation weighs
+    ``sum(row) * (scale // len(row))``, ``scale`` times its mean time, so the
+    tails are ``int`` on integral instances and order exactly as the
+    mean-time tails do.  One reverse topological sweep.
     """
     scale = lcm(*(len(row) for row in instance.times))
     weights = [sum(row) * (scale // len(row)) for row in instance.times]
     succs = [instance.successors(v) for v in instance.ops]
-    return _longest_path(reversed(instance.order), succs, weights), scale
-
-
-def tail_weights(instance: Instance) -> list[Fraction]:
-    """Largest mean-time path weight starting at each operation.
-
-    ``tail[v] = mean[v] + max(tail[w] for successors w)``, with max 0 for
-    sinks; computed once by a reverse topological sweep.
-    """
-    tails, scale = _scaled_tails(instance)
-    return [Fraction(t, scale) for t in tails]
+    return _longest_path(reversed(instance.order), succs, weights)
 
 
 def earliest_start_heuristic(instance: Instance) -> tuple[SolutionPair, Schedule]:
@@ -62,7 +47,7 @@ def earliest_start_heuristic(instance: Instance) -> tuple[SolutionPair, Schedule
     O(|V||A| + |V| * m + sum |eligible| * log |V|).
     """
     n, m = instance.n_ops, instance.machines
-    tails, _ = _scaled_tails(instance)
+    tails = _scaled_tails(instance)
     rank_of = {t: r for r, t in enumerate(sorted(set(tails), reverse=True))}
     rank = [rank_of[t] for t in tails]  # a heavier tail gets a smaller rank
     pending = [len(instance.predecessors(v)) for v in instance.ops]

@@ -21,6 +21,7 @@ polyhedron directly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple
@@ -65,6 +66,7 @@ __all__ = [
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
+_RELATIONS = {"<=", "=", ">="}
 
 
 class PointError(FjsError):
@@ -75,32 +77,13 @@ class WitnessError(FjsError):
     """The gap-witness preconditions do not hold for this instance."""
 
 
-class _VariableFields(NamedTuple):
+class Variable(NamedTuple):
+    """A model variable: ``binary`` with bounds 0 and 1, or ``continuous``."""
+
     name: str
     kind: str
     lower: Rational = 0
     upper: Rational | None = None  # None = +inf
-
-
-class Variable(_VariableFields):
-    """A model variable: ``binary`` with bounds 0 and 1, or ``continuous``.
-
-    An immutable tuple record.  ``_make`` and ``_replace`` build through
-    ``__new__`` as the constructor does, so every variable passes its checks.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, name: str, kind: str, lower: Rational = 0, upper: Rational | None = None) -> Variable:
-        if kind not in (BINARY, CONTINUOUS):
-            raise ValueError(f"variable {name}: kind must be {BINARY!r} or {CONTINUOUS!r}, got {kind!r}")
-        if kind == BINARY and (lower, upper) != (0, 1):
-            raise ValueError(f"binary {name} must have bounds 0 and 1, got {lower} and {upper}")
-        return tuple.__new__(cls, (name, kind, lower, upper))
-
-    @classmethod
-    def _make(cls, iterable) -> Variable:
-        return cls(*iterable)
 
 
 class LinearConstraint(NamedTuple):
@@ -114,10 +97,26 @@ class LinearConstraint(NamedTuple):
 
 @dataclass(frozen=True)
 class MilpModel:
+    """Variables of kind ``binary`` (bounds 0 and 1) or ``continuous`` with distinct names, and
+    rows of relation ``<=``, ``=`` or ``>=``: checked once, here, so every reader relies on them."""
+
     name: str
     variables: tuple[Variable, ...]
     objective: tuple[tuple[Rational, str], ...]
     constraints: tuple[LinearConstraint, ...]
+
+    def __post_init__(self) -> None:
+        for name, kind, lower, upper in self.variables:
+            if kind != CONTINUOUS and (kind, lower, upper) != (BINARY, 0, 1):
+                if kind != BINARY:
+                    raise ValueError(f"variable {name}: kind must be {BINARY!r} or {CONTINUOUS!r}, got {kind!r}")
+                raise ValueError(f"binary {name} must have bounds 0 and 1, got {lower} and {upper}")
+        if len({var.name for var in self.variables}) < len(self.variables):
+            counts = Counter(var.name for var in self.variables)
+            raise ValueError(f"variable {next(name for name, n in counts.items() if n > 1)} is declared twice")
+        if not {row.relation for row in self.constraints} <= _RELATIONS:
+            name, _, relation, _ = next(row for row in self.constraints if row.relation not in _RELATIONS)
+            raise ValueError(f"row {name}: relation must be '<=', '=' or '>=', got {relation!r}")
 
 
 @dataclass(frozen=True)
@@ -273,15 +272,21 @@ def check_feasible(model: MilpModel, point: ModelPoint) -> ValidationReport:
     Integrality is never enforced, so this doubles as the LP-relaxation
     check.
     """
-    _expect_names(point, {var.name for var in model.variables})
     values = point.values
     issues: list[ValidationIssue] = []
-    for name, _, lower, upper in model.variables:
-        val = values[name]
-        if val < lower:
-            issues.append(ValidationIssue("bound", f"{name} = {_num_text(val)} below lower bound {_num_text(lower)}"))
-        if upper is not None and val > upper:
-            issues.append(ValidationIssue("bound", f"{name} = {_num_text(val)} above upper bound {_num_text(upper)}"))
+    # Model names are distinct: a point of as many names that has each holds exactly them.
+    try:
+        if len(values) != len(model.variables):
+            raise KeyError
+        for name, _, lower, upper in model.variables:
+            val = values[name]
+            if val < lower:
+                issues.append(ValidationIssue("bound", f"{name} = {_num_text(val)} below lower bound {_num_text(lower)}"))
+            if upper is not None and val > upper:
+                issues.append(ValidationIssue("bound", f"{name} = {_num_text(val)} above upper bound {_num_text(upper)}"))
+    except KeyError:
+        _expect_names(point, {var.name for var in model.variables})
+        raise
     for name, terms, relation, rhs in model.constraints:
         lhs = 0
         for coef, var in terms:
@@ -496,16 +501,13 @@ def machine_indexed_gap_witness(instance: Instance, L: Rational) -> ModelPoint:
 
 def makespan_lower_bound(instance: Instance) -> Rational:
     """Longest path with per-operation minimum times: a valid optimum bound."""
-    n = instance.n_ops
-    if n == 0:
-        return 0
     preds = [instance.predecessors(v) for v in instance.ops]
     pmin = [min(row) for row in instance.times]
-    return max(_longest_path(topological_order(n, preds), preds, pmin))
+    return max(_longest_path(topological_order(instance.n_ops, preds), preds, pmin), default=0)
 
 
 def default_horizon(instance: Instance, est_makespan: Rational | None = None) -> Rational:
     """Big-M horizon: a provided heuristic makespan, else the sum of maxima."""
     if est_makespan is not None:
         return est_makespan
-    return sum(max(row) for row in instance.times) if instance.n_ops else 0
+    return sum(max(row) for row in instance.times)

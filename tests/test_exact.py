@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from fjs import exact
-from fjs.core import Instance, validate_solution
-from fjs.exact import CapError, brute_force, solve_branch_and_bound
+from fjs.core import Instance, Schedule, Selection, SolutionPair, validate_solution
+from fjs.exact import CapError, SolveResult, brute_force, solve_branch_and_bound
 from fjs.generate import DafjsParams, YfjsParams, generate_dafjs, generate_yfjs
 from fjs.heuristic import earliest_start_heuristic
 
@@ -37,10 +38,12 @@ def test_two_independent_ops_one_machine_serialize():
 
 
 def test_empty_instance():
-    inst = Instance("empty", 1, (), (), ())
-    assert brute_force(inst).upper_bound == 0
-    result = solve_branch_and_bound(inst, 60)
-    assert result.upper_bound == 0 and result.status == "optimal"
+    # Enumeration examines the one empty assignment; the search proves it at the root.
+    for machines in (1, 2):
+        inst = Instance("empty", machines, (), (), ())
+        empty = SolutionPair((), Selection(((),) * machines))
+        for result, nodes in ((brute_force(inst), 1), (solve_branch_and_bound(inst, 60), 0)):
+            assert replace(result, elapsed=0) == SolveResult(empty, Schedule((), 0), 0, 0, "optimal", nodes, 0)
 
 
 def test_brute_force_caps():

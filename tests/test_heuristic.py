@@ -11,7 +11,7 @@ from fjs.core import (
     tight_schedule,
     validate_solution,
 )
-from fjs.heuristic import earliest_start_heuristic, mean_ptimes, tail_weights
+from fjs.heuristic import _scaled_tails, earliest_start_heuristic
 
 from conftest import small_random_instance
 
@@ -27,13 +27,14 @@ def test_ex1_trace(ex1):
 
 
 def test_ex1_tail_weights(ex1):
-    assert mean_ptimes(ex1) == [Fraction(3), Fraction(3), Fraction(5)]
-    assert tail_weights(ex1) == [Fraction(8), Fraction(3), Fraction(5)]
+    # Every operation of ex1 has two eligible machines, so the scale is 2 and
+    # the mean-time tails are 8, 3 and 5.
+    assert _scaled_tails(ex1) == [16, 6, 10]
 
 
 def test_tail_weights_follow_the_mean_time_recurrence():
     # Eligible sets of 1, 2 and 3 machines with fractional times, so the
-    # weights are scaled by lcm(1, 2, 3) = 6 inside and divided back out.
+    # weights are scale = lcm(1, 2, 3) = 6 times the mean times.
     inst = Instance.from_tables(
         "mixed",
         3,
@@ -46,13 +47,13 @@ def test_tail_weights_follow_the_mean_time_recurrence():
         },
         [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4)],
     )
-    mean = mean_ptimes(inst)
+    mean = [Fraction(sum(row), len(row)) for row in inst.times]
     assert mean == [Fraction(1, 2), Fraction(5, 6), Fraction(43, 36), Fraction(6, 5), Fraction(3)]
     expected = [Fraction(0)] * inst.n_ops
     for v in reversed(inst.ops):  # arcs only go id-upward
-        expected[v] = mean[v] + max((expected[w] for w in inst.successors(v)), default=0)
-    assert tail_weights(inst) == expected
-    assert expected[0] == Fraction(1, 2) + Fraction(43, 36) + 3
+        expected[v] = 6 * mean[v] + max((expected[w] for w in inst.successors(v)), default=0)
+    assert _scaled_tails(inst) == expected
+    assert expected[0] == 6 * (Fraction(1, 2) + Fraction(43, 36) + 3)
 
 
 def test_single_operation_takes_lowest_machine_not_fastest():
@@ -109,7 +110,7 @@ def test_never_below_the_exact_optimum():
 def _reference_est(instance):
     """The plain scan: each step takes the least (start, rank, w, k) over every
     ready operation w and eligible machine k, ranking heavier tails first."""
-    tail = tail_weights(instance)
+    tail = _scaled_tails(instance)
     rank_of = {t: r for r, t in enumerate(sorted(set(tail), reverse=True))}
     pending = [len(instance.predecessors(v)) for v in instance.ops]
     ready_time = [0] * instance.n_ops

@@ -6,10 +6,12 @@ over the instance data) rather than taken from the builders.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from fjs import milp
 from fjs.core import (
     Instance,
     Selection,
@@ -316,6 +318,18 @@ class TestCheckFeasible:
         values["w"] = 0
         with pytest.raises(PointError):
             check_feasible(model, ModelPoint(values))
+        # as many names as the model has, one of them swapped: unknown is named before missing
+        del values["s_0"]
+        with pytest.raises(PointError, match=r"unknown variable names in point: \['w'\]"):
+            check_feasible(model, ModelPoint(values))
+
+    def test_a_valid_point_builds_no_name_sets(self, ex1, monkeypatch):
+        def refuse(point, expected):
+            raise AssertionError("name sets built for a point with the model's names")
+
+        monkeypatch.setattr(milp, "_expect_names", refuse)
+        for build, encode in MODELS:
+            assert check_feasible(build(ex1, 14), encode(ex1, EX1_SOL)).ok
 
     def test_missing_name_raises(self, ex1):
         model = build_compact_model(ex1, 14)
@@ -502,6 +516,7 @@ class TestBounds:
     def test_independent_ops_lower_bound_is_max(self):
         inst = Instance.from_tables("ind", 2, {0: {1: 4}, 1: {2: 9}}, [])
         assert makespan_lower_bound(inst) == 9
+        assert makespan_lower_bound(Instance("empty", 1, (), (), ())) == 0  # the max over no operations
 
     def test_lower_bound_below_optimum_on_random_instances(self):
         for seed in range(25):
@@ -514,29 +529,47 @@ class TestBounds:
         assert default_horizon(Instance("empty", 1, (), (), ())) == 0
 
 
+def _model(*variables, rows=()):
+    return MilpModel("m", variables, (), rows)
+
+
 class TestVariable:
-    def test_unknown_kind_is_refused(self):
+    def test_unknown_kind_is_refused(self, ex1):
         # the writers would write an "integer" variable as continuous
-        with pytest.raises(ValueError, match="kind must be"):
-            Variable("y", "integer", 0, 5)
-        assert Variable("s", CONTINUOUS, 2, 7).kind == CONTINUOUS
+        with pytest.raises(ValueError, match="variable y: kind must be"):
+            _model(Variable("y", "integer", 0, 5))
+        model = build_compact_model(ex1, 14)
+        with pytest.raises(ValueError, match="variable z: kind must be"):
+            replace(model, variables=(model.variables[0]._replace(kind="integer"), *model.variables[1:]))
+        assert _model(Variable("s", CONTINUOUS, 2, 7)).variables[0].kind == CONTINUOUS
 
     @pytest.mark.parametrize("lower, upper", [(1, 1), (0, None), (0, 2), (Fraction(1, 2), 1)])
-    def test_binary_bounds_must_be_zero_and_one(self, lower, upper):
+    def test_binary_bounds_must_be_zero_and_one(self, ex1, lower, upper):
         # the writers drop binary bounds, so x fixed to 1 would admit x = 0
-        with pytest.raises(ValueError, match="bounds 0 and 1"):
-            Variable("x", BINARY, lower, upper)
-        assert Variable("x", BINARY, 0, 1).upper == 1
+        with pytest.raises(ValueError, match="binary x must have bounds 0 and 1"):
+            _model(Variable("x", BINARY, lower, upper))
+        model = build_compact_model(ex1, 14)
+        with pytest.raises(ValueError, match="binary w must have bounds 0 and 1"):
+            replace(model, variables=(*model.variables, Variable("w", BINARY, lower, upper)))
+        assert _model(Variable("x", BINARY, 0, 1)).variables[0].upper == 1
 
-    def test_replace_and_make_check_like_the_constructor(self):
-        with pytest.raises(ValueError, match="kind must be"):
-            Variable("s", CONTINUOUS)._replace(kind="integer")
-        with pytest.raises(ValueError, match="bounds 0 and 1"):
-            Variable("x", BINARY, 0, 1)._replace(upper=2)
-        with pytest.raises(ValueError, match="bounds 0 and 1"):
-            Variable._make(("x", BINARY, 0, None))
-        assert Variable("s", CONTINUOUS)._replace(upper=4) == Variable("s", CONTINUOUS, 0, 4)
-        assert Variable._make(("x", BINARY, 0, 1)) == Variable("x", BINARY, 0, 1)
+    def test_duplicate_names_are_refused(self, ex1):
+        # write_mps would end in a KeyError at the second column
+        row = LinearConstraint("r", ((1, "a"),), "<=", 1)
+        with pytest.raises(ValueError, match="variable a is declared twice"):
+            MilpModel("dup", (Variable("a", CONTINUOUS), Variable("a", CONTINUOUS)), ((1, "a"),), (row,))
+        model = build_machine_indexed_model(ex1, 14)
+        with pytest.raises(ValueError, match="variable s_0_1 is declared twice"):
+            replace(model, variables=(*model.variables, Variable("s_0_1", CONTINUOUS)))
+
+    @pytest.mark.parametrize("relation", ["<", ">", "==", "=<", "<= "])
+    def test_relations_other_than_le_eq_ge_are_refused(self, relation):
+        # check_feasible would evaluate such a row as "="
+        row = LinearConstraint("r", ((1, "a"),), relation, 1)
+        with pytest.raises(ValueError, match=f"row r: relation must be '<=', '=' or '>=', got {relation!r}"):
+            _model(Variable("a", CONTINUOUS), rows=(row,))
+        for accepted in ("<=", "=", ">="):
+            _model(Variable("a", CONTINUOUS), rows=(row._replace(relation=accepted),))
 
     @pytest.mark.parametrize(
         "record, field",
