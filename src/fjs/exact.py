@@ -282,8 +282,6 @@ def solve_branch_and_bound(instance: Instance, time_limit: float = 3600.0) -> So
     t0 = time.monotonic()
     n = instance.n_ops
     est_sol, est_sched = earliest_start_heuristic(instance)
-    if n == 0:
-        return SolveResult(est_sol, est_sched, 0, 0, STATUS_OPTIMAL, 0, time.monotonic() - t0)
 
     search = _Search(instance, deadline=t0 + time_limit)
     search.best_value = est_sched.makespan

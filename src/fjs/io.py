@@ -384,8 +384,5 @@ def render_report(rows: Sequence[ReportRow]) -> str:
 
 def instance_size(instance: Instance) -> tuple[int, int, int, int]:
     """(jobs, min ops per job, max ops per job, machines) for report rows."""
-    components = weakly_connected_components(instance)
-    if not components:
-        return 0, 0, 0, instance.machines
-    sizes = [len(c) for c in components]
-    return len(components), min(sizes), max(sizes), instance.machines
+    sizes = [len(c) for c in weakly_connected_components(instance)]
+    return len(sizes), min(sizes, default=0), max(sizes, default=0), instance.machines

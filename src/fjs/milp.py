@@ -24,7 +24,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, Mapping, NamedTuple
 
 from .core import (
     FjsError,
@@ -97,8 +99,9 @@ class LinearConstraint(NamedTuple):
 
 @dataclass(frozen=True)
 class MilpModel:
-    """Variables of kind ``binary`` (bounds 0 and 1) or ``continuous`` with distinct names, and
-    rows of relation ``<=``, ``=`` or ``>=``: checked once, here, so every reader relies on them."""
+    """Variables of kind ``binary`` (bounds 0 and 1) or ``continuous`` with distinct names, rows
+    of relation ``<=``, ``=`` or ``>=``, and terms naming declared variables only: checked once,
+    here, so every reader relies on them."""
 
     name: str
     variables: tuple[Variable, ...]
@@ -111,12 +114,21 @@ class MilpModel:
                 if kind != BINARY:
                     raise ValueError(f"variable {name}: kind must be {BINARY!r} or {CONTINUOUS!r}, got {kind!r}")
                 raise ValueError(f"binary {name} must have bounds 0 and 1, got {lower} and {upper}")
-        if len({var.name for var in self.variables}) < len(self.variables):
+        names = {var.name for var in self.variables}
+        if len(names) < len(self.variables):
             counts = Counter(var.name for var in self.variables)
             raise ValueError(f"variable {next(name for name, n in counts.items() if n > 1)} is declared twice")
         if not {row.relation for row in self.constraints} <= _RELATIONS:
             name, _, relation, _ = next(row for row in self.constraints if row.relation not in _RELATIONS)
             raise ValueError(f"row {name}: relation must be '<=', '=' or '>=', got {relation!r}")
+        second = itemgetter(1)  # a row's terms and a term's variable, read with no list of all terms
+        terms = chain(self.objective, chain.from_iterable(map(second, self.constraints)))
+        if not names.issuperset(map(second, terms)):
+            rows = [("objective", self.objective), *((f"row {row.name}", row.terms) for row in self.constraints)]
+            for where, row_terms in rows:
+                for _, var in row_terms:
+                    if var not in names:
+                        raise ValueError(f"{where}: term names undeclared variable {var}")
 
 
 @dataclass(frozen=True)
@@ -154,7 +166,7 @@ def _check_horizon(L: Rational) -> None:
     if not isinstance(L, (int, Fraction)) or isinstance(L, bool):
         raise ValueError(f"horizon L must be int or Fraction, got {L!r}")
     if L <= 0:
-        raise ValueError(f"horizon L must be positive, got {L}")
+        raise ValueError(f"horizon L must be positive, got {_num_text(L)}")
 
 
 def build_compact_model(instance: Instance, L: Rational) -> MilpModel:
@@ -374,90 +386,82 @@ def _binary(point: ModelPoint, name: str) -> int:
         return 0
     if val == 1:
         return 1
-    raise PointError(f"non-integral binary {name} = {val}")
+    raise PointError(f"non-integral binary {name} = {_num_text(val)}")
 
 
-def _assignment_from_x(x: list[dict[int, str]], point: ModelPoint) -> tuple[int, ...]:
-    machine = []
+def _read_binaries(
+    instance: Instance, point: ModelPoint, x: list[dict[int, str]], y_name: Callable[[int, int, int], str]
+) -> SolutionPair:
+    """The solution a point's binaries encode: ``x`` gives the assignment and
+    ``y_name(k, v, w)`` names the binary "v before w on machine k".
+
+    Only the pairs sharing an assigned machine are read, each once.  An
+    operation's index counts those oriented before it; the indices are a
+    permutation iff the orientation is transitive, that is, acyclic on each
+    machine.  Cycles through the precedence arcs are left to the decoder's
+    schedule check.
+    """
+    f, on_machine = [], [[] for _ in range(instance.machines + 1)]
     for v, row in enumerate(x):
         chosen = [k for k, name in row.items() if _binary(point, name)]
         if not chosen:
             raise PointError(f"no machine selected for operation {v}")
         if len(chosen) > 1:
             raise PointError(f"multiple machines selected for operation {v}: {chosen}")
-        machine.append(chosen[0])
-    return tuple(machine)
-
-
-def _selection_or_raise(instance: Instance, f: tuple[int, ...], oriented: set[tuple[int, int]]) -> Selection:
-    """Sequence each machine by its oriented pairs; reject unoriented or intransitive points.
-
-    An operation's index counts those oriented before it; the indices are a
-    permutation iff the orientation is transitive, that is, acyclic on each
-    machine.  Cycles through the precedence arcs are left to the decoder's
-    schedule check.
-    """
-    on_machine: list[list[int]] = [[] for _ in range(instance.machines + 1)]
-    for v in instance.ops:
-        on_machine[f[v]].append(v)
-    for v in instance.ops:
-        for w in on_machine[f[v]]:
-            if w > v and ((v, w) in oriented) == ((w, v) in oriented):
-                state = "both orientations" if (v, w) in oriented else "no orientation"
-                raise PointError(f"infeasible point: pair ({v}, {w}) has {state} selected")
-    sequences, transitive = [], True
-    for ops_k in on_machine[1:]:
-        index = {w: sum((v, w) in oriented for v in ops_k) for w in ops_k}
-        transitive = transitive and sorted(index.values()) == list(range(len(ops_k)))
-        sequences.append(sorted(ops_k, key=index.__getitem__))
-    selection = Selection(sequences)
-    if not transitive:
+        f.append(chosen[0])
+        on_machine[chosen[0]].append(v)
+    indices = []
+    for k, ops_k in enumerate(on_machine[1:], 1):
+        index = dict.fromkeys(ops_k, 0)
+        for i, v in enumerate(ops_k):
+            for w in ops_k[i + 1 :]:
+                v_first = _binary(point, y_name(k, v, w))
+                if v_first == _binary(point, y_name(k, w, v)):
+                    state = "both orientations" if v_first else "no orientation"
+                    raise PointError(f"infeasible point: pair ({v}, {w}) has {state} selected")
+                index[w if v_first else v] += 1
+        indices.append(index)
+    if any(sorted(index.values()) != list(range(len(index))) for index in indices):
         raise PointError("infeasible point: selection induces a precedence cycle")
-    return selection
+    return SolutionPair(tuple(f), Selection([sorted(index, key=index.__getitem__) for index in indices]))
 
 
 def decode_compact(instance: Instance, point: ModelPoint) -> tuple[SolutionPair, Schedule]:
     """Recover the solution encoded by an integral compact-model point.
 
     Sequencing binaries of pairs that do not share the assigned machine carry
-    no meaning and are ignored.  The returned schedule is the tight schedule
-    of the recovered solution; its makespan never exceeds the point's z.
+    no meaning, but must still be 0 or 1.  The returned schedule is the tight
+    schedule of the recovered solution; its makespan never exceeds the point's z.
     """
     s, x, y = _compact_names(instance, disjunctive_pairs(instance))
     _expect_names(point, {"z", *s, *y.values(), *(name for row in x for name in row.values())})
 
-    assignment = _assignment_from_x(x, point)
-    oriented = {pair for pair, name in y.items() if _binary(point, name)}
-    selection = _selection_or_raise(instance, assignment, oriented)
-    sol = SolutionPair(assignment, selection)
+    sol = _read_binaries(instance, point, x, lambda k, v, w: y[v, w])
+    for name in y.values():
+        _binary(point, name)
     try:
         sched = tight_schedule(instance, sol)
     except InadmissibleError as exc:
         raise PointError("infeasible point: selection induces a precedence cycle") from exc
     if instance.n_ops and sched.makespan > point["z"]:
-        raise PointError(f"infeasible point: z = {point['z']} below the tight makespan {sched.makespan}")
+        z, makespan = _num_text(point["z"]), _num_text(sched.makespan)
+        raise PointError(f"infeasible point: z = {z} below the tight makespan {makespan}")
     return sol, sched
 
 
 def decode_machine_indexed(instance: Instance, point: ModelPoint) -> tuple[SolutionPair, Schedule]:
     """Recover the solution encoded by an integral machine-indexed point.
 
-    The schedule uses the point's own start values on the chosen machines;
+    Only the sequencing binaries of assigned machines are read.  The schedule
+    uses the point's own start values on the chosen machines;
     ``validate_solution`` decides whether they fit the recovered solution,
     and whether its selection closes a cycle with the precedence arcs.
     """
     s, t, x, y = _machine_indexed_names(instance, disjunctive_pairs(instance))
     _expect_names(point, {"z", *(name for row in (*s, *t, *x, *y.values()) for name in row.values())})
 
-    f = _assignment_from_x(x, point)
-    oriented = set()
-    for k, row in y.items():
-        for (v, w), name in row.items():
-            if f[v] == k and f[w] == k and _binary(point, name):
-                oriented.add((v, w))
-    selection = _selection_or_raise(instance, f, oriented)
-    sol = SolutionPair(f, selection)
-
+    sol = _read_binaries(instance, point, x, lambda k, v, w: y[k][v, w])
+    f = sol.assignment
     start = tuple(point[s[v][f[v]]] for v in instance.ops)
     makespan = max((start[v] + instance.ptime(v, f[v]) for v in instance.ops), default=0)
     sched = Schedule(start, makespan)
@@ -465,7 +469,7 @@ def decode_machine_indexed(instance: Instance, point: ModelPoint) -> tuple[Solut
     if not report.ok:
         raise PointError(f"infeasible point: {report.issues[0].message}")
     if instance.n_ops and makespan > point["z"]:
-        raise PointError(f"infeasible point: z = {point['z']} below the makespan {makespan}")
+        raise PointError(f"infeasible point: z = {_num_text(point['z'])} below the makespan {_num_text(makespan)}")
     return sol, sched
 
 

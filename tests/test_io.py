@@ -308,6 +308,7 @@ class TestReport:
 
     def test_instance_size(self, ex1):
         assert instance_size(ex1) == (1, 3, 3, 2)
+        assert instance_size(Instance("empty", 4, (), (), ())) == (0, 0, 0, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,11 @@ class TestModelSizes:
             with pytest.raises(ValueError):
                 build_machine_indexed_model(ex1, bad)
 
+    def test_a_horizon_too_long_for_text_is_cut(self, ex1):
+        with pytest.raises(ValueError) as info:
+            build_compact_model(ex1, -(10**5000))
+        assert str(info.value) == f"horizon L must be positive, got -1{'0' * 36}...{'0' * 39}"
+
 
 class TestEncodeDecode:
     def test_ex1_compact_point_values(self, ex1):
@@ -241,14 +246,33 @@ class TestEncodeDecode:
             decode(ex1, ModelPoint(values))
 
     def test_decode_rejects_unoriented_and_doubly_oriented_pairs(self, ex1):
-        point = encode_compact(ex1, EX1_SOL)
-        values = dict(point.values)
-        values["y_0_1"] = 0
-        with pytest.raises(PointError, match=r"pair \(0, 1\) has no orientation selected"):
-            decode_compact(ex1, ModelPoint(values))
-        values["y_0_1"] = values["y_1_0"] = 1
-        with pytest.raises(PointError, match=r"pair \(0, 1\) has both orientations selected"):
-            decode_compact(ex1, ModelPoint(values))
+        for encode, decode, suffix in (
+            (encode_compact, decode_compact, ""),
+            (encode_machine_indexed, decode_machine_indexed, "_1"),
+        ):
+            values = dict(encode(ex1, EX1_SOL).values)
+            values[f"y_0_1{suffix}"] = 0
+            with pytest.raises(PointError, match=r"pair \(0, 1\) has no orientation selected"):
+                decode(ex1, ModelPoint(values))
+            values[f"y_0_1{suffix}"] = values[f"y_1_0{suffix}"] = 1
+            with pytest.raises(PointError, match=r"pair \(0, 1\) has both orientations selected"):
+                decode(ex1, ModelPoint(values))
+
+    @pytest.mark.parametrize(
+        "encode, decode, suffix",
+        [(encode_compact, decode_compact, ""), (encode_machine_indexed, decode_machine_indexed, "_1")],
+        ids=["compact", "machine-indexed"],
+    )
+    def test_decode_names_the_first_faulty_pair_in_walk_order(self, encode, decode, suffix):
+        # three operations on one machine: the pairs are read (0, 1), (0, 2), (1, 2)
+        inst = Instance.from_tables("three", 1, {0: {1: 1}, 1: {1: 2}, 2: {1: 3}}, [])
+        point = encode(inst, SolutionPair((1, 1, 1), Selection(((0, 1, 2),))))
+        values = {**point.values, f"y_0_1{suffix}": Fraction(1, 2), f"y_1_2{suffix}": 0}
+        with pytest.raises(PointError, match=f"^non-integral binary y_0_1{suffix} = 1/2$"):
+            decode(inst, ModelPoint(values))
+        values = {**point.values, f"y_0_1{suffix}": 0, f"y_1_2{suffix}": Fraction(1, 2)}
+        with pytest.raises(PointError, match=r"^infeasible point: pair \(0, 1\) has no orientation selected$"):
+            decode(inst, ModelPoint(values))
 
     def test_decode_rejects_intransitive_orientation(self):
         # 0 before 1, 1 before 2, 2 before 0 on one machine: every pair is
@@ -291,6 +315,27 @@ class TestEncodeDecode:
         assert sched.makespan == 8
         sol2, sched2 = decode_machine_indexed(ex1, point)
         assert certified_critical_path(ex1, sol2, sched2.start) == (0, 2)
+
+    # ``_echo`` cuts an int to 38 leading characters, "..." and 39 trailing digits
+    @pytest.mark.parametrize(
+        "encode, decode, makespan",
+        [
+            (encode_compact, decode_compact, "tight makespan"),
+            (encode_machine_indexed, decode_machine_indexed, "makespan"),
+        ],
+        ids=["compact", "machine-indexed"],
+    )
+    def test_a_z_too_long_for_text_is_cut(self, ex1, encode, decode, makespan):
+        values = {**encode(ex1, EX1_SOL).values, "z": -(10**5000)}
+        with pytest.raises(PointError) as info:
+            decode(ex1, ModelPoint(values))
+        assert str(info.value) == f"infeasible point: z = -1{'0' * 36}...{'0' * 39} below the {makespan} 8"
+
+    def test_a_binary_too_long_for_text_is_cut(self, ex1):
+        values = {**encode_compact(ex1, EX1_SOL).values, "y_1_2": 10**5000}
+        with pytest.raises(PointError) as info:
+            decode_compact(ex1, ModelPoint(values))
+        assert str(info.value) == f"non-integral binary y_1_2 = 1{'0' * 37}...{'0' * 39}"
 
     def test_machine_indexed_decode_rejects_edge_violation(self, ex1):
         point = encode_machine_indexed(ex1, EX1_SOL)
@@ -561,6 +606,17 @@ class TestVariable:
         model = build_machine_indexed_model(ex1, 14)
         with pytest.raises(ValueError, match="variable s_0_1 is declared twice"):
             replace(model, variables=(*model.variables, Variable("s_0_1", CONTINUOUS)))
+
+    def test_terms_naming_undeclared_variables_are_refused(self, ex1):
+        # check_feasible and write_mps would end in a KeyError, and write_lp would write the name
+        row = LinearConstraint("r", ((1, "b"),), "<=", 1)
+        with pytest.raises(ValueError, match="^row r: term names undeclared variable b$"):
+            MilpModel("m", (Variable("a", CONTINUOUS),), ((1, "a"),), (row,))
+        with pytest.raises(ValueError, match="^objective: term names undeclared variable b$"):
+            MilpModel("m", (Variable("a", CONTINUOUS),), ((1, "a"), (2, "b")), ())
+        model = build_compact_model(ex1, 14)
+        with pytest.raises(ValueError, match="^row cmax_0: term names undeclared variable s_0$"):
+            replace(model, variables=tuple(var for var in model.variables if var.name != "s_0"))
 
     @pytest.mark.parametrize("relation", ["<", ">", "==", "=<", "<= "])
     def test_relations_other_than_le_eq_ge_are_refused(self, relation):
