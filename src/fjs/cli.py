@@ -209,6 +209,7 @@ def _cmd_emit(args: argparse.Namespace) -> int:
     if horizon == 0:
         return _fail("--L auto gives no horizon for an instance without operations; give a positive --L", 2)
     model = MODEL_BUILDERS[args.model](instance, horizon)
+    del instance  # and with it the builder's name layout, which the writers do not read
     _write(args.out, WRITERS[args.format](model))
     n_binary = sum(var.kind == BINARY for var in model.variables)
     print(

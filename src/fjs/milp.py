@@ -8,7 +8,9 @@ and machine, and zeroes out the timing variables of unchosen machines.  Both
 minimise a single makespan variable ``z``.  Besides ``z``, the compact
 variables are ``s_v``, ``x_v_k`` and ``y_v_w`` (``_compact_names``), and the
 machine-indexed ones ``s_v_k``, ``t_v_k``, ``x_v_k`` and ``y_v_w_k``
-(``_machine_indexed_names``); every other function looks names up there.
+(``_machine_indexed_names``); every other function looks names up there.  Each
+layout is made once per instance and kept while the instance lives, so the
+builder, the codecs and the gap witness of one instance share it.
 
 Feasible solutions translate to feasible model points and back; the codecs
 here implement both directions exactly (exact arithmetic: ``int``
@@ -21,9 +23,11 @@ polyhedron directly.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple
@@ -145,20 +149,43 @@ def _x_names(instance: Instance) -> list[dict[int, str]]:
     return [{k: f"x_{v}_{k}" for k in instance.eligible[v]} for v in instance.ops]
 
 
-def _compact_names(instance: Instance, by_machine: Mapping[int, tuple[tuple[int, int], ...]]):
-    """The compact model's names ``s[v]``, ``x[v][k]`` and ``y[v, w]``, each keyed in model order.
+def _per_instance(layout):
+    """Make ``layout(instance)`` once per instance and keep it while the instance lives.
 
-    ``y`` covers the sorted union of the per-machine conflict pairs ``by_machine``.
+    Equal instances share one entry; their layouts are equal.  Callers read the tables and
+    never change them.
     """
+    made: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+    @wraps(layout)
+    def lookup(instance: Instance):
+        tables = made.get(instance)
+        if tables is None:
+            tables = made[instance] = layout(instance)
+        return tables
+
+    return lookup
+
+
+@_per_instance
+def _compact_names(instance: Instance):
+    """The compact model's per-machine conflict pairs ``by_machine[k]`` and its names ``s[v]``,
+    ``x[v][k]`` and ``y[v, w]``, each keyed in model order.
+
+    ``y`` covers the sorted union of the per-machine pairs.
+    """
+    by_machine = disjunctive_pairs(instance)
     y = {pair: f"y_{pair[0]}_{pair[1]}" for pair in sorted(set().union(*by_machine.values()))}
-    return [f"s_{v}" for v in instance.ops], _x_names(instance), y
+    return by_machine, [f"s_{v}" for v in instance.ops], _x_names(instance), y
 
 
-def _machine_indexed_names(instance: Instance, by_machine: Mapping[int, tuple[tuple[int, int], ...]]):
-    """The machine-indexed names ``s[v][k]``, ``t[v][k]``, ``x[v][k]`` and ``y[k][v, w]``, keyed in model order."""
+@_per_instance
+def _machine_indexed_names(instance: Instance):
+    """The machine-indexed names ``s[v][k]``, ``t[v][k]``, ``x[v][k]`` and ``y[k][v, w]``, keyed in
+    model order; the keys of ``y[k]`` are machine ``k``'s conflict pairs."""
     s = [{k: f"s_{v}_{k}" for k in instance.eligible[v]} for v in instance.ops]
     t = [{k: f"t_{v}_{k}" for k in instance.eligible[v]} for v in instance.ops]
-    y = {k: {pair: f"y_{pair[0]}_{pair[1]}_{k}" for pair in row} for k, row in by_machine.items()}
+    y = {k: {pair: f"y_{pair[0]}_{pair[1]}_{k}" for pair in row} for k, row in disjunctive_pairs(instance).items()}
     return s, t, _x_names(instance), y
 
 
@@ -178,11 +205,10 @@ def build_compact_model(instance: Instance, L: Rational) -> MilpModel:
     beta`` rows and ``|V| + phi + |B|`` variables besides z.
     """
     _check_horizon(L)
-    by_machine = disjunctive_pairs(instance)
     ops = instance.ops
 
     # Each name, and each term that recurs, is made once and shared by every row using it.
-    s, x, y = _compact_names(instance, by_machine)
+    by_machine, s, x, y = _compact_names(instance)
     s_plus = [(1, name) for name in s]
     s_minus = [(-1, name) for name in s]
     x_minus = [{k: (-1, name) for k, name in row.items()} for row in x]
@@ -229,7 +255,7 @@ def build_machine_indexed_model(instance: Instance, L: Rational) -> MilpModel:
     ops, eligible = instance.ops, instance.eligible
 
     # Each name, and each term that recurs, is made once and shared by every row using it.
-    s, t, x, y = _machine_indexed_names(instance, disjunctive_pairs(instance))
+    s, t, x, y = _machine_indexed_names(instance)
     s_plus = [{k: (1, name) for k, name in row.items()} for row in s]
     s_minus = [{k: (-1, name) for k, name in row.items()} for row in s]
     t_plus = [{k: (1, name) for k, name in row.items()} for row in t]
@@ -323,7 +349,7 @@ def encode_compact(instance: Instance, sol: SolutionPair) -> ModelPoint:
     ``L >= makespan``.
     """
     sched = tight_schedule(instance, sol)
-    s, x, y = _compact_names(instance, disjunctive_pairs(instance))
+    _, s, x, y = _compact_names(instance)
     f = sol.assignment
     pos = sol.selection.positions()
     values: dict[str, Rational] = {"z": sched.makespan}
@@ -347,7 +373,7 @@ def encode_machine_indexed(instance: Instance, sol: SolutionPair) -> ModelPoint:
     """
     sched = tight_schedule(instance, sol)
     pos = sol.selection.positions()
-    s, t, x, y = _machine_indexed_names(instance, disjunctive_pairs(instance))
+    s, t, x, y = _machine_indexed_names(instance)
     f = sol.assignment
     values: dict[str, Rational] = {"z": sched.makespan}
     for v in instance.ops:
@@ -368,6 +394,15 @@ def encode_machine_indexed(instance: Instance, sol: SolutionPair) -> ModelPoint:
                 bit = 0
             values[name] = bit
     return ModelPoint(values)
+
+
+def _expect_layout(point: ModelPoint, groups: list) -> None:
+    """Refuse a point whose names are not ``z`` and those of ``groups``, disjoint collections of
+    distinct names: the size and each name's membership decide, and sets are built only to word
+    the ``PointError``."""
+    values = point.values
+    if len(values) != 1 + sum(map(len, groups)) or not all(map(values.__contains__, chain(("z",), *groups))):
+        _expect_names(point, set(chain(("z",), *groups)))
 
 
 def _expect_names(point: ModelPoint, expected: set[str]) -> None:
@@ -433,12 +468,14 @@ def decode_compact(instance: Instance, point: ModelPoint) -> tuple[SolutionPair,
     no meaning, but must still be 0 or 1.  The returned schedule is the tight
     schedule of the recovered solution; its makespan never exceeds the point's z.
     """
-    s, x, y = _compact_names(instance, disjunctive_pairs(instance))
-    _expect_names(point, {"z", *s, *y.values(), *(name for row in x for name in row.values())})
+    _, s, x, y = _compact_names(instance)
+    _expect_layout(point, [s, y.values(), *(row.values() for row in x)])
 
     sol = _read_binaries(instance, point, x, lambda k, v, w: y[v, w])
-    for name in y.values():
-        _binary(point, name)
+    f = sol.assignment
+    for (v, w), name in y.items():
+        if f[v] != f[w]:  # the reader has read the pairs sharing a machine
+            _binary(point, name)
     try:
         sched = tight_schedule(instance, sol)
     except InadmissibleError as exc:
@@ -457,8 +494,8 @@ def decode_machine_indexed(instance: Instance, point: ModelPoint) -> tuple[Solut
     ``validate_solution`` decides whether they fit the recovered solution,
     and whether its selection closes a cycle with the precedence arcs.
     """
-    s, t, x, y = _machine_indexed_names(instance, disjunctive_pairs(instance))
-    _expect_names(point, {"z", *(name for row in (*s, *t, *x, *y.values()) for name in row.values())})
+    s, t, x, y = _machine_indexed_names(instance)
+    _expect_layout(point, [row.values() for table in (s, t, x, y.values()) for row in table])
 
     sol = _read_binaries(instance, point, x, lambda k, v, w: y[k][v, w])
     f = sol.assignment
@@ -493,7 +530,7 @@ def machine_indexed_gap_witness(instance: Instance, L: Rational) -> ModelPoint:
                 raise WitnessError(
                     f"processing time p({v},{k}) = {instance.ptime(v, k)} exceeds L/2 = {Fraction(L) / 2}"
                 )
-    s, t, x, y = _machine_indexed_names(instance, disjunctive_pairs(instance))
+    s, t, x, y = _machine_indexed_names(instance)
     values: dict[str, Rational] = {"z": 0}
     for v in instance.ops:
         share = Fraction(1, len(instance.eligible[v]))

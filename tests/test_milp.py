@@ -6,6 +6,9 @@ over the instance data) rather than taken from the builders.
 
 from __future__ import annotations
 
+import gc
+import weakref
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -23,6 +26,7 @@ from fjs.core import (
 )
 from fjs.exact import brute_force
 from fjs.heuristic import earliest_start_heuristic
+from fjs.io import parse_instance, serialize_instance
 from fjs.milp import (
     BINARY,
     CONTINUOUS,
@@ -220,7 +224,10 @@ class TestEncodeDecode:
             decode(ex1, ModelPoint(values))
         del values["mystery"]
         del values[dropped]
-        with pytest.raises(PointError, match="missing"):
+        with pytest.raises(PointError, match=rf"^point is missing variables: \['{dropped}'\]$"):
+            decode(ex1, ModelPoint(values))
+        values["mystery"] = 1  # as many names as the model has, one of them unknown
+        with pytest.raises(PointError, match=r"^unknown variable names in point: \['mystery'\]$"):
             decode(ex1, ModelPoint(values))
 
     def test_decode_rejects_cyclic_selection(self, ex1):
@@ -337,6 +344,29 @@ class TestEncodeDecode:
             decode_compact(ex1, ModelPoint(values))
         assert str(info.value) == f"non-integral binary y_1_2 = 1{'0' * 37}...{'0' * 39}"
 
+    def test_decode_rejects_a_non_integral_off_machine_binary(self, ex1):
+        values = {**encode_compact(ex1, EX1_SOL).values, "y_2_1": Fraction(1, 2)}  # ops 1 and 2 on different machines
+        with pytest.raises(PointError, match=r"^non-integral binary y_2_1 = 1/2$"):
+            decode_compact(ex1, ModelPoint(values))
+
+    def test_decode_reads_each_binary_at_most_once(self, monkeypatch):
+        inst = small_random_instance(2, max_ops=7, max_machines=3, max_eligible=3)
+        sol = random_admissible_solution(inst, 1)
+        reads = Counter()
+        binary = milp._binary
+
+        def counted(point, name):
+            reads[name] += 1
+            return binary(point, name)
+
+        monkeypatch.setattr(milp, "_binary", counted)
+        compact = encode_compact(inst, sol)
+        decode_compact(inst, compact)
+        assert sorted(reads.elements()) == sorted(name for name in compact.values if name[0] in "xy")
+        reads.clear()
+        decode_machine_indexed(inst, encode_machine_indexed(inst, sol))
+        assert any(name[0] == "y" for name in reads) and set(reads.values()) == {1}
+
     def test_machine_indexed_decode_rejects_edge_violation(self, ex1):
         point = encode_machine_indexed(ex1, EX1_SOL)
         values = dict(point.values)
@@ -373,8 +403,10 @@ class TestCheckFeasible:
             raise AssertionError("name sets built for a point with the model's names")
 
         monkeypatch.setattr(milp, "_expect_names", refuse)
-        for build, encode in MODELS:
-            assert check_feasible(build(ex1, 14), encode(ex1, EX1_SOL)).ok
+        for build, encode, decode in CODECS:
+            point = encode(ex1, EX1_SOL)
+            assert check_feasible(build(ex1, 14), point).ok
+            assert decode(ex1, point)[1].makespan == 8
 
     def test_missing_name_raises(self, ex1):
         model = build_compact_model(ex1, 14)
@@ -449,10 +481,46 @@ class TestCheckFeasible:
         )
 
 
-MODELS = [
-    (build_compact_model, encode_compact),
-    (build_machine_indexed_model, encode_machine_indexed),
+CODECS = [
+    (build_compact_model, encode_compact, decode_compact),
+    (build_machine_indexed_model, encode_machine_indexed, decode_machine_indexed),
 ]
+MODELS = [(build, encode) for build, encode, _ in CODECS]
+
+
+class TestLayout:
+    """Each formulation's names are made once per instance and kept while the instance lives."""
+
+    def test_the_layout_does_not_outlive_its_instance(self):
+        instance = replace(make_ex1(), name="outlived")  # equal to no instance of another test
+        models = [build(instance, 14) for build, _, _ in CODECS]
+        for _, encode, decode in CODECS:
+            decode(instance, encode(instance, EX1_SOL))
+        alive = weakref.ref(instance)
+        del instance, models
+        gc.collect()
+        assert alive() is None
+
+    def test_pairs_are_made_at_most_once_per_formulation(self, monkeypatch):
+        calls = []
+        pairs = milp.disjunctive_pairs
+        monkeypatch.setattr(milp, "disjunctive_pairs", lambda instance: calls.append(instance) or pairs(instance))
+        instance = replace(make_ex1(), name="pairs-once")
+        for build, encode, decode in CODECS:
+            build(instance, 14)
+            for _ in range(2):
+                decode(instance, encode(instance, EX1_SOL))
+        assert 1 <= len(calls) <= 2
+
+    def test_equal_instances_give_equal_points(self):
+        text = serialize_instance(make_ex1())
+        first, second = parse_instance(text), parse_instance(text)
+        assert first == second and first is not second
+        for build, encode, decode in CODECS:
+            point = encode(first, EX1_SOL)
+            assert build(second, 14) == build(first, 14)
+            assert encode(second, EX1_SOL) == point
+            assert decode(second, point) == decode(first, point)
 
 
 def all_coefficients(model):
