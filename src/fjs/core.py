@@ -308,13 +308,18 @@ def _raise_arc_fault(arcs: tuple[tuple, ...], n: int) -> None:
             raise InstanceError("self-loop", f"arc ({u}, {w}) is a self-loop")
 
 
-def disjunctive_pairs(instance: Instance) -> dict[int, tuple[tuple[int, int], ...]]:
-    """Map each machine ``k`` to the ordered pairs of distinct operations eligible together on ``k``."""
+def _ops_by_machine(instance: Instance) -> dict[int, tuple[int, ...]]:
+    """Map each machine ``k`` to the operations eligible on ``k``, ascending."""
     on_machine: dict[int, list[int]] = {k: [] for k in range(1, instance.machines + 1)}
     for v in instance.ops:
         for k in instance.eligible[v]:
             on_machine[k].append(v)
-    return {k: tuple(permutations(ops_k, 2)) for k, ops_k in on_machine.items()}
+    return {k: tuple(ops_k) for k, ops_k in on_machine.items()}
+
+
+def disjunctive_pairs(instance: Instance) -> dict[int, tuple[tuple[int, int], ...]]:
+    """Map each machine ``k`` to the ordered pairs of distinct operations eligible together on ``k``."""
+    return {k: tuple(permutations(ops_k, 2)) for k, ops_k in _ops_by_machine(instance).items()}
 
 
 class _PairView(Set):
@@ -432,7 +437,11 @@ def _longest_path(order: Iterable[int], preds: Sequence[Sequence[int]], weight: 
     """
     finish: list[Rational] = [0] * len(weight)
     for v in order:
-        finish[v] = max([finish[u] for u in preds[v]], default=0) + weight[v]
+        longest = 0
+        for u in preds[v]:
+            if finish[u] > longest:
+                longest = finish[u]
+        finish[v] = longest + weight[v]
     return finish
 
 
@@ -491,7 +500,7 @@ def selection_from_starts(instance: Instance, assignment: tuple[int, ...], start
     assignment check reports it.
     """
     sequences: dict[int, list[int]] = {k: [] for k in range(1, instance.machines + 1)}
-    for v in sorted(instance.ops, key=lambda v: (start[v], v)):
+    for v in sorted(instance.ops, key=start.__getitem__):  # stable, so ties keep ascending ids
         sequences.get(assignment[v], []).append(v)
     return Selection(tuple(sequences.values()))
 
@@ -590,23 +599,27 @@ def validate_solution(instance: Instance, sol: SolutionPair, sched: Schedule) ->
         return ValidationReport(tuple(issues))
 
     s = sched.start
+    p = [instance.ptime(v, f[v]) for v in instance.ops]
     try:
         preds = _selection_preds(instance, sol)
     except SelectionError as exc:
         issues.append(ValidationIssue("selection", str(exc)))
     else:
-        order = _kahn(instance.n_ops, preds)
-        if len(order) < instance.n_ops:
-            # the full orientation reaches what ``preds`` reaches, so ``order``
-            # leaves out the same nodes; name the cycle the full orientation gives
-            for v, w in sol.selection.pairs:
-                preds[w].append(v)
-            cycle = _find_cycle(preds, order)
-            issues.append(ValidationIssue("admissibility", f"cycle {'->'.join(map(str, cycle))}"))
+        # Times are positive, so exact starts that keep every arc rise
+        # strictly along each path, and the arcs close no cycle: only a
+        # broken arc calls for the cycle search.
+        if any(s[u] + p[u] > s[v] for v in instance.ops for u in preds[v]):
+            order = _kahn(instance.n_ops, preds)
+            if len(order) < instance.n_ops:
+                # the full orientation reaches what ``preds`` reaches, so ``order``
+                # leaves out the same nodes; name the cycle the full orientation gives
+                for v, w in sol.selection.pairs:
+                    preds[w].append(v)
+                cycle = _find_cycle(preds, order)
+                issues.append(ValidationIssue("admissibility", f"cycle {'->'.join(map(str, cycle))}"))
     # an issue so far is a malformed or cyclic selection: then follow the starts' own order
     sequences = (selection_from_starts(instance, sol.assignment, s) if issues else sol.selection).sequences
 
-    p = [instance.ptime(v, f[v]) for v in instance.ops]
     for v in instance.ops:
         if s[v] < 0:
             issues.append(ValidationIssue("start-range", f"operation {v} starts at {_num_text(s[v])} < 0"))

@@ -44,7 +44,8 @@ def earliest_start_heuristic(instance: Instance) -> tuple[SolutionPair, Schedule
     """Greedy earliest-start construction of a feasible solution.
 
     Deterministic for a given instance; runs in
-    O(|V||A| + |V| * m + sum |eligible| * log |V|).
+    O(|V| + |A| + |V| * m + sum |eligible| * log |V|): the tails take one
+    reverse sweep, and each of the |V| steps scans the m machine tops.
     """
     n, m = instance.n_ops, instance.machines
     tails = _scaled_tails(instance)
@@ -81,19 +82,22 @@ def earliest_start_heuristic(instance: Instance) -> tuple[SolutionPair, Schedule
     for _ in range(n):
         # The least (start, rank, w, k) over every ready (operation, machine)
         # pair: on machine k it starts at machine_avail[k] if released[k]
-        # holds anything, else at the least ready time in waiting[k].
+        # holds anything, else at the least ready time in waiting[k].  A
+        # machine whose start is already later than the best one's cannot win.
         best = None
         for k in range(1, m + 1):
             heap = released[k]
             while heap and placed[heap[0][1]]:
                 heappop(heap)
             if heap:
+                if best is not None and machine_avail[k] > best[0]:
+                    continue
                 key = (machine_avail[k], *heap[0], k)
             else:
                 heap = waiting[k]
                 while heap and placed[heap[0][2]]:
                     heappop(heap)
-                if not heap:
+                if not heap or best is not None and heap[0][0] > best[0]:
                     continue
                 key = (*heap[0], k)
             if best is None or key < best:

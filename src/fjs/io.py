@@ -297,7 +297,10 @@ def parse_solution(source: str | dict, instance: Instance) -> tuple[SolutionPair
         if not isinstance(k, int) or isinstance(k, bool):
             raise SolutionError(f"assignment: machine {_echo(k)} of operation {v} is not an integer")
     starts_raw = id_map(document["starts"], "starts")
-    start = tuple(number_from_json(starts_raw[v], f"start of operation {v}") for v in instance.ops)
+    start = tuple(map(starts_raw.__getitem__, instance.ops))
+    # ints of at most MAX_DIGITS digits are what number_from_json returns unchanged
+    if not _ints_within(list(start), 1 - _DIGITS_BOUND, _DIGITS_BOUND - 1):
+        start = tuple(number_from_json(starts_raw[v], f"start of operation {v}") for v in instance.ops)
     makespan = number_from_json(document["makespan"], "makespan")
     assignment = tuple(machines[v] for v in instance.ops)
     selection = selection_from_starts(instance, assignment, start)

@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
-from itertools import chain
+from itertools import chain, permutations
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple
 
@@ -49,6 +49,7 @@ from .core import (
     _echo,
     _longest_path,
     _num_text,
+    _ops_by_machine,
 )
 
 __all__ = [
@@ -169,14 +170,17 @@ def _per_instance(layout):
 
 @_per_instance
 def _compact_names(instance: Instance):
-    """The compact model's per-machine conflict pairs ``by_machine[k]`` and its names ``s[v]``,
-    ``x[v][k]`` and ``y[v, w]``, each keyed in model order.
+    """The operations ``on_machine[k]`` eligible on each machine and the compact model's names
+    ``s[v]``, ``x[v][k]`` and ``y[v, w]``, each keyed in model order.
 
-    ``y`` covers the sorted union of the per-machine pairs.
+    ``y`` covers the sorted union of the per-machine conflict pairs, the
+    ``permutations(on_machine[k], 2)`` that ``disjunctive_pairs`` gives.  The layout keeps the
+    operation tuples, not the pairs, which would hold one tuple per pair while the instance lives.
     """
-    by_machine = disjunctive_pairs(instance)
-    y = {pair: f"y_{pair[0]}_{pair[1]}" for pair in sorted(set().union(*by_machine.values()))}
-    return by_machine, [f"s_{v}" for v in instance.ops], _x_names(instance), y
+    on_machine = _ops_by_machine(instance)
+    pairs = set(chain.from_iterable(permutations(ops_k, 2) for ops_k in on_machine.values()))
+    y = {pair: f"y_{pair[0]}_{pair[1]}" for pair in sorted(pairs)}
+    return on_machine, [f"s_{v}" for v in instance.ops], _x_names(instance), y
 
 
 @_per_instance
@@ -208,7 +212,7 @@ def build_compact_model(instance: Instance, L: Rational) -> MilpModel:
     ops = instance.ops
 
     # Each name, and each term that recurs, is made once and shared by every row using it.
-    by_machine, s, x, y = _compact_names(instance)
+    on_machine, s, x, y = _compact_names(instance)
     s_plus = [(1, name) for name in s]
     s_minus = [(-1, name) for name in s]
     x_minus = [{k: (-1, name) for k, name in row.items()} for row in x]
@@ -223,8 +227,8 @@ def build_compact_model(instance: Instance, L: Rational) -> MilpModel:
 
     rows = [LinearConstraint(f"cmax_{v}", (s_plus[v], *ptime_terms[v], minus_z), "<=", 0) for v in ops]
     rows += [LinearConstraint(f"assign_{v}", tuple([(1, name) for name in x[v].values()]), "=", 1) for v in ops]
-    for k, pairs_k in by_machine.items():
-        for v, w in pairs_k:
+    for k, ops_k in on_machine.items():
+        for v, w in permutations(ops_k, 2):
             terms = (y_plus[v, w], y_plus[w, v], x_minus[v][k], x_minus[w][k])
             rows.append(LinearConstraint(f"sel_{k}_{v}_{w}", terms, ">=", -1))
     for u, v in instance.arcs:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import reprlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,13 +17,21 @@ from fjs.core import (
     Selection,
     SelectionError,
     SolutionPair,
+    ValidationIssue,
+    ValidationReport,
     certified_critical_path,
     disjunctive_pairs,
+    selection_from_starts,
     tight_schedule,
     validate_solution,
     weakly_connected_components,
     _echo,
+    _find_cycle,
+    _kahn,
+    _num_text,
+    _selection_preds,
 )
+from fjs.heuristic import earliest_start_heuristic
 from fjs.rng import Xoshiro256StarStar
 
 from conftest import integral_instances, random_admissible_solution, small_random_instance
@@ -153,7 +162,8 @@ class TestAdmissibility:
 
 
 class TestOneSortPerGraph:
-    """Each acyclicity question is one Kahn run, including naming the cycle."""
+    """Each acyclicity question is at most one Kahn run, including naming the
+    cycle, and none for starts that keep every arc."""
 
     CYCLIC = SolutionPair((1, 1, 2), Selection(((1, 0), (2,))))
 
@@ -186,6 +196,17 @@ class TestOneSortPerGraph:
         assert report.issues[0].message == "cycle 1->0"
         assert len(kahn_runs) == 1
 
+    def test_validate_solution_of_a_valid_solution(self, ex1, kahn_runs):
+        assert validate_solution(ex1, EX1_SOL, Schedule((0, 3, 3), 8)).ok
+        assert kahn_runs == []
+
+    def test_validate_solution_of_starts_that_break_an_arc(self, ex1, kahn_runs):
+        # operation 1 starts before operation 0 ends: both its arcs from 0
+        # break, but the selection closes no cycle
+        report = validate_solution(ex1, EX1_SOL, Schedule((0, 2, 3), 8))
+        assert [issue.kind for issue in report.issues] == ["precedence", "machine-conflict"]
+        assert len(kahn_runs) == 1
+
     @pytest.mark.parametrize("model", ["compact", "machine_indexed"])
     def test_decode_of_the_encoded_ex1_point(self, ex1, kahn_runs, model):
         from fjs import milp
@@ -194,7 +215,9 @@ class TestOneSortPerGraph:
         kahn_runs.clear()
         sol, _ = getattr(milp, f"decode_{model}")(ex1, point)
         assert sol == EX1_SOL
-        assert len(kahn_runs) == 1
+        # the compact decoder sorts in tight_schedule; the machine-indexed one
+        # hands the point's starts, which keep every arc, to validate_solution
+        assert len(kahn_runs) == {"compact": 1, "machine_indexed": 0}[model]
 
 
 class TestTightSchedule:
@@ -271,7 +294,80 @@ class TestTightSchedule:
             assert sum(inst.ptime(v, f[v]) for v in path) == sched.makespan
 
 
+def _reference_validate(instance, sol, sched):
+    """``validate_solution`` with a Kahn run for every well-formed selection,
+    whether or not its starts break an arc."""
+    issues = []
+    f = sol.assignment
+    if len(f) != instance.n_ops:
+        issues.append(ValidationIssue("assignment", f"assignment covers {len(f)} of {instance.n_ops} operations"))
+    else:
+        for v, k in enumerate(f):
+            if k not in instance.eligible[v]:
+                issues.append(ValidationIssue("assignment", f"operation {v} on ineligible machine {k}"))
+    if len(sched.start) != instance.n_ops:
+        issues.append(ValidationIssue("schedule", f"schedule covers {len(sched.start)} of {instance.n_ops} operations"))
+    if issues:
+        return ValidationReport(tuple(issues))
+
+    s = sched.start
+    try:
+        preds = _selection_preds(instance, sol)
+    except SelectionError as exc:
+        issues.append(ValidationIssue("selection", str(exc)))
+    else:
+        order = _kahn(instance.n_ops, preds)
+        if len(order) < instance.n_ops:
+            for v, w in sol.selection.pairs:
+                preds[w].append(v)
+            cycle = _find_cycle(preds, order)
+            issues.append(ValidationIssue("admissibility", f"cycle {'->'.join(map(str, cycle))}"))
+    sequences = (selection_from_starts(instance, sol.assignment, s) if issues else sol.selection).sequences
+
+    p = [instance.ptime(v, f[v]) for v in instance.ops]
+    for v in instance.ops:
+        if s[v] < 0:
+            issues.append(ValidationIssue("start-range", f"operation {v} starts at {_num_text(s[v])} < 0"))
+    for u, w in instance.arcs:
+        if s[u] + p[u] > s[w]:
+            message = f"arc ({u}, {w}): {_num_text(s[u])} + {p[u]} > {_num_text(s[w])}"
+            issues.append(ValidationIssue("precedence", message))
+    for k, seq in enumerate(sequences, 1):
+        for a, b in zip(seq, seq[1:]):
+            if s[a] + p[a] > s[b]:
+                issues.append(ValidationIssue("machine-conflict", f"operations {a} and {b} overlap on machine {k}"))
+    if instance.n_ops:
+        actual = max(s[v] + p[v] for v in instance.ops)
+        if sched.makespan != actual:
+            issues.append(
+                ValidationIssue("makespan", f"recorded makespan {_num_text(sched.makespan)} != {_num_text(actual)}")
+            )
+    elif sched.makespan != 0:
+        issues.append(ValidationIssue("makespan", "empty instance must have makespan 0"))
+    return ValidationReport(tuple(issues))
+
+
 class TestValidateSolution:
+    def test_matches_the_reference_that_always_sorts(self):
+        # EST solutions, the same with some starts shifted, and with one
+        # machine's sequence reversed, which closes a cycle when a
+        # precedence path joins two of its operations
+        kinds = Counter()
+        for seed in range(300):
+            inst = small_random_instance(seed, max_ops=10, max_machines=4, max_eligible=3, max_time=5)
+            sol, sched = earliest_start_heuristic(inst)
+            rng = Xoshiro256StarStar(seed)
+            shifted = tuple(t + rng.randint(-3, 3) if rng.randint(0, 2) == 0 else t for t in sched.start)
+            sequences = list(sol.selection.sequences)
+            k = max(range(len(sequences)), key=lambda i: len(sequences[i]))
+            sequences[k] = sequences[k][::-1]
+            reversed_sol = SolutionPair(sol.assignment, Selection(sequences))
+            for case in ((sol, sched), (sol, Schedule(shifted, sched.makespan)), (reversed_sol, sched)):
+                report = validate_solution(inst, *case)
+                assert report == _reference_validate(inst, *case), inst.name
+                kinds.update(issue.kind for issue in report.issues)
+        assert kinds["admissibility"] >= 100 and kinds["precedence"] >= 100, kinds
+
     def test_feasible_triple_is_clean(self, ex1):
         sched = tight_schedule(ex1, EX1_SOL)
         report = validate_solution(ex1, EX1_SOL, sched)

@@ -153,5 +153,10 @@ def test_matches_the_plain_scan():
             seed, max_ops=30, max_machines=5, max_eligible=1 + seed % 4, max_time=3
         )
         cases.append(_with_fractional_times(inst) if seed % 2 else inst)
+    for seed in range(300, 400):  # up to 12 machines, most of which cannot win a step
+        inst = small_random_instance(
+            seed, max_ops=30, max_machines=12, max_eligible=1 + seed % 6, max_time=3
+        )
+        cases.append(_with_fractional_times(inst) if seed % 2 else inst)
     for inst in cases:
         assert earliest_start_heuristic(inst) == _reference_est(inst), inst.name

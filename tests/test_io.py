@@ -167,6 +167,34 @@ class TestSolutionFormat:
         with pytest.raises(SolutionError, match="fresh integer"):
             parse_solution(json.dumps(document), ex1)
 
+    # Starts that are all ints of at most MAX_DIGITS digits are taken in bulk;
+    # any other start sends every start through number_from_json.
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("3/2", (0, Fraction(3, 2), 3)), (-2, (0, -2, 3)), (10**1000 - 1, (0, 10**1000 - 1, 3))],
+    )
+    def test_starts_outside_or_inside_the_bulk_check_keep_their_value(self, ex1, value, expected):
+        document = json.loads(serialize_solution(ex1, EX1_SOL, tight_schedule(ex1, EX1_SOL)))
+        document["starts"][1][1] = value
+        _, sched, _ = parse_solution(json.dumps(document), ex1)
+        assert sched.start == expected
+        assert list(map(type, sched.start)) == list(map(type, expected))
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (True, "start of operation 1: expected a number, got True"),
+            (10**1000, f"start of operation 1: {_echo(10**1000)} has more than 1000 digits"),
+            (-(10**1000), f"start of operation 1: {_echo(-(10**1000))} has more than 1000 digits"),
+        ],
+    )
+    def test_a_start_outside_the_bulk_check_keeps_its_message(self, ex1, value, message):
+        document = json.loads(serialize_solution(ex1, EX1_SOL, tight_schedule(ex1, EX1_SOL)))
+        document["starts"][1][1] = value
+        with pytest.raises(SolutionError) as caught:
+            parse_solution(json.dumps(document), ex1)
+        assert str(caught.value) == message
+
     def test_wrong_instance_name(self, ex1):
         sched = tight_schedule(ex1, EX1_SOL)
         text = serialize_solution(ex1, EX1_SOL, sched).replace('"EX1"', '"OTHER"')
