@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from operator import countOf, itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -211,7 +212,7 @@ def _cmd_emit(args: argparse.Namespace) -> int:
     model = MODEL_BUILDERS[args.model](instance, horizon)
     del instance  # and with it the builder's name layout, which the writers do not read
     _write(args.out, WRITERS[args.format](model))
-    n_binary = sum(var.kind == BINARY for var in model.variables)
+    n_binary = countOf(map(itemgetter(1), model.variables), BINARY)
     print(
         f"wrote {model.name}: {len(model.constraints)} constraints, "
         f"{len(model.variables) - 1} variables ({n_binary} binary), L = {horizon}"

@@ -12,7 +12,9 @@ coefficients must be integral.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import lcm
+from operator import itemgetter
 
 from .core import Rational
 from .milp import BINARY, LinearConstraint, MilpModel
@@ -107,8 +109,8 @@ def write_lp(model: MilpModel) -> str:
 def write_mps(model: MilpModel) -> str:
     """Render the model in MPS format (column-aligned, markers for binaries)."""
     row_kind = {"<=": "L", ">=": "G", "=": "E"}
-    names = [v.name for v in model.variables] + [r.name for r in model.constraints]
-    width = max(len(n) for n in names + ["'MARKER'"]) + 2
+    first = itemgetter(0)  # a record's name
+    width = max(map(len, chain(map(first, model.variables), map(first, model.constraints), ["'MARKER'"]))) + 2
 
     # One pass over the rows writes the ROWS section and fills the per-column
     # and RHS cells; every row name is padded once, not once per cell.

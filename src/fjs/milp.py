@@ -10,7 +10,9 @@ variables are ``s_v``, ``x_v_k`` and ``y_v_w`` (``_compact_names``), and the
 machine-indexed ones ``s_v_k``, ``t_v_k``, ``x_v_k`` and ``y_v_w_k``
 (``_machine_indexed_names``); every other function looks names up there.  Each
 layout is made once per instance and kept while the instance lives, so the
-builder, the codecs and the gap witness of one instance share it.
+builder, the codecs and the gap witness of one instance share it; names and row
+names are spelled from the decimal text of the ids (``_id_text``), made once per
+instance too.
 
 Feasible solutions translate to feasible model points and back; the codecs
 here implement both directions exactly (exact arithmetic: ``int``
@@ -27,10 +29,10 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import wraps
-from itertools import chain, permutations
-from operator import itemgetter
-from typing import Callable, Mapping, NamedTuple
+from functools import partial, wraps
+from itertools import chain, permutations, repeat
+from operator import eq, itemgetter, ne
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import (
     FjsError,
@@ -74,6 +76,7 @@ __all__ = [
 CONTINUOUS = "continuous"
 BINARY = "binary"
 _RELATIONS = {"<=", "=", ">="}
+_first, _second = itemgetter(0), itemgetter(1)  # a record's name; a row's terms or a term's variable
 
 
 class PointError(FjsError):
@@ -106,7 +109,11 @@ class LinearConstraint(NamedTuple):
 class MilpModel:
     """Variables of kind ``binary`` (bounds 0 and 1) or ``continuous`` with distinct names, rows
     of relation ``<=``, ``=`` or ``>=``, and terms naming declared variables only: checked once,
-    here, so every reader relies on them."""
+    here, so every reader relies on them.
+
+    Each check is one pass in C over all records; only a pass that fails walks the records in
+    order, to name the first offender.
+    """
 
     name: str
     variables: tuple[Variable, ...]
@@ -114,22 +121,26 @@ class MilpModel:
     constraints: tuple[LinearConstraint, ...]
 
     def __post_init__(self) -> None:
-        for name, kind, lower, upper in self.variables:
-            if kind != CONTINUOUS and (kind, lower, upper) != (BINARY, 0, 1):
-                if kind != BINARY:
-                    raise ValueError(f"variable {name}: kind must be {BINARY!r} or {CONTINUOUS!r}, got {kind!r}")
-                raise ValueError(f"binary {name} must have bounds 0 and 1, got {lower} and {upper}")
-        names = {var.name for var in self.variables}
-        if len(names) < len(self.variables):
-            counts = Counter(var.name for var in self.variables)
+        variables, constraints = self.variables, self.constraints
+        # A triple other than a binary's must be a continuous variable's; compared, never hashed.
+        odd = filter(partial(ne, (BINARY, 0, 1)), map(itemgetter(1, 2, 3), variables))
+        if not all(map(eq, map(_first, odd), repeat(CONTINUOUS))):
+            for name, kind, lower, upper in variables:
+                if kind != CONTINUOUS and (kind, lower, upper) != (BINARY, 0, 1):
+                    if kind != BINARY:
+                        raise ValueError(f"variable {name}: kind must be {BINARY!r} or {CONTINUOUS!r}, got {kind!r}")
+                    raise ValueError(f"binary {name} must have bounds 0 and 1, got {lower} and {upper}")
+        names = set(map(_first, variables))
+        if len(names) < len(variables):
+            counts = Counter(map(_first, variables))
             raise ValueError(f"variable {next(name for name, n in counts.items() if n > 1)} is declared twice")
-        if not {row.relation for row in self.constraints} <= _RELATIONS:
-            name, _, relation, _ = next(row for row in self.constraints if row.relation not in _RELATIONS)
+        if not _RELATIONS.issuperset(map(itemgetter(2), constraints)):
+            name, _, relation, _ = next(row for row in constraints if row.relation not in _RELATIONS)
             raise ValueError(f"row {name}: relation must be '<=', '=' or '>=', got {relation!r}")
-        second = itemgetter(1)  # a row's terms and a term's variable, read with no list of all terms
-        terms = chain(self.objective, chain.from_iterable(map(second, self.constraints)))
-        if not names.issuperset(map(second, terms)):
-            rows = [("objective", self.objective), *((f"row {row.name}", row.terms) for row in self.constraints)]
+        # every term of the objective and the rows, read with no list of all terms
+        terms = chain(self.objective, chain.from_iterable(map(_second, constraints)))
+        if not names.issuperset(map(_second, terms)):
+            rows = [("objective", self.objective), *((f"row {row.name}", row.terms) for row in constraints)]
             for where, row_terms in rows:
                 for _, var in row_terms:
                     if var not in names:
@@ -144,10 +155,6 @@ class ModelPoint:
 
     def __getitem__(self, name: str) -> Rational:
         return self.values[name]
-
-
-def _x_names(instance: Instance) -> list[dict[int, str]]:
-    return [{k: f"x_{v}_{k}" for k in instance.eligible[v]} for v in instance.ops]
 
 
 def _per_instance(layout):
@@ -169,6 +176,18 @@ def _per_instance(layout):
 
 
 @_per_instance
+def _id_text(instance: Instance) -> tuple[str, ...]:
+    """``str(i)`` at index ``i`` for every operation id and machine id: names and row names are
+    spelled from this text, which is made once per instance."""
+    return tuple(map(str, range(max(instance.n_ops, instance.machines + 1))))
+
+
+def _x_names(instance: Instance) -> list[dict[int, str]]:
+    ids = _id_text(instance)
+    return [{k: f"x_{ids[v]}_{ids[k]}" for k in instance.eligible[v]} for v in instance.ops]
+
+
+@_per_instance
 def _compact_names(instance: Instance):
     """The operations ``on_machine[k]`` eligible on each machine and the compact model's names
     ``s[v]``, ``x[v][k]`` and ``y[v, w]``, each keyed in model order.
@@ -177,19 +196,24 @@ def _compact_names(instance: Instance):
     ``permutations(on_machine[k], 2)`` that ``disjunctive_pairs`` gives.  The layout keeps the
     operation tuples, not the pairs, which would hold one tuple per pair while the instance lives.
     """
+    ids = _id_text(instance)
     on_machine = _ops_by_machine(instance)
-    pairs = set(chain.from_iterable(permutations(ops_k, 2) for ops_k in on_machine.values()))
-    y = {pair: f"y_{pair[0]}_{pair[1]}" for pair in sorted(pairs)}
-    return on_machine, [f"s_{v}" for v in instance.ops], _x_names(instance), y
+    pairs = sorted(set(chain.from_iterable(permutations(ops_k, 2) for ops_k in on_machine.values())))
+    y = dict(zip(pairs, [f"y_{ids[v]}_{ids[w]}" for v, w in pairs]))
+    return on_machine, list(map("s_".__add__, ids[: instance.n_ops])), _x_names(instance), y
 
 
 @_per_instance
 def _machine_indexed_names(instance: Instance):
     """The machine-indexed names ``s[v][k]``, ``t[v][k]``, ``x[v][k]`` and ``y[k][v, w]``, keyed in
     model order; the keys of ``y[k]`` are machine ``k``'s conflict pairs."""
-    s = [{k: f"s_{v}_{k}" for k in instance.eligible[v]} for v in instance.ops]
-    t = [{k: f"t_{v}_{k}" for k in instance.eligible[v]} for v in instance.ops]
-    y = {k: {pair: f"y_{pair[0]}_{pair[1]}_{k}" for pair in row} for k, row in disjunctive_pairs(instance).items()}
+    ids = _id_text(instance)
+    s = [{k: f"s_{ids[v]}_{ids[k]}" for k in instance.eligible[v]} for v in instance.ops]
+    t = [{k: f"t_{ids[v]}_{ids[k]}" for k in instance.eligible[v]} for v in instance.ops]
+    y = {
+        k: dict(zip(row, [f"y_{ids[v]}_{ids[w]}_{ids[k]}" for v, w in row]))
+        for k, row in disjunctive_pairs(instance).items()
+    }
     return s, t, _x_names(instance), y
 
 
@@ -198,6 +222,22 @@ def _check_horizon(L: Rational) -> None:
         raise ValueError(f"horizon L must be int or Fraction, got {L!r}")
     if L <= 0:
         raise ValueError(f"horizon L must be positive, got {_num_text(L)}")
+
+
+def _variables(names: Iterable[str], kind: str) -> Iterator[Variable]:
+    """A ``kind`` variable per name, with the bounds of its kind, each made by ``tuple.__new__``
+    in C (the record's own ``__new__`` is a Python function)."""
+    lower, upper = (0, 1) if kind == BINARY else (0, None)
+    return map(tuple.__new__, repeat(Variable), zip(names, repeat(kind), repeat(lower), repeat(upper)))
+
+
+def _assign_rows(ids: tuple[str, ...], x: list[dict[int, str]]) -> list[LinearConstraint]:
+    """The rows ``assign_v``, one machine per operation, which both formulations share."""
+    new = tuple.__new__
+    return [
+        new(LinearConstraint, (f"assign_{ids[v]}", tuple([(1, name) for name in row.values()]), "=", 1))
+        for v, row in enumerate(x)
+    ]
 
 
 def build_compact_model(instance: Instance, L: Rational) -> MilpModel:
@@ -211,7 +251,9 @@ def build_compact_model(instance: Instance, L: Rational) -> MilpModel:
     _check_horizon(L)
     ops = instance.ops
 
-    # Each name, and each term that recurs, is made once and shared by every row using it.
+    # Each name, and each term that recurs, is made once and shared by every row using it; each
+    # record is made by tuple.__new__ in C.
+    ids = _id_text(instance)
     on_machine, s, x, y = _compact_names(instance)
     s_plus = [(1, name) for name in s]
     s_minus = [(-1, name) for name in s]
@@ -219,24 +261,25 @@ def build_compact_model(instance: Instance, L: Rational) -> MilpModel:
     y_plus = {pair: (1, name) for pair, name in y.items()}
     ptime_terms = [tuple(zip(instance.times[v], x[v].values())) for v in ops]
     minus_z = (-1, "z")
+    new = tuple.__new__
 
-    variables = [Variable("z", CONTINUOUS)]
-    variables += [Variable(name, CONTINUOUS) for name in s]
-    variables += [Variable(name, BINARY, 0, 1) for row in x for name in row.values()]
-    variables += [Variable(name, BINARY, 0, 1) for name in y.values()]
+    variables = [*_variables(chain(("z",), s), CONTINUOUS)]
+    variables += _variables(chain(*map(dict.values, x), y.values()), BINARY)
 
-    rows = [LinearConstraint(f"cmax_{v}", (s_plus[v], *ptime_terms[v], minus_z), "<=", 0) for v in ops]
-    rows += [LinearConstraint(f"assign_{v}", tuple([(1, name) for name in x[v].values()]), "=", 1) for v in ops]
+    rows = [new(LinearConstraint, (f"cmax_{ids[v]}", (s_plus[v], *ptime_terms[v], minus_z), "<=", 0)) for v in ops]
+    rows += _assign_rows(ids, x)
     for k, ops_k in on_machine.items():
+        prefix = f"sel_{ids[k]}_"
         for v, w in permutations(ops_k, 2):
             terms = (y_plus[v, w], y_plus[w, v], x_minus[v][k], x_minus[w][k])
-            rows.append(LinearConstraint(f"sel_{k}_{v}_{w}", terms, ">=", -1))
+            rows.append(new(LinearConstraint, (f"{prefix}{ids[v]}_{ids[w]}", terms, ">=", -1)))
     for u, v in instance.arcs:
-        rows.append(LinearConstraint(f"pprec_{u}_{v}", (s_plus[u], *ptime_terms[u], s_minus[v]), "<=", 0))
+        terms = (s_plus[u], *ptime_terms[u], s_minus[v])
+        rows.append(new(LinearConstraint, (f"pprec_{ids[u]}_{ids[v]}", terms, "<=", 0)))
     for pair, name in y.items():
         v, w = pair
         terms = (s_plus[v], *ptime_terms[v], (L, name), s_minus[w])
-        rows.append(LinearConstraint(f"disj_{v}_{w}", terms, "<=", L))
+        rows.append(new(LinearConstraint, (f"disj_{ids[v]}_{ids[w]}", terms, "<=", L)))
 
     return MilpModel(
         name=f"{instance.name}-compact",
@@ -258,47 +301,49 @@ def build_machine_indexed_model(instance: Instance, L: Rational) -> MilpModel:
     _check_horizon(L)
     ops, eligible = instance.ops, instance.eligible
 
-    # Each name, and each term that recurs, is made once and shared by every row using it.
+    # Each name, and each term that recurs, is made once and shared by every row using it; each
+    # record is made by tuple.__new__ in C.
+    ids = _id_text(instance)
     s, t, x, y = _machine_indexed_names(instance)
     s_plus = [{k: (1, name) for k, name in row.items()} for row in s]
     s_minus = [{k: (-1, name) for k, name in row.items()} for row in s]
     t_plus = [{k: (1, name) for k, name in row.items()} for row in t]
     y_plus = {k: {pair: (1, name) for pair, name in row.items()} for k, row in y.items()}
+    new = tuple.__new__
 
-    variables = [Variable("z", CONTINUOUS)]
-    variables += [Variable(name, CONTINUOUS) for row in s for name in row.values()]
-    variables += [Variable(name, CONTINUOUS) for row in t for name in row.values()]
-    variables += [Variable(name, BINARY, 0, 1) for row in x for name in row.values()]
-    variables += [Variable(name, BINARY, 0, 1) for row in y.values() for name in row.values()]
+    variables = [*_variables(chain(("z",), *map(dict.values, s), *map(dict.values, t)), CONTINUOUS)]
+    variables += _variables(chain(*map(dict.values, x), *map(dict.values, y.values())), BINARY)
 
     minus_z = (-1, "z")
     rows = [
-        LinearConstraint(f"cmax_{v}_{k}", (term, minus_z), "<=", 0)
+        new(LinearConstraint, (f"cmax_{ids[v]}_{ids[k]}", (term, minus_z), "<=", 0))
         for v in ops
         if not instance.successors(v)
         for k, term in t_plus[v].items()
     ]
-    rows += [LinearConstraint(f"assign_{v}", tuple([(1, name) for name in x[v].values()]), "=", 1) for v in ops]
+    rows += _assign_rows(ids, x)
     minus_2L = -2 * L
     for v in ops:
         for k, name in x[v].items():
             terms = (s_plus[v][k], t_plus[v][k], (minus_2L, name))
-            rows.append(LinearConstraint(f"link_{v}_{k}", terms, "<=", 0))
+            rows.append(new(LinearConstraint, (f"link_{ids[v]}_{ids[k]}", terms, "<=", 0)))
     for k, plus in y_plus.items():
+        prefix = f"sel_{ids[k]}_"
         for v, w in plus:
-            rows.append(LinearConstraint(f"sel_{k}_{v}_{w}", (plus[v, w], plus[w, v]), "=", 1))
+            rows.append(new(LinearConstraint, (f"{prefix}{ids[v]}_{ids[w]}", (plus[v, w], plus[w, v]), "=", 1)))
     for v in ops:
         for k, p in zip(eligible[v], instance.times[v]):
             terms = (s_plus[v][k], (-1, t[v][k]), (L, x[v][k]))
-            rows.append(LinearConstraint(f"comp_{v}_{k}", terms, "<=", L - p))
+            rows.append(new(LinearConstraint, (f"comp_{ids[v]}_{ids[k]}", terms, "<=", L - p)))
     for k, row in y.items():
+        prefix = f"disj_{ids[k]}_"
         for pair, name in row.items():
             v, w = pair
             terms = (t_plus[v][k], s_minus[w][k], (L, name))
-            rows.append(LinearConstraint(f"disj_{k}_{v}_{w}", terms, "<=", L))
+            rows.append(new(LinearConstraint, (f"{prefix}{ids[v]}_{ids[w]}", terms, "<=", L)))
     for u, v in instance.arcs:
         terms = (*t_plus[u].values(), *s_minus[v].values())
-        rows.append(LinearConstraint(f"pprec_{u}_{v}", terms, "<=", 0))
+        rows.append(new(LinearConstraint, (f"pprec_{ids[u]}_{ids[v]}", terms, "<=", 0)))
 
     return MilpModel(
         name=f"{instance.name}-machine-indexed",

@@ -95,8 +95,9 @@ def test_int_rows_write_like_fraction_rows(instance, build):
         assert_same_text(write_mps(other), write_mps(model))
 
 
-# sha256 of the writers' output, recorded before the builders and writers were
-# last rewritten; L is the EST makespan unless given.
+# sha256 of the writers' output, each recorded before a rewrite of the builders or
+# writers; L is the EST makespan unless given.  The "-m10" instances have
+# two-digit operation and machine ids, which the EX1 golden files lack.
 PINNED_SHA256 = {
     ("YFJS", "compact", None, "lp"): "82a6f11b58014eef4e3df8500197ff68f0dcc00d55f5c52cdc7f450f88bc09ef",
     ("YFJS", "compact", None, "mps"): "871b460f2f51128abe99fe4a7d269b5dd94289c5141b5091d9a795e02a1aa9ee",
@@ -110,10 +111,20 @@ PINNED_SHA256 = {
     ("DAFJS", "compact", "483/2", "mps"): "f763a8c745d790d1250475a0f78040b8edede5187a215ba261ef888c5485b8ca",
     ("DAFJS", "machine-indexed", "483/2", "lp"): "0b5258cc5da9e5ada70004b4c5b305921f0e90647ebac92f3a17c518669d9c34",
     ("DAFJS", "machine-indexed", "483/2", "mps"): "f8ccae7274ceba2faa4be124aaed0eac89289ac2f696a59c57934ab694d20dcb",
+    ("YFJS-m10", "compact", None, "lp"): "ea243e62242251d95a0808e11c9e8d04f584d5bfeeff5400d64a664af995d7a5",
+    ("YFJS-m10", "compact", None, "mps"): "557d0b157f97a392e27bbf2bdaf657c28b1e5a0ca6c66364b508a992fb8c8051",
+    ("YFJS-m10", "machine-indexed", None, "lp"): "2d5775f25d65413a523a2be80534a352a753febe9324393a589a42d4975e8d05",
+    ("YFJS-m10", "machine-indexed", None, "mps"): "960d644a4b9f9356031d5b5bce42e42484e5a6332a2e18d2cb3de3c7d49f0283",
+    ("DAFJS-m10", "compact", None, "lp"): "cfbfe3555c5855bef1883b1e0ba75cccc5ac0b3fb082523f504ac3363061c027",
+    ("DAFJS-m10", "compact", None, "mps"): "300ba69a8a1efa503c2eb953d3024e7e0a98cd8883093ab8d9e4c24446714f49",
+    ("DAFJS-m10", "machine-indexed", None, "lp"): "9a08131a9127c101dc840318b0f77c6bea2b3f55b644380904f0ccbc9e9e5a42",
+    ("DAFJS-m10", "machine-indexed", None, "mps"): "b2ed63a8bac2bd2a504059df6b8313b85386f20874a34fac99883aee5c5f913b",
 }
 PINNED_INSTANCES = {
     "YFJS": lambda: generate_yfjs(YfjsParams(3, 4, 3, 2, 2)),
     "DAFJS": lambda: generate_dafjs(DafjsParams(2, 4, 1)),
+    "YFJS-m10": lambda: generate_yfjs(YfjsParams(3, 4, 10, 3, 1)),  # 12 operations
+    "DAFJS-m10": lambda: generate_dafjs(DafjsParams(2, 10, 1)),  # 31 operations
 }
 PINNED_BUILDERS = {"compact": build_compact_model, "machine-indexed": build_machine_indexed_model}
 PINNED_WRITERS = {"lp": write_lp, "mps": write_mps}
@@ -125,6 +136,17 @@ def test_writers_output_is_pinned(family, model, horizon, fmt):
     L = Fraction(horizon) if horizon else earliest_start_heuristic(instance)[1].makespan
     text = PINNED_WRITERS[fmt](PINNED_BUILDERS[model](instance, L))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_SHA256[family, model, horizon, fmt]
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_INSTANCES))
+def test_builders_make_plain_records(family):
+    # the builders make records with tuple.__new__, bypassing the NamedTuple's own constructor
+    instance = PINNED_INSTANCES[family]()
+    L = earliest_start_heuristic(instance)[1].makespan
+    for build in PINNED_BUILDERS.values():
+        model = build(instance, L)
+        assert all(type(var) is Variable and len(var) == 4 for var in model.variables)
+        assert all(type(row) is LinearConstraint and len(row) == 4 for row in model.constraints)
 
 
 def test_fractional_processing_times_are_scaled():

@@ -695,6 +695,53 @@ class TestVariable:
         for accepted in ("<=", "=", ">="):
             _model(Variable("a", CONTINUOUS), rows=(row._replace(relation=accepted),))
 
+    def test_the_first_offender_is_named(self):
+        # the bulk passes only find that a record offends; the ordered walk names the first one
+        bad_kind, bad_bounds = Variable("k", "integer"), Variable("b", BINARY, 1, 1)
+        with pytest.raises(ValueError, match="^variable k: kind must be"):
+            _model(Variable("a", CONTINUOUS), bad_kind, bad_bounds)
+        with pytest.raises(ValueError, match="^binary b must have bounds 0 and 1, got 1 and 1$"):
+            _model(Variable("a", CONTINUOUS), bad_bounds, bad_kind)
+        with pytest.raises(ValueError, match="^variable b is declared twice$"):
+            _model(*(Variable(name, CONTINUOUS) for name in "bcacb"))
+        rows = [LinearConstraint(name, ((1, "a"),), relation, 0) for name, relation in ["r=", "q<", "p>"]]
+        with pytest.raises(ValueError, match="^row q: relation must be"):
+            _model(Variable("a", CONTINUOUS), rows=rows)
+
+    @pytest.mark.parametrize(
+        "variable, message",
+        [
+            (Variable("x", BINARY, [0], 1), "binary x must have bounds 0 and 1, got [0] and 1"),
+            (Variable("x", BINARY, 0, {1: 1}), "binary x must have bounds 0 and 1, got 0 and {1: 1}"),
+            (Variable("x", [BINARY], 0, 1), "variable x: kind must be 'binary' or 'continuous', got ['binary']"),
+        ],
+        ids=["list-lower", "dict-upper", "list-kind"],
+    )
+    def test_unhashable_kinds_and_bounds_are_refused_by_value(self, variable, message):
+        # the kinds and bounds are compared, never hashed: no TypeError
+        with pytest.raises(ValueError) as refused:
+            _model(Variable("a", CONTINUOUS), variable)
+        assert str(refused.value) == message
+
+    def test_the_bulk_kind_check_accepts_what_the_ordered_walk_accepts(self):
+        # the walk is the reference: it refuses a kind other than continuous whose
+        # (kind, lower, upper) is not (binary, 0, 1)
+        kinds = [BINARY, CONTINUOUS, "integer", "Binary", None, [BINARY]]
+        bounds = [0, 1, 0.0, 1.0, False, True, Fraction(0), Fraction(1, 2), 2, None, [0], [1]]
+        refused = 0
+        for kind in kinds:
+            for lower in bounds:
+                for upper in bounds:
+                    walk_refuses = kind != CONTINUOUS and (kind, lower, upper) != (BINARY, 0, 1)
+                    try:
+                        _model(Variable("a", CONTINUOUS), Variable("v", kind, lower, upper))
+                    except ValueError:
+                        assert walk_refuses, (kind, lower, upper)
+                        refused += 1
+                    else:
+                        assert not walk_refuses, (kind, lower, upper)
+        assert refused > 500
+
     @pytest.mark.parametrize(
         "record, field",
         [(Variable("s", CONTINUOUS), "upper"), (LinearConstraint("r", ((1, "s"),), "<=", 1), "rhs")],
