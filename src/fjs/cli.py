@@ -50,64 +50,8 @@ MODEL_DECODERS = {"new": decode_compact, "ooy": decode_machine_indexed}
 WRITERS = {"lp": write_lp, "mps": write_mps}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fjs", description=__doc__)
-    parser.add_argument(
-        "--version",
-        action="version",
-        version=f"fjs {__version__} (formats: {FORMAT_INSTANCE}, {FORMAT_SOLUTION})",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("generate", help="generate a random instance")
-    gen_sub = gen.add_subparsers(dest="family", required=True)
-    yfjs = gen_sub.add_parser("yfjs", help="jobs are chains, possibly rewired into a Y")
-    yfjs.add_argument("--n", type=int, required=True, help="number of jobs")
-    yfjs.add_argument("--o", type=int, required=True, help="operations per job")
-    yfjs.add_argument("--m", type=int, required=True, help="number of machines")
-    yfjs.add_argument("--q", type=int, required=True, help="max eligible machines per operation")
-    yfjs.add_argument("--seed", type=int, required=True)
-    yfjs.add_argument("--out", required=True)
-    dafjs = gen_sub.add_parser("dafjs", help="jobs split and merge between equal-length paths")
-    dafjs.add_argument("--n", type=int, required=True, help="number of jobs")
-    dafjs.add_argument("--m", type=int, required=True, help="number of machines")
-    dafjs.add_argument("--seed", type=int, required=True)
-    dafjs.add_argument("--out", required=True)
-
-    solve = sub.add_parser("solve", help="solve an instance")
-    solve.add_argument("--method", choices=("est", "bnb"), required=True)
-    solve.add_argument("--time-limit", type=float, default=3600.0)
-    solve.add_argument(
-        "--threads", type=int, default=1, help="accepted and ignored: the search runs on one thread"
-    )
-    solve.add_argument("--in", dest="infile", required=True)
-    solve.add_argument("--out")
-
-    emit = sub.add_parser("emit", help="write a model as an LP or MPS file")
-    emit.add_argument("--model", choices=("new", "ooy"), required=True)
-    emit.add_argument("--format", choices=("lp", "mps"), required=True)
-    emit.add_argument("--L", default="auto", help="makespan horizon: 'auto' or a positive rational, written a or a/b")
-    emit.add_argument("--in", dest="infile", required=True)
-    emit.add_argument("--out", required=True)
-
-    validate = sub.add_parser("validate", help="validate an instance, optionally with a solution")
-    validate.add_argument("--in", dest="infile", required=True)
-    validate.add_argument("--sol")
-
-    decode = sub.add_parser("decode", help="decode a model point into a solution file")
-    decode.add_argument("--model", choices=("new", "ooy"), required=True)
-    decode.add_argument("--in", dest="infile", required=True)
-    decode.add_argument("--point", required=True)
-    decode.add_argument("--out", required=True)
-
-    report = sub.add_parser("report", help="aggregate solution files into a table")
-    report.add_argument("--dir", dest="directory", required=True)
-    report.add_argument("--out")
-    return parser
-
-
-class _PathError(Exception):
-    """A path that cannot be read or written: a usage error."""
+class _UsageError(Exception):
+    """A usage or input error found after parsing, such as a path that cannot be read: exit 2."""
 
 
 def _read(path: str | Path) -> str:
@@ -116,7 +60,7 @@ def _read(path: str | Path) -> str:
     except UnicodeDecodeError as exc:
         raise FjsError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     except OSError as exc:
-        raise _PathError(f"cannot read {path}") from exc
+        raise _UsageError(f"cannot read {path}") from exc
 
 
 def _write(path: str | None, text: str) -> None:
@@ -126,16 +70,7 @@ def _write(path: str | None, text: str) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise _PathError(f"cannot write {path}") from exc
-
-
-def _fail(message: str, code: int) -> int:
-    print(f"fjs: {message}", file=sys.stderr)
-    return code
-
-
-def _load_instance(path: str) -> Instance:
-    return parse_instance(_read(path))
+        raise _UsageError(f"cannot write {path}") from exc
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -145,7 +80,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         else:
             instance = generate_dafjs(DafjsParams(args.n, args.m, args.seed))
     except ValueError as exc:  # sizes the generator refuses
-        return _fail(str(exc), 2)
+        raise _UsageError(str(exc)) from exc
     _write(args.out, serialize_instance(instance))
     print(f"wrote {instance.name} ({instance.n_ops} operations) to {args.out}")
     return 0
@@ -153,8 +88,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     if args.method == "bnb" and not args.time_limit > 0:
-        return _fail(f"--time-limit must be positive, got {args.time_limit}", 2)
-    instance = _load_instance(args.infile)
+        raise _UsageError(f"--time-limit must be positive, got {args.time_limit}")
+    instance = parse_instance(_read(args.infile))
     if args.method == "est":
         t0 = time.monotonic()
         sol, sched = earliest_start_heuristic(instance)
@@ -202,13 +137,13 @@ def _parse_horizon(text: str, instance: Instance):
 
 
 def _cmd_emit(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.infile)
+    instance = parse_instance(_read(args.infile))
     try:
         horizon = _parse_horizon(args.L, instance)
-    except SolutionError:
-        return _fail(f"--L must be 'auto' or a positive rational, got {_echo(args.L)}", 2)
+    except SolutionError as exc:
+        raise _UsageError(f"--L must be 'auto' or a positive rational, got {_echo(args.L)}") from exc
     if horizon == 0:
-        return _fail("--L auto gives no horizon for an instance without operations; give a positive --L", 2)
+        raise _UsageError("--L auto gives no horizon for an instance without operations; give a positive --L")
     model = MODEL_BUILDERS[args.model](instance, horizon)
     del instance  # and with it the builder's name layout, which the writers do not read
     _write(args.out, WRITERS[args.format](model))
@@ -221,7 +156,7 @@ def _cmd_emit(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.infile)
+    instance = parse_instance(_read(args.infile))
     if args.sol is None:
         print(f"{instance.name}: instance ok ({instance.n_ops} operations)")
         return 0
@@ -236,10 +171,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.infile)
+    instance = parse_instance(_read(args.infile))
     raw = decode_json(_read(args.point), PointError)
     if not isinstance(raw, dict):
-        return _fail("point file must be a JSON object of variable values", 2)
+        raise _UsageError("point file must be a JSON object of variable values")
     # a name is echoed whole up to 80 characters and cut beyond, as any echoed input
     point = ModelPoint(
         {name: number_from_json(value, name if len(name) <= 80 else _echo(name)) for name, value in raw.items()}
@@ -270,18 +205,22 @@ def _report_elapsed(meta: dict) -> float:
 def _cmd_report(args: argparse.Namespace) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
-        raise _PathError(f"cannot read {args.directory}")
+        raise _UsageError(f"cannot read {args.directory}")
     instances: dict[str, Instance] = {}
+    files: dict[str, str] = {}
     for path in sorted(directory.glob("*.fjs.json")):
         instance = parse_instance(_read(path))
-        instances[instance.name] = instance
+        if instance.name in files:  # a solution names its instance, so a name must pick one file
+            name = _echo(instance.name)
+            raise _UsageError(f"{files[instance.name]} and {path.name}: two instance files named {name} in {directory}")
+        instances[instance.name], files[instance.name] = instance, path.name
     rows = []
     est_makespan: dict[str, Rational] = {}
     for path in sorted(directory.glob("*.sol.json")):
         document = solution_document(_read(path))
         name = document["instance"]
         if name not in instances:
-            return _fail(f"{path.name}: no instance file named {name!r} in {directory}", 2)
+            raise _UsageError(f"{path.name}: no instance file named {name!r} in {directory}")
         instance = instances[name]
         sol, sched, meta = parse_solution(document, instance)
         if name not in est_makespan:
@@ -307,25 +246,82 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="fjs", description=__doc__)
+    parser.add_argument(
+        "--version",
+        action="version",
+        version=f"fjs {__version__} (formats: {FORMAT_INSTANCE}, {FORMAT_SOLUTION})",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    gen = sub.add_parser("generate", help="generate a random instance")
+    gen.set_defaults(handler=_cmd_generate)
+    gen_sub = gen.add_subparsers(dest="family", required=True)
+    yfjs = gen_sub.add_parser("yfjs", help="jobs are chains, possibly rewired into a Y")
+    yfjs.add_argument("--n", type=int, required=True, help="number of jobs")
+    yfjs.add_argument("--o", type=int, required=True, help="operations per job")
+    yfjs.add_argument("--m", type=int, required=True, help="number of machines")
+    yfjs.add_argument("--q", type=int, required=True, help="max eligible machines per operation")
+    yfjs.add_argument("--seed", type=int, required=True)
+    yfjs.add_argument("--out", required=True)
+    dafjs = gen_sub.add_parser("dafjs", help="jobs split and merge between equal-length paths")
+    dafjs.add_argument("--n", type=int, required=True, help="number of jobs")
+    dafjs.add_argument("--m", type=int, required=True, help="number of machines")
+    dafjs.add_argument("--seed", type=int, required=True)
+    dafjs.add_argument("--out", required=True)
+
+    solve = sub.add_parser("solve", help="solve an instance")
+    solve.set_defaults(handler=_cmd_solve)
+    solve.add_argument("--method", choices=("est", "bnb"), required=True)
+    solve.add_argument("--time-limit", type=float, default=3600.0)
+    solve.add_argument(
+        "--threads", type=int, default=1, help="accepted and ignored: the search runs on one thread"
+    )
+    solve.add_argument("--in", dest="infile", required=True)
+    solve.add_argument("--out")
+
+    emit = sub.add_parser("emit", help="write a model as an LP or MPS file")
+    emit.set_defaults(handler=_cmd_emit)
+    emit.add_argument("--model", choices=tuple(MODEL_BUILDERS), required=True)
+    emit.add_argument("--format", choices=tuple(WRITERS), required=True)
+    emit.add_argument("--L", default="auto", help="makespan horizon: 'auto' or a positive rational, written a or a/b")
+    emit.add_argument("--in", dest="infile", required=True)
+    emit.add_argument("--out", required=True)
+
+    validate = sub.add_parser("validate", help="validate an instance, optionally with a solution")
+    validate.set_defaults(handler=_cmd_validate)
+    validate.add_argument("--in", dest="infile", required=True)
+    validate.add_argument("--sol")
+
+    decode = sub.add_parser("decode", help="decode a model point into a solution file")
+    decode.set_defaults(handler=_cmd_decode)
+    decode.add_argument("--model", choices=tuple(MODEL_DECODERS), required=True)
+    decode.add_argument("--in", dest="infile", required=True)
+    decode.add_argument("--point", required=True)
+    decode.add_argument("--out", required=True)
+
+    report = sub.add_parser("report", help="aggregate solution files into a table")
+    report.set_defaults(handler=_cmd_report)
+    report.add_argument("--dir", dest="directory", required=True)
+    report.add_argument("--out")
+    return parser
+
+
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "generate": _cmd_generate,
-        "solve": _cmd_solve,
-        "emit": _cmd_emit,
-        "validate": _cmd_validate,
-        "decode": _cmd_decode,
-        "report": _cmd_report,
-    }
+    args = _PARSER.parse_args(argv)
     try:
-        return handlers[args.command](args)
-    except _PathError as exc:
-        return _fail(str(exc), 2)
+        return args.handler(args)
+    except _UsageError as exc:
+        message, code = str(exc), 2
     except FjsError as exc:
-        code = getattr(exc, "code", None)
-        prefix = f"{code}: " if code else ""
-        return _fail(f"{prefix}{exc}", 1)
+        prefix = f"{exc.code}: " if getattr(exc, "code", None) else ""
+        message, code = f"{prefix}{exc}", 1
+    print(f"fjs: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -746,3 +746,44 @@ def test_readme_exit_code_table(tmp_path, monkeypatch, capsys, command, code, pr
     captured = capsys.readouterr()
     assert got == code
     assert (captured.err if code in (1, 2) else captured.out).startswith(prefix)
+
+
+def test_report_refuses_two_instance_files_of_one_name(ex1_file, tmp_path, capsys):
+    # b holds an instance of the same name with every time tripled; the solution fits only a
+    tripled = json.loads(ex1_file.read_text())
+    for op in tripled["operations"]:
+        op["times"] = [[machine, 3 * time] for machine, time in op["times"]]
+    ex1_file.rename(tmp_path / "a.fjs.json")
+    (tmp_path / "b.fjs.json").write_text(serialize_instance(parse_instance(json.dumps(tripled))))
+    ex1 = make_ex1()
+    (tmp_path / "a.sol.json").write_text(serialize_solution(ex1, EX1_SOL, tight_schedule(ex1, EX1_SOL)))
+    out = tmp_path / "out.report.txt"
+    assert main(["report", "--dir", str(tmp_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"fjs: a.fjs.json and b.fjs.json: two instance files named 'EX1' in {tmp_path}\n"
+    assert not out.exists()
+
+
+def test_main_builds_no_parser_per_call(ex1_file, monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("build_parser called by main")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert main(["validate", "--in", str(ex1_file)]) == 0
+    assert main(["solve", "--method", "est", "--in", str(ex1_file)]) == 0
+    assert capsys.readouterr().out == "EX1: instance ok (3 operations)\nEX1: mks 8 (feasible)\n"
+
+
+HELP = Path(__file__).parent / "golden" / "help"
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["", "generate", "generate yfjs", "generate dafjs", "solve", "emit", "validate", "decode", "report"],
+)
+def test_help_text_is_pinned(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "100")
+    with pytest.raises(SystemExit) as done:
+        main([*command.split(), "--help"])
+    assert done.value.code == 0
+    golden = HELP / f"{'-'.join(['fjs', *command.split()])}.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
