@@ -7,6 +7,7 @@ error, 3 time limit hit with an open optimality gap.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 from operator import countOf, itemgetter
@@ -220,7 +221,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         document = solution_document(_read(path))
         name = document["instance"]
         if name not in instances:
-            raise _UsageError(f"{path.name}: no instance file named {name!r} in {directory}")
+            raise _UsageError(f"{path.name}: no instance file named {_echo(name)} in {directory}")
         instance = instances[name]
         sol, sched, meta = parse_solution(document, instance)
         if name not in est_makespan:
@@ -312,7 +313,15 @@ _PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one ``fjs`` command and return its exit code.
+
+    The command runs with the cyclic garbage collector paused, and the
+    caller's collector is left as it was found; library calls such as
+    ``fjs.milp`` and ``fjs.emit`` never touch it.
+    """
     args = _PARSER.parse_args(argv)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()  # a command's records live until it returns and hold no cycles
     try:
         return args.handler(args)
     except _UsageError as exc:
@@ -320,6 +329,9 @@ def main(argv: list[str] | None = None) -> int:
     except FjsError as exc:
         prefix = f"{exc.code}: " if getattr(exc, "code", None) else ""
         message, code = f"{prefix}{exc}", 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     print(f"fjs: {message}", file=sys.stderr)
     return code
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import gc
 import json
 import shlex
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 from fjs import cli
 from fjs.cli import main
 from fjs.exact import solve_branch_and_bound
-from fjs.generate import YfjsParams, generate_yfjs
+from fjs.generate import DafjsParams, YfjsParams, generate_dafjs, generate_yfjs
 from fjs.heuristic import earliest_start_heuristic
 from fjs.io import parse_instance, parse_solution, serialize_instance, serialize_solution
 from fjs.milp import encode_compact, encode_machine_indexed
@@ -761,6 +763,129 @@ def test_report_refuses_two_instance_files_of_one_name(ex1_file, tmp_path, capsy
     assert main(["report", "--dir", str(tmp_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"fjs: a.fjs.json and b.fjs.json: two instance files named 'EX1' in {tmp_path}\n"
     assert not out.exists()
+
+
+def _write_unknown_name_solution(directory, name):
+    ex1 = make_ex1()
+    document = json.loads(serialize_solution(ex1, EX1_SOL, tight_schedule(ex1, EX1_SOL)))
+    document["instance"] = name
+    (directory / "x.sol.json").write_text(json.dumps(document))
+
+
+def test_report_names_an_unknown_instance(tmp_path, capsys):
+    _write_unknown_name_solution(tmp_path, "nope")
+    assert main(["report", "--dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"fjs: x.sol.json: no instance file named 'nope' in {tmp_path}\n"
+
+
+def test_report_echoes_a_long_unknown_instance_name_cut(tmp_path, capsys):
+    _write_unknown_name_solution(tmp_path, "n" * 100_000)
+    assert main(["report", "--dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fjs: x.sol.json: no instance file named 'nnn")
+    assert len(err.encode()) < 300
+
+
+@pytest.fixture
+def restore_gc():
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_keeps_the_callers_collector_state_after_every_exit_code(ex1_file, tmp_path, restore_gc, capsys, enabled):
+    (gc.enable if enabled else gc.disable)()
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    for code, argv in {
+        0: ["validate", "--in", str(ex1_file)],
+        1: ["validate", "--in", str(empty)],
+        2: ["validate", "--in", str(tmp_path / "missing.fjs.json")],
+    }.items():
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+
+
+def test_main_leaves_the_collector_enabled_after_a_usage_error(restore_gc, capsys):
+    gc.enable()
+    with pytest.raises(SystemExit) as err:
+        main(["solve", "--method", "nope", "--in", "x"])
+    assert err.value.code == 2
+    assert gc.isenabled()
+
+
+def _patch_handler(monkeypatch, command, handler):
+    subparsers = next(a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    monkeypatch.setitem(subparsers.choices[command]._defaults, "handler", handler)
+
+
+def test_main_enables_the_collector_again_when_a_handler_raises(ex1_file, monkeypatch, restore_gc):
+    gc.enable()
+    def boom(args):
+        raise RuntimeError("boom")
+
+    _patch_handler(monkeypatch, "validate", boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["validate", "--in", str(ex1_file)])
+    assert gc.isenabled()
+
+
+def test_main_pauses_the_collector_while_the_handler_runs(ex1_file, monkeypatch, restore_gc):
+    gc.enable()
+    seen = []
+
+    def record(args):
+        seen.append(gc.isenabled())
+        return 0
+
+    _patch_handler(monkeypatch, "validate", record)
+    assert main(["validate", "--in", str(ex1_file)]) == 0
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+# The solution writer's meta (json.dumps with indent=2) leaves 33 objects of the pure-Python encoder
+CYCLIC_GARBAGE_BOUND = 64
+
+
+def _cyclic_garbage(argv):
+    gc.disable()
+    gc.collect()
+    main(argv)
+    return gc.collect()
+
+
+def test_a_command_leaves_bounded_cyclic_garbage(ex1_file, tmp_path, restore_gc, capsys):
+    d = tmp_path
+    est_sol, bnb_sol, point = d / "est.sol.json", d / "bnb.sol.json", d / "point.json"
+    point.write_text(json.dumps(encode_compact(make_ex1(), EX1_SOL).values, default=str))
+    commands = [
+        ["generate", "yfjs", "--n", "3", "--o", "4", "--m", "3", "--q", "2", "--seed", "1", "--out", str(d / "y.fjs.json")],
+        ["solve", "--method", "est", "--in", str(ex1_file), "--out", str(est_sol)],
+        ["solve", "--method", "bnb", "--in", str(ex1_file), "--out", str(bnb_sol)],
+        ["validate", "--in", str(ex1_file), "--sol", str(est_sol)],
+        *(
+            ["emit", "--model", model, "--format", fmt, "--in", str(ex1_file), "--out", str(d / f"x-{model}.{fmt}")]
+            for model in cli.MODEL_BUILDERS
+            for fmt in cli.WRITERS
+        ),
+        ["decode", "--model", "new", "--in", str(ex1_file), "--point", str(point), "--out", str(d / "d.sol.json")],
+        ["report", "--dir", str(d), "--out", str(d / "all.report.txt")],
+    ]
+    for argv in commands:
+        assert _cyclic_garbage(argv) <= CYCLIC_GARBAGE_BOUND, argv[:3]
+
+
+def test_cyclic_garbage_does_not_grow_with_the_search(ex1_file, tmp_path, restore_gc, capsys):
+    big = tmp_path / "big.fjs.json"
+    big.write_text(serialize_instance(generate_dafjs(DafjsParams(4, 5, 1))))
+    closed = _cyclic_garbage(["solve", "--method", "bnb", "--in", str(ex1_file), "--out", str(tmp_path / "a.sol.json")])
+    capped = _cyclic_garbage(
+        ["solve", "--method", "bnb", "--time-limit", "0.5", "--in", str(big), "--out", str(tmp_path / "b.sol.json")]
+    )
+    assert "(bound-pair)" in capsys.readouterr().out  # the capped search stopped at its time limit
+    assert closed == capped <= CYCLIC_GARBAGE_BOUND
 
 
 def test_main_builds_no_parser_per_call(ex1_file, monkeypatch, capsys):
