@@ -123,31 +123,37 @@ class _Search:
 
     The instance is read once, into zero-based tables: ``options[v]`` holds
     the ``(machine, time)`` pairs of operation v and ``ptime[v]`` the same as
-    a dict; ``rows`` holds, in topological order, ``(v, 1 << v, eligible
-    machines, ((u, 1 << u) for each predecessor u), least time of v)``; and
-    ``single`` holds, per machine, the ``(1 << v, least time)`` of each
-    operation that only that machine can run.
+    a dict; ``rows`` holds, in topological order, ``(v, 1 << v, machine or
+    machines, predecessors of v, least time of v)``, where the one eligible
+    machine is an int and two or more are an ``itemgetter`` of them;
+    ``ready_rows`` holds ``(v, 1 << v, mask of v's predecessors)``, from
+    which ``expand`` reads the ready operations; and ``single`` holds, per
+    machine, the ``(1 << v, least time)`` of each operation that only that
+    machine can run.
     """
 
     def __init__(self, instance: Instance, deadline: float):
         self.deadline = deadline
         n = instance.n_ops
-        self.n = n
         self.full_mask = (1 << n) - 1
         eligible = [tuple(k - 1 for k in row) for row in instance.eligible]
         self.options = [tuple(zip(machs, times)) for machs, times in zip(eligible, instance.times)]
         self.ptime = [dict(pairs) for pairs in self.options]
         pmin = [min(times) for times in instance.times]
         preds = [instance.predecessors(v) for v in range(n)]
-        self.rows = [(v, 1 << v, eligible[v], tuple((u, 1 << u) for u in preds[v]), pmin[v]) for v in instance.order]
-        self.pred_mask = [sum(1 << u for u in preds[v]) for v in range(n)]
+        machines = [machs[0] if len(machs) == 1 else itemgetter(*machs) for machs in eligible]
+        self.rows = [(v, 1 << v, machines[v], preds[v], pmin[v]) for v in instance.order]
+        self.ready_rows = [(v, 1 << v, sum(1 << u for u in preds[v])) for v in range(n)]
         self.successors = [instance.successors(v) for v in range(n)]
         single: dict[int, list[tuple[int, Rational]]] = {}
         for v in range(n):
             if len(eligible[v]) == 1:
                 single.setdefault(eligible[v][0], []).append((1 << v, pmin[v]))
         self.single = list(single.items())
-        self.dp: list[Rational] = [0] * n  # read only at unscheduled operations, each set earlier in the order
+        # Scratch of the bound walk: an unscheduled operation's entry is set
+        # before any successor reads it, and a placed operation's entry is
+        # reset to 0 as the walk passes it.
+        self.dp: list[Rational] = [0] * n
         self.stack: list[BnbNode] = []
         self.nodes = 0
         self.best_value: Rational = None  # set before search starts
@@ -160,19 +166,24 @@ class _Search:
         prunes such a node whatever its full bound is.  Below ``cutoff`` the
         value is the full bound.  A machine without single-machine
         operations adds nothing to ``max(avail)``, where the bound starts.
+
+        Predecessors are read without a mask test: a placed predecessor's
+        ``dp`` entry is 0, and its completion is already in ``ready``, which
+        is never negative.
         """
         lb = max(avail)
         if lb >= cutoff:
             return lb
         dp = self.dp
-        for v, bit, eligible, preds, p in self.rows:
+        for v, bit, machines, preds, p in self.rows:
             if mask & bit:
+                dp[v] = 0
                 continue
             release = ready[v]
-            for u, u_bit in preds:
-                if not mask & u_bit and dp[u] > release:
+            for u in preds:
+                if dp[u] > release:
                     release = dp[u]
-            base = min(map(avail.__getitem__, eligible))
+            base = avail[machines] if machines.__class__ is int else min(machines(avail))
             if base > release:
                 release = base
             c = release + p
@@ -205,10 +216,12 @@ class _Search:
         later than in S; k* is idle until theta; and its old machine is
         freed.  That is a child too, as positive times (``check_time``)
         start it before theta.
+
+        A child's machine sequences are built only once it is kept: a
+        pruned child builds nothing.
         """
         _, mask, node_ready, node_avail, node_seq = node
-        pred_mask = self.pred_mask
-        ready_ops = [v for v in range(self.n) if not mask >> v & 1 and mask & pred_mask[v] == pred_mask[v]]
+        ready_ops = [v for v, bit, preds in self.ready_rows if not mask & bit and mask & preds == preds]
         theta = k = None
         options = self.options
         for v in ready_ops:
@@ -231,18 +244,16 @@ class _Search:
             if est >= theta:
                 continue  # starting v at est would idle k past theta
             ect = est + p
-            seqs = list(node_seq)
-            seqs[k] += (v,)
-            machine_seq = tuple(seqs)
             child_mask = mask | (1 << v)
             avail = list(node_avail)
             avail[k] = ect
             if child_mask == self.full_mask:
                 makespan = max(avail)
-                if makespan < self.best_value:
-                    self.best_value = makespan
-                    self.best_leaf = machine_seq
-                    cutoff = makespan
+                if makespan < cutoff:
+                    seqs = list(node_seq)
+                    seqs[k] += (v,)
+                    self.best_value = cutoff = makespan
+                    self.best_leaf = tuple(seqs)
                 continue
             ready = list(node_ready)
             for w in successors[v]:
@@ -251,7 +262,9 @@ class _Search:
             lb = self.lower_bound(ready, child_mask, avail, cutoff)
             if lb >= cutoff:
                 continue
-            children.append(BnbNode(lb, child_mask, tuple(ready), tuple(avail), machine_seq))
+            seqs = list(node_seq)
+            seqs[k] += (v,)
+            children.append(tuple.__new__(BnbNode, (lb, child_mask, tuple(ready), tuple(avail), tuple(seqs))))
         children.sort(key=itemgetter(0), reverse=True)
         return children
 

@@ -134,6 +134,60 @@ def test_search_order_is_pinned_on_the_bnb_corpus(instance, optimum, nodes):
     assert (result.upper_bound, result.nodes_explored, result.status) == (optimum, nodes, "optimal")
 
 
+@pytest.mark.parametrize(
+    "instance, assignment, sequences",
+    [
+        pytest.param(
+            generate_yfjs(YfjsParams(3, 4, 3, 2, 3)),
+            (3, 1, 1, 2, 1, 1, 1, 2, 1, 3, 2, 3),
+            ((8, 5, 4, 6, 1, 2), (10, 7, 3), (0, 9, 11)),
+            id="YFJS-n3-o4-m3-q2-s3",
+        ),
+        pytest.param(
+            generate_yfjs(YfjsParams(3, 5, 4, 2, 2)),
+            (2, 4, 1, 3, 3, 2, 2, 2, 1, 1, 1, 4, 3, 1, 4),
+            ((10, 8, 13, 2, 9), (5, 0, 6, 7), (12, 3, 4), (11, 1, 14)),
+            id="YFJS-n3-o5-m4-q2-s2",
+        ),
+        pytest.param(
+            generate_yfjs(YfjsParams(3, 5, 4, 2, 3)),
+            (3, 1, 4, 1, 2, 3, 2, 3, 1, 1, 1, 4, 4, 4, 4),
+            ((10, 1, 8, 9, 3), (6, 4), (5, 0, 7), (11, 12, 2, 13, 14)),
+            id="YFJS-n3-o5-m4-q2-s3",
+        ),
+        pytest.param(
+            generate_dafjs(DafjsParams(3, 4, 2)),
+            (3, 2, 4, 3, 1, 4, 2, 2, 4, 3, 1, 1, 3, 3, 2),
+            ((10, 11, 4), (7, 6, 1, 14), (9, 12, 0, 13, 3), (5, 8, 2)),
+            id="DAFJS-n3-m4-s2",
+        ),
+        pytest.param(
+            generate_dafjs(DafjsParams(3, 5, 3)),
+            (5, 1, 3, 1, 2, 4, 1, 4, 5, 2, 2, 4, 2, 2, 2, 1, 5, 3, 1, 4),
+            ((15, 3, 1, 18, 6), (13, 14, 4, 9, 10, 12), (17, 2), (7, 5, 11, 19), (16, 0, 8)),
+            id="DAFJS-n3-m5-s3",
+        ),
+        pytest.param(
+            generate_yfjs(YfjsParams(4, 5, 5, 3, 1)),
+            (3, 2, 3, 1, 2, 5, 3, 2, 5, 3, 1, 4, 4, 4, 4, 5, 2, 4, 1, 3),
+            ((10, 18, 3), (16, 1, 7, 4), (0, 2, 6, 19, 9), (11, 17, 12, 13, 14), (5, 15, 8)),
+            id="YFJS-n4-o5-m5-q3-s1",
+        ),
+        pytest.param(
+            generate_dafjs(DafjsParams(3, 4, 3)),
+            (3, 2, 2, 3, 1, 4, 2, 1, 3, 4, 4, 2, 2, 3, 4, 4),
+            ((7, 4), (12, 2, 1, 6, 11), (0, 13, 3, 8), (5, 9, 10, 14, 15)),
+            id="DAFJS-n3-m4-s3",
+        ),
+    ],
+)
+def test_returned_solutions_are_pinned_on_the_bnb_corpus(instance, assignment, sequences):
+    # The node counts above miss a change of incumbent or of the order of
+    # equal-bound children that keeps the count: the returned leaf does not.
+    result = solve_branch_and_bound(instance, time_limit=60)
+    assert result.solution == SolutionPair(assignment, Selection(sequences))
+
+
 def test_timeout_returns_est_incumbent_and_sound_bounds():
     # EST lands on machine 1 (start-time tie) with time 9; the optimum is 6.
     inst = Instance.from_tables("trap", 2, {0: {1: 9, 2: 3}, 1: {2: 3}}, [])
@@ -215,7 +269,12 @@ class _Recording(exact._Search):
         return children
 
 
-def test_bound_matches_the_reference_on_every_pushed_node(monkeypatch):
+def _check_every_pushed_bound(monkeypatch, stale=None) -> int:
+    """Checks the bound of every node pushed on 30 small instances, under each cutoff too.
+
+    Returns how many nodes were checked.  With ``stale``, every entry of the
+    bound walk's scratch ``dp`` is set to it before each call.
+    """
     monkeypatch.setattr(_Recording, "made", [])
     monkeypatch.setattr(exact, "_Search", _Recording)
     pushed = 0
@@ -224,17 +283,35 @@ def test_bound_matches_the_reference_on_every_pushed_node(monkeypatch):
         assert solve_branch_and_bound(inst, 60).status == "optimal"
         (search,) = _Recording.made
         _Recording.made.clear()
+
+        def lower_bound(*args):
+            if stale is not None:
+                search.dp[:] = [stale] * inst.n_ops
+            return search.lower_bound(*args)
+
         for node in search.pushed:
             ready, mask, avail = node.ready_time, node.scheduled_mask, node.machine_avail
             reference = reference_lower_bound(inst, ready, mask, avail)
-            assert node.lower_bound == search.lower_bound(ready, mask, avail) == reference, inst.name
+            assert node.lower_bound == lower_bound(ready, mask, avail) == reference, inst.name
             low = max(avail)
             for cutoff in {low, (low + reference) / Fraction(2), reference - 1, reference, reference + 1}:
-                bound = search.lower_bound(ready, mask, list(avail), cutoff)
+                bound = lower_bound(ready, mask, list(avail), cutoff)
                 assert (bound >= cutoff) == (reference >= cutoff), (inst.name, cutoff)
                 assert bound >= cutoff or bound == reference
         pushed += len(search.pushed)
-    assert pushed > 500
+    return pushed
+
+
+def test_bound_matches_the_reference_on_every_pushed_node(monkeypatch):
+    assert _check_every_pushed_bound(monkeypatch) > 500
+
+
+@pytest.mark.parametrize("stale", [10**9, Fraction(10**9, 7)], ids=["int", "fraction"])
+def test_bound_ignores_stale_scratch(monkeypatch, stale):
+    # The bound walk reads ``dp`` without testing the mask, so each entry it
+    # reads must be written earlier in the same call, whatever an earlier
+    # call, or its return at the cutoff, left there.
+    _check_every_pushed_bound(monkeypatch, stale)
 
 
 @pytest.mark.parametrize("seed, nodes", [(1, 5), (3, 5), (9, 10), (13, 10), (23, 10)])
