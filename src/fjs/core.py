@@ -171,10 +171,10 @@ class Instance:
     ``eligible[v]`` is the sorted tuple of machines that can run operation
     ``v`` and ``times[v][i]`` its processing time on ``eligible[v][i]``.
     ``arcs`` is the precedence DAG, kept sorted and deduplicated.  Validity
-    (a machine count in ``1..MAX_MACHINES``, machine ranges, positive times
-    of at most ``MAX_DIGITS`` digits, arcs between known ids, acyclicity) is
-    enforced at construction, so every ``Instance`` in circulation is well
-    formed.
+    (a string name, a machine count in ``1..MAX_MACHINES``, machine ranges,
+    positive times of at most ``MAX_DIGITS`` digits, arcs between known ids,
+    acyclicity) is enforced at construction, so every ``Instance`` in
+    circulation is well formed.
     """
 
     name: str
@@ -184,6 +184,8 @@ class Instance:
     arcs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise InstanceError("bad-format", f"instance name {_echo(self.name)} is not a string")
         machines = self.machines
         if isinstance(machines, bool) or not isinstance(machines, int):
             raise InstanceError("bad-machine-count", "machines must be an integer")

@@ -119,20 +119,24 @@ class BnbNode(NamedTuple):
 
 
 class _Search:
-    """State of one depth-first branch-and-bound run.
+    """One depth-first branch-and-bound run, from its root to its result.
+
+    ``_Search(instance, cutoff, deadline)`` pushes the root with its full
+    bound, with ``cutoff`` as the incumbent; ``run`` expands until the stack
+    empties or the deadline passes; ``open_bound`` and ``result`` report it.
 
     The instance is read once, into zero-based tables: ``options[v]`` holds
     the ``(machine, time)`` pairs of operation v and ``ptime[v]`` the same as
     a dict; ``rows`` holds, in topological order, ``(v, 1 << v, machine or
-    machines, predecessors of v, least time of v)``, where the one eligible
-    machine is an int and two or more are an ``itemgetter`` of them;
-    ``ready_rows`` holds ``(v, 1 << v, mask of v's predecessors)``, from
-    which ``expand`` reads the ready operations; and ``single`` holds, per
-    machine, the ``(1 << v, least time)`` of each operation that only that
-    machine can run.
+    machines, predecessors of v, least time of v)``, where one eligible
+    machine is an int and two or more are an ``itemgetter``; ``ready_rows``
+    holds ``(v, 1 << v, mask of v's predecessors)``, from which ``expand``
+    reads the ready operations; and ``single`` holds, per machine, the
+    ``(1 << v, least time)`` of each operation only that machine can run.
     """
 
-    def __init__(self, instance: Instance, deadline: float):
+    def __init__(self, instance: Instance, cutoff: Rational, deadline: float):
+        self.instance = instance
         self.deadline = deadline
         n = instance.n_ops
         self.full_mask = (1 << n) - 1
@@ -154,10 +158,11 @@ class _Search:
         # before any successor reads it, and a placed operation's entry is
         # reset to 0 as the walk passes it.
         self.dp: list[Rational] = [0] * n
-        self.stack: list[BnbNode] = []
         self.nodes = 0
-        self.best_value: Rational = None  # set before search starts
-        self.best_leaf = None
+        self.best_value = cutoff
+        self.best_leaf: tuple[tuple[int, ...], ...] | None = None
+        ready, avail = (0,) * n, (0,) * instance.machines
+        self.stack = [BnbNode(self.lower_bound(ready, 0, avail), 0, ready, avail, ((),) * instance.machines)]
 
     def lower_bound(self, ready, mask, avail, cutoff=math.inf) -> Rational:
         """Max of the path bound with minimum times and the machine workload bound.
@@ -281,6 +286,18 @@ class _Search:
             self.nodes += 1
             stack.extend(self.expand(node))
 
+    def open_bound(self) -> Rational:
+        """The least of the incumbent and the bounds left on the stack, which is empty unless timed out."""
+        return min([self.best_value] + [node.lower_bound for node in self.stack])
+
+    def result(self) -> tuple[SolutionPair, Schedule] | None:
+        """The best leaf found and its tight schedule, or None when no leaf beat the cutoff."""
+        if self.best_leaf is None:
+            return None
+        selection = Selection(self.best_leaf)
+        sol = SolutionPair(tuple(k for _, (k, _) in sorted(selection.positions().items())), selection)
+        return sol, tight_schedule(self.instance, sol)
+
 
 def solve_branch_and_bound(instance: Instance, time_limit: float = 3600.0) -> SolveResult:
     """Exact branch and bound over forward-built active schedules.
@@ -293,28 +310,11 @@ def solve_branch_and_bound(instance: Instance, time_limit: float = 3600.0) -> So
     if not time_limit > 0:  # also refuses NaN
         raise ValueError("time_limit must be positive")
     t0 = time.monotonic()
-    n = instance.n_ops
     est_sol, est_sched = earliest_start_heuristic(instance)
-
-    search = _Search(instance, deadline=t0 + time_limit)
-    search.best_value = est_sched.makespan
-    ready, avail = (0,) * n, (0,) * instance.machines
-    search.stack.append(BnbNode(search.lower_bound(ready, 0, avail), 0, ready, avail, ((),) * instance.machines))
-
+    search = _Search(instance, est_sched.makespan, deadline=t0 + time_limit)
     search.run()
-
     elapsed = time.monotonic() - t0
-    upper = search.best_value
-    lower = min([upper] + [nd.lower_bound for nd in search.stack])  # the stack is empty unless timed out
+    lower, upper = search.open_bound(), search.best_value
     status = STATUS_BOUND_PAIR if lower < upper else STATUS_OPTIMAL
-
-    if search.best_leaf is None:
-        sol, sched = est_sol, est_sched
-    else:
-        machine = [0] * n
-        for k, seq in enumerate(search.best_leaf, 1):
-            for v in seq:
-                machine[v] = k
-        sol = SolutionPair(tuple(machine), Selection(search.best_leaf))
-        sched = tight_schedule(instance, sol)
+    sol, sched = search.result() or (est_sol, est_sched)
     return SolveResult(sol, sched, lower, upper, status, search.nodes, elapsed)

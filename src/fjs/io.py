@@ -179,8 +179,6 @@ def parse_instance(text: str) -> Instance:
     for field in ("name", "machines", "operations", "arcs"):
         if field not in document:
             raise InstanceError("missing-field", f"missing field {field!r}")
-    if not isinstance(document["name"], str):
-        raise InstanceError("bad-format", f"instance name {_echo(document['name'])} is not a string")
     operations = document["operations"]
     if not isinstance(operations, list):
         raise InstanceError("bad-format", "operations must be a list")

@@ -462,6 +462,13 @@ class TestEcho:
 
 
 class TestInstanceValidation:
+    @pytest.mark.parametrize("name", [5, None])
+    def test_non_string_name(self, name):
+        # serialize_instance would write such a name, and parse_instance refuse it
+        with pytest.raises(InstanceError, match=f"^instance name {name!r} is not a string$") as err:
+            Instance(name, 1, ((1,),), ((3,),), ())
+        assert err.value.code == "bad-format"
+
     def test_dangling_arc(self):
         with pytest.raises(InstanceError) as err:
             Instance.from_tables("bad", 1, {0: {1: 1}}, [(0, 3)])

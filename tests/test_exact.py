@@ -61,6 +61,7 @@ def test_time_limit_must_be_positive(ex1):
 
 
 def test_oracle_agreement_on_random_instances():
+    kept_est = 0
     for seed in range(60):
         inst = small_random_instance(seed)
         bf = brute_force(inst)
@@ -70,6 +71,12 @@ def test_oracle_agreement_on_random_instances():
         for result in (bf, bb):
             assert result.lower_bound == result.upper_bound == result.schedule.makespan
             assert validate_solution(inst, result.solution, result.schedule).ok
+        est_sol, est_sched = earliest_start_heuristic(inst)
+        if bb.upper_bound == est_sched.makespan:
+            # No leaf beat EST's makespan, so the search returns EST's own solution.
+            assert (bb.solution, bb.schedule) == (est_sol, est_sched), inst.name
+            kept_est += 1
+    assert kept_est == 37
 
 
 def test_no_partial_schedule_is_built_twice(monkeypatch):
