@@ -14,7 +14,7 @@ from operator import countOf, itemgetter
 from pathlib import Path
 
 from . import __version__
-from .core import FjsError, Instance, Rational, _echo, validate_solution
+from .core import FjsError, Instance, Rational, _echo, _printable, validate_solution
 from .emit import write_lp, write_mps
 from .exact import STATUS_OPTIMAL, solve_branch_and_bound
 from .generate import DafjsParams, YfjsParams, generate_dafjs, generate_yfjs
@@ -83,7 +83,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     except ValueError as exc:  # sizes the generator refuses
         raise _UsageError(str(exc)) from exc
     _write(args.out, serialize_instance(instance))
-    print(f"wrote {instance.name} ({instance.n_ops} operations) to {args.out}")
+    print(f"wrote {_printable(instance.name)} ({instance.n_ops} operations) to {args.out}")
     return 0
 
 
@@ -123,7 +123,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         )
     if args.out:
         _write(args.out, serialize_solution(instance, sol, sched, meta))
-    print(f"{instance.name}: mks {value_cell} ({status})")
+    print(f"{_printable(instance.name)}: mks {value_cell} ({status})")
     return 3 if args.method == "bnb" and status != STATUS_OPTIMAL else 0
 
 
@@ -150,7 +150,7 @@ def _cmd_emit(args: argparse.Namespace) -> int:
     _write(args.out, WRITERS[args.format](model))
     n_binary = countOf(map(itemgetter(1), model.variables), BINARY)
     print(
-        f"wrote {model.name}: {len(model.constraints)} constraints, "
+        f"wrote {_printable(model.name)}: {len(model.constraints)} constraints, "
         f"{len(model.variables) - 1} variables ({n_binary} binary), L = {horizon}"
     )
     return 0
@@ -159,15 +159,15 @@ def _cmd_emit(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.infile))
     if args.sol is None:
-        print(f"{instance.name}: instance ok ({instance.n_ops} operations)")
+        print(f"{_printable(instance.name)}: instance ok ({instance.n_ops} operations)")
         return 0
     sol, sched, _ = parse_solution(_read(args.sol), instance)
     report = validate_solution(instance, sol, sched)
     if report.ok:
-        print(f"{instance.name}: solution ok (makespan {sched.makespan})")
+        print(f"{_printable(instance.name)}: solution ok (makespan {sched.makespan})")
         return 0
     for issue in report.issues:
-        print(f"{instance.name}: {issue.kind}: {issue.message}", file=sys.stderr)
+        print(f"{_printable(instance.name)}: {issue.kind}: {issue.message}", file=sys.stderr)
     return 1
 
 
@@ -183,7 +183,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     sol, sched = MODEL_DECODERS[args.model](instance, point)
     meta = {"method": f"decode-{args.model}", "status": "feasible"}
     _write(args.out, serialize_solution(instance, sol, sched, meta))
-    print(f"{instance.name}: decoded point, makespan {sched.makespan}")
+    print(f"{_printable(instance.name)}: decoded point, makespan {sched.makespan}")
     return 0
 
 

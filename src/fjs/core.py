@@ -119,6 +119,15 @@ class _Echo(reprlib.Repr):
 _echo = _Echo().repr
 
 
+def _printable(name: str) -> str:
+    """A name as one line of text that any UTF-8 stream takes: unchanged when
+    printable, else each non-printable character, such as a newline or a lone
+    surrogate, written as its ``repr`` escape (``\\n``, ``\\ud800``)."""
+    if name.isprintable():
+        return name
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in name)
+
+
 def _num_text(value: Rational) -> str:
     """``str(value)``, except that an int, or a part of a Fraction, of more
     digits than the interpreter turns into text is cut as ``_echo`` cuts it."""

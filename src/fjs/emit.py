@@ -16,7 +16,7 @@ from itertools import chain
 from math import lcm
 from operator import itemgetter
 
-from .core import Rational
+from .core import Rational, _printable
 from .milp import BINARY, LinearConstraint, MilpModel
 
 __all__ = ["write_lp", "write_mps"]
@@ -83,7 +83,7 @@ def _lp_expression(terms: tuple[tuple[int, str], ...]) -> str:
 
 def write_lp(model: MilpModel) -> str:
     """Render the model in CPLEX LP format."""
-    lines = [f"\\ Problem: {model.name}", "Minimize"]
+    lines = [f"\\ Problem: {_printable(model.name)}", "Minimize"]
     lines.append(" obj: " + _lp_expression(_objective(model)))
     lines.append("Subject To")
     for row in model.constraints:
@@ -114,7 +114,7 @@ def write_mps(model: MilpModel) -> str:
 
     # One pass over the rows writes the ROWS section and fills the per-column
     # and RHS cells; every row name is padded once, not once per cell.
-    lines = [f"NAME          {model.name}", "ROWS", " N  obj"]
+    lines = [f"NAME          {_printable(model.name)}", "ROWS", " N  obj"]
     cells: dict[str, list[str]] = {v.name: [] for v in model.variables}
     obj = "obj".ljust(width)
     for coef, name in _objective(model):

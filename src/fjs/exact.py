@@ -128,10 +128,11 @@ class _Search:
     The instance is read once, into zero-based tables: ``options[v]`` holds
     the ``(machine, time)`` pairs of operation v and ``ptime[v]`` the same as
     a dict; ``rows`` holds, in topological order, ``(v, 1 << v, machine or
-    machines, predecessors of v, least time of v)``, where one eligible
-    machine is an int and two or more are an ``itemgetter``; ``ready_rows``
-    holds ``(v, 1 << v, mask of v's predecessors)``, from which ``expand``
-    reads the ready operations; and ``single`` holds, per machine, the
+    pairs, predecessors of v, least time of v)``, where one eligible machine
+    is an int and two or more are v's ``options`` pairs, whose times the
+    bound reads in place of the least time; ``ready_rows`` holds ``(v, 1 <<
+    v, mask of v's predecessors)``, from which ``expand`` reads the ready
+    operations; and ``single`` holds, per machine, the
     ``(1 << v, least time)`` of each operation only that machine can run.
     """
 
@@ -145,7 +146,7 @@ class _Search:
         self.ptime = [dict(pairs) for pairs in self.options]
         pmin = [min(times) for times in instance.times]
         preds = [instance.predecessors(v) for v in range(n)]
-        machines = [machs[0] if len(machs) == 1 else itemgetter(*machs) for machs in eligible]
+        machines = [pairs[0][0] if len(pairs) == 1 else pairs for pairs in self.options]
         self.rows = [(v, 1 << v, machines[v], preds[v], pmin[v]) for v in instance.order]
         self.ready_rows = [(v, 1 << v, sum(1 << u for u in preds[v])) for v in range(n)]
         self.successors = [instance.successors(v) for v in range(n)]
@@ -165,7 +166,15 @@ class _Search:
         self.stack = [BnbNode(self.lower_bound(ready, 0, avail), 0, ready, avail, ((),) * instance.machines)]
 
     def lower_bound(self, ready, mask, avail, cutoff=math.inf) -> Rational:
-        """Max of the path bound with minimum times and the machine workload bound.
+        """Max of the path bound and the machine workload bound.
+
+        The path bound credits an open operation v, released at ``release``
+        by its predecessors, with the least ``max(avail[k], release) + p``
+        over its eligible machines k.  That is sound because a descendant
+        only appends to the end of a machine's sequence, so v placed on k
+        starts no earlier than ``avail[k]``; heads propagate along the arcs
+        as in Carlier and Pinson (1989).  At the root every ``avail`` is 0
+        and the term is ``release`` plus v's least time.
 
         Returns as soon as the running bound reaches ``cutoff``: the caller
         prunes such a node whatever its full bound is.  Below ``cutoff`` the
@@ -188,10 +197,16 @@ class _Search:
             for u in preds:
                 if dp[u] > release:
                     release = dp[u]
-            base = avail[machines] if machines.__class__ is int else min(machines(avail))
-            if base > release:
-                release = base
-            c = release + p
+            if machines.__class__ is int:
+                a = avail[machines]
+                c = (a if a > release else release) + p
+            else:
+                c = None
+                for k, q in machines:
+                    a = avail[k]
+                    e = (a if a > release else release) + q
+                    if c is None or e < c:
+                        c = e
             dp[v] = c
             if c > lb:
                 lb = c

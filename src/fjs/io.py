@@ -35,6 +35,7 @@ from .core import (
     _DIGITS_BOUND,
     _echo,
     _ints_within,
+    _printable,
 )
 
 __all__ = [
@@ -375,7 +376,7 @@ def render_report(rows: Sequence[ReportRow]) -> str:
             cell = _cell_num(row.upper_bound)
         else:
             cell = format_bound_cell(row.lower_bound, row.upper_bound)
-        body.append((row.name, size, _cell_num(row.est_makespan), row.method, cell, f"{row.elapsed:.2f}"))
+        body.append((_printable(row.name), size, _cell_num(row.est_makespan), row.method, cell, f"{row.elapsed:.2f}"))
     widths = [max(len(header[i]), *(len(line[i]) for line in body)) if body else len(header[i]) for i in range(6)]
     lines = ["  ".join(header[i].ljust(widths[i]) for i in range(6)).rstrip()]
     for line in body:

@@ -6,6 +6,7 @@ import argparse
 import gc
 import json
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -328,6 +329,39 @@ def test_decode_infeasible_point_fails(ex1_file, tmp_path, capsys):
     ])
     assert code == 1
     assert "cycle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, shown", [("a\ud800b", "a\\ud800b"), ("a\nb", "a\\nb")], ids=["surrogate", "newline"])
+def test_a_name_that_is_not_printable_is_shown_escaped(tmp_path, capsys, name, shown):
+    # Such a name can come from a valid file, as "a\ud800b" or "a\nb"; every
+    # summary line, report row and model header shows it on one line that a
+    # UTF-8 stream takes, and the files that carry it as JSON keep it exact.
+    instance = replace(make_ex1(), name=name)
+    inst = tmp_path / "x.fjs.json"
+    inst.write_text(serialize_instance(instance))
+    files = {fmt: tmp_path / f"x.{fmt}" for fmt in ("lp", "mps")}
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps(encode_compact(instance, EX1_SOL).values))
+    runs = [
+        (["solve", "--method", "est", "--in", str(inst), "--out", str(tmp_path / "x.sol.json")], "mks 8 (feasible)"),
+        (["solve", "--method", "bnb", "--in", str(inst), "--out", str(tmp_path / "b.sol.json")], "mks 8 (optimal)"),
+        (["emit", "--model", "new", "--format", "lp", "--in", str(inst), "--out", str(files["lp"])], "-compact: "),
+        (["emit", "--model", "ooy", "--format", "mps", "--in", str(inst), "--out", str(files["mps"])], "-machine-indexed: "),
+        (["validate", "--in", str(inst)], "instance ok"),
+        (["validate", "--in", str(inst), "--sol", str(tmp_path / "x.sol.json")], "solution ok"),
+        (["decode", "--model", "new", "--in", str(inst), "--point", str(point), "--out", str(tmp_path / "d.sol.json")],
+         "decoded point"),
+        (["report", "--dir", str(tmp_path)], "est"),
+    ]
+    for argv, summary in runs:
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert shown in out and summary in out, argv
+    assert out.count(shown) == 3  # the report: the est, bnb and decoded rows
+    lp, mps = (path.read_text().splitlines() for path in files.values())
+    assert lp[:2] == [f"\\ Problem: {shown}-compact", "Minimize"]
+    assert mps[:2] == [f"NAME          {shown}-machine-indexed", "ROWS"]
+    assert parse_solution((tmp_path / "d.sol.json").read_text(), instance)[1].makespan == 8
 
 
 def test_generate_solve_report_flow(tmp_path, capsys):
