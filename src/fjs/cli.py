@@ -14,9 +14,9 @@ from operator import countOf, itemgetter
 from pathlib import Path
 
 from . import __version__
-from .core import FjsError, Instance, Rational, _echo, _printable, validate_solution
+from .core import FjsError, Instance, Rational, Schedule, SolutionPair, _echo, _printable, validate_solution
 from .emit import write_lp, write_mps
-from .exact import STATUS_OPTIMAL, solve_branch_and_bound
+from .exact import STATUS_BOUND_PAIR, solve_branch_and_bound
 from .generate import DafjsParams, YfjsParams, generate_dafjs, generate_yfjs
 from .heuristic import earliest_start_heuristic
 from .io import (
@@ -76,10 +76,7 @@ def _write(path: str | None, text: str) -> None:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     try:
-        if args.family == "yfjs":
-            instance = generate_yfjs(YfjsParams(args.n, args.o, args.m, args.q, args.seed))
-        else:
-            instance = generate_dafjs(DafjsParams(args.n, args.m, args.seed))
+        instance = args.generator(args)
     except ValueError as exc:  # sizes the generator refuses
         raise _UsageError(str(exc)) from exc
     _write(args.out, serialize_instance(instance))
@@ -87,44 +84,44 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_est(instance: Instance, time_limit: float) -> tuple[SolutionPair, Schedule, str, dict]:
+    t0 = time.monotonic()
+    sol, sched = earliest_start_heuristic(instance)
+    elapsed = time.monotonic() - t0
+    meta = {"lower_bound": makespan_lower_bound(instance), "upper_bound": sched.makespan, "elapsed": elapsed}
+    return sol, sched, "feasible", meta
+
+
+def _run_bnb(instance: Instance, time_limit: float) -> tuple[SolutionPair, Schedule, str, dict]:
+    result = solve_branch_and_bound(instance, time_limit=time_limit)
+    meta = {
+        "lower_bound": result.lower_bound,
+        "upper_bound": result.upper_bound,
+        "nodes_explored": result.nodes_explored,
+        "elapsed": result.elapsed,
+    }
+    return result.solution, result.schedule, result.status, meta
+
+
+# A runner returns the solution, its schedule, the status and its meta fields, lower_bound and
+# upper_bound among them; `fjs solve` prints [lb;ub] and exits 3 exactly when the status is bound-pair.
+# A runner reaches the public solvers through this module's globals, so a caller that rebinds them
+# there, such as a tracer, sees every call.
+SOLVERS = {"est": _run_est, "bnb": _run_bnb}
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     if args.method == "bnb" and not args.time_limit > 0:
         raise _UsageError(f"--time-limit must be positive, got {args.time_limit}")
     instance = parse_instance(_read(args.infile))
-    if args.method == "est":
-        t0 = time.monotonic()
-        sol, sched = earliest_start_heuristic(instance)
-        elapsed = time.monotonic() - t0
-        meta = {
-            "method": "est",
-            "status": "feasible",
-            "lower_bound": makespan_lower_bound(instance),
-            "upper_bound": sched.makespan,
-            "elapsed": elapsed,
-        }
-        status = "feasible"
-        value_cell = str(sched.makespan)
-    else:
-        result = solve_branch_and_bound(instance, time_limit=args.time_limit)
-        sol, sched = result.solution, result.schedule
-        meta = {
-            "method": "bnb",
-            "status": result.status,
-            "lower_bound": result.lower_bound,
-            "upper_bound": result.upper_bound,
-            "nodes_explored": result.nodes_explored,
-            "elapsed": result.elapsed,
-        }
-        status = result.status
-        value_cell = (
-            str(result.upper_bound)
-            if result.status == STATUS_OPTIMAL
-            else f"[{result.lower_bound};{result.upper_bound}]"
-        )
+    sol, sched, status, meta = SOLVERS[args.method](instance, args.time_limit)
+    meta = {"method": args.method, "status": status, **meta}
     if args.out:
         _write(args.out, serialize_solution(instance, sol, sched, meta))
+    open_gap = status == STATUS_BOUND_PAIR
+    value_cell = f"[{meta['lower_bound']};{meta['upper_bound']}]" if open_gap else str(meta["upper_bound"])
     print(f"{_printable(instance.name)}: mks {value_cell} ({status})")
-    return 3 if args.method == "bnb" and status != STATUS_OPTIMAL else 0
+    return 3 if open_gap else 0
 
 
 def _parse_horizon(text: str, instance: Instance):
@@ -207,34 +204,28 @@ def _cmd_report(args: argparse.Namespace) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
         raise _UsageError(f"cannot read {args.directory}")
-    instances: dict[str, Instance] = {}
-    files: dict[str, str] = {}
+    instances: dict[str, tuple[Instance, str]] = {}  # each instance and its file name
     for path in sorted(directory.glob("*.fjs.json")):
         instance = parse_instance(_read(path))
-        if instance.name in files:  # a solution names its instance, so a name must pick one file
-            name = _echo(instance.name)
-            raise _UsageError(f"{files[instance.name]} and {path.name}: two instance files named {name} in {directory}")
-        instances[instance.name], files[instance.name] = instance, path.name
+        if instance.name in instances:  # a solution names its instance, so a name must pick one file
+            name, first = _echo(instance.name), instances[instance.name][1]
+            raise _UsageError(f"{first} and {path.name}: two instance files named {name} in {directory}")
+        instances[instance.name] = instance, path.name
     rows = []
-    est_makespan: dict[str, Rational] = {}
+    columns: dict[str, tuple] = {}  # the size and EST makespan of each instance a solution names
     for path in sorted(directory.glob("*.sol.json")):
         document = solution_document(_read(path))
         name = document["instance"]
         if name not in instances:
             raise _UsageError(f"{path.name}: no instance file named {_echo(name)} in {directory}")
-        instance = instances[name]
+        instance = instances[name][0]
         sol, sched, meta = parse_solution(document, instance)
-        if name not in est_makespan:
-            est_makespan[name] = earliest_start_heuristic(instance)[1].makespan
-        n_jobs, ops_min, ops_max, machines = instance_size(instance)
+        if name not in columns:
+            columns[name] = (*instance_size(instance), earliest_start_heuristic(instance)[1].makespan)
         rows.append(
             ReportRow(
-                name=name,
-                n_jobs=n_jobs,
-                ops_min=ops_min,
-                ops_max=ops_max,
-                machines=machines,
-                est_makespan=est_makespan[name],
+                name,
+                *columns[name],
                 method=str(meta.get("method", "?")),
                 status=str(meta.get("status", "?")),
                 lower_bound=_report_bound(meta, "lower_bound", sched.makespan),
@@ -266,15 +257,17 @@ def build_parser() -> argparse.ArgumentParser:
     yfjs.add_argument("--q", type=int, required=True, help="max eligible machines per operation")
     yfjs.add_argument("--seed", type=int, required=True)
     yfjs.add_argument("--out", required=True)
+    yfjs.set_defaults(generator=lambda a: generate_yfjs(YfjsParams(a.n, a.o, a.m, a.q, a.seed)))
     dafjs = gen_sub.add_parser("dafjs", help="jobs split and merge between equal-length paths")
     dafjs.add_argument("--n", type=int, required=True, help="number of jobs")
     dafjs.add_argument("--m", type=int, required=True, help="number of machines")
     dafjs.add_argument("--seed", type=int, required=True)
     dafjs.add_argument("--out", required=True)
+    dafjs.set_defaults(generator=lambda a: generate_dafjs(DafjsParams(a.n, a.m, a.seed)))
 
     solve = sub.add_parser("solve", help="solve an instance")
     solve.set_defaults(handler=_cmd_solve)
-    solve.add_argument("--method", choices=("est", "bnb"), required=True)
+    solve.add_argument("--method", choices=tuple(SOLVERS), required=True)
     solve.add_argument("--time-limit", type=float, default=3600.0)
     solve.add_argument(
         "--threads", type=int, default=1, help="accepted and ignored: the search runs on one thread"

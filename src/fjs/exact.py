@@ -38,6 +38,9 @@ __all__ = ["SolveResult", "CapError", "brute_force", "solve_branch_and_bound"]
 STATUS_OPTIMAL = "optimal"
 STATUS_BOUND_PAIR = "bound-pair"
 
+BRUTE_FORCE_MAX_OPS = 9  # the caps of the brute-force oracle
+BRUTE_FORCE_MAX_ASSIGNMENTS = 100_000
+
 
 class CapError(Exception):
     """Instance exceeds the enumeration caps of the brute-force oracle."""
@@ -61,7 +64,7 @@ class SolveResult:
     elapsed: float
 
 
-def brute_force(instance: Instance, max_ops: int = 9, max_assignments: int = 100_000) -> SolveResult:
+def brute_force(instance: Instance) -> SolveResult:
     """Exhaustive optimum by enumerating assignments and per-machine orders.
 
     Candidate orders are per-machine permutations; inadmissible combinations
@@ -70,13 +73,13 @@ def brute_force(instance: Instance, max_ops: int = 9, max_assignments: int = 100
     """
     t0 = time.monotonic()
     n = instance.n_ops
-    if n > max_ops:
-        raise CapError(f"{n} operations exceed the cap of {max_ops}")
+    if n > BRUTE_FORCE_MAX_OPS:
+        raise CapError(f"{n} operations exceed the cap of {BRUTE_FORCE_MAX_OPS}")
     n_assignments = 1
     for row in instance.eligible:
         n_assignments *= len(row)
-    if n_assignments > max_assignments:
-        raise CapError(f"{n_assignments} assignments exceed the cap of {max_assignments}")
+    if n_assignments > BRUTE_FORCE_MAX_ASSIGNMENTS:
+        raise CapError(f"{n_assignments} assignments exceed the cap of {BRUTE_FORCE_MAX_ASSIGNMENTS}")
 
     base_preds = [list(instance.predecessors(v)) for v in range(n)]
     best_mks = None

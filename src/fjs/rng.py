@@ -16,26 +16,23 @@ def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
-class SplitMix64:
-    """Seed expander; also usable as a tiny standalone generator."""
-
-    def __init__(self, seed: int):
-        self.state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+def _splitmix64_state(seed: int) -> list[int]:
+    """The four xoshiro256** state words: the first four outputs of splitmix64 from `seed`."""
+    state = seed & _MASK64
+    words = []
+    for _ in range(4):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        words.append(z ^ (z >> 31))
+    return words
 
 
 class Xoshiro256StarStar:
     """xoshiro256** stream seeded via splitmix64."""
 
     def __init__(self, seed: int):
-        mix = SplitMix64(seed)
-        self.s = [mix.next_u64() for _ in range(4)]
+        self.s = _splitmix64_state(seed)
         if not any(self.s):  # the all-zero state is a fixed point
             self.s[0] = 1
 

@@ -64,6 +64,22 @@ def test_solve_est(ex1_file, tmp_path, capsys):
     assert meta["elapsed"] > 0  # measured, not a placeholder
 
 
+def test_solve_est_prints_its_makespan_when_the_bound_is_lower(tmp_path, capsys):
+    # Only bound-pair opens the summary cell and exits 3; est keeps a gap to its bound and is feasible.
+    inst = generate_yfjs(YfjsParams(2, 3, 2, 2, 1))
+    path, out = tmp_path / "y.fjs.json", tmp_path / "y.sol.json"
+    path.write_text(serialize_instance(inst))
+    assert main(["solve", "--method", "est", "--in", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "YFJS-n2-o3-m2-q2-s1: mks 365 (feasible)\n"
+    _, _, meta = parse_solution(out.read_text(), inst)
+    assert {key: meta[key] for key in meta if key != "elapsed"} == {
+        "lower_bound": 294,
+        "upper_bound": 365,
+        "method": "est",
+        "status": "feasible",
+    }
+
+
 def test_solve_timeout_exit_code(tmp_path, capsys):
     from fjs.core import Instance
 
@@ -423,6 +439,21 @@ def test_cli_flow_never_builds_the_pair_view(tmp_path, monkeypatch, capsys):
     assert main(["validate", "--in", str(inst_path), "--sol", str(sol_path)]) == 0
     assert main(["report", "--dir", str(tmp_path), "--out", str(tmp_path / "out.report.txt")]) == 0
     assert "solution ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, instance",
+    [
+        (["yfjs", "--n", "2", "--o", "5", "--m", "4", "--q", "3"], generate_yfjs(YfjsParams(2, 5, 4, 3, 7))),
+        (["dafjs", "--n", "2", "--m", "5"], generate_dafjs(DafjsParams(2, 5, 7))),
+    ],
+    ids=["yfjs", "dafjs"],
+)
+def test_generate_writes_the_generators_instance(tmp_path, capsys, argv, instance):
+    # n, o, m and q all differ, so an argument passed to the wrong parameter changes the file
+    out = tmp_path / "g.fjs.json"
+    assert main(["generate", *argv, "--seed", "7", "--out", str(out)]) == 0
+    assert out.read_text() == serialize_instance(instance)
 
 
 def test_generate_reproducible_bytes(tmp_path):

@@ -51,9 +51,10 @@ def test_brute_force_caps():
     big = Instance.from_tables("big", 1, {v: {1: 1} for v in range(10)}, [])
     with pytest.raises(CapError):
         brute_force(big)
-    wide = Instance.from_tables("wide", 3, {v: {1: 1, 2: 1, 3: 1} for v in range(8)}, [])
-    with pytest.raises(CapError):
-        brute_force(wide, max_assignments=100)
+    # 4**9 = 262,144 assignments, refused before any is enumerated
+    wide = Instance.from_tables("wide", 4, {v: {1: 1, 2: 1, 3: 1, 4: 1} for v in range(9)}, [])
+    with pytest.raises(CapError, match="^262144 assignments exceed the cap of 100000$"):
+        brute_force(wide)
 
 
 def test_time_limit_must_be_positive(ex1):
