@@ -11,12 +11,13 @@ which is the minimum-makespan schedule for that assignment and selection.
 Operation ids are dense integers ``0 .. n_ops-1``; machines are numbered
 ``1 .. machines``.  Processing times are ``int`` or ``fractions.Fraction``
 (floats are rejected: admissibility checks must be exact).  All deterministic
-iteration breaks ties by ascending id.
+iteration breaks ties by ascending id.  Topological orders come from Kahn's
+algorithm with a stack for a frontier, popped depth first with the lowest id
+first, over the instance's own successor lists where it has them.
 """
 
 from __future__ import annotations
 
-import heapq
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -241,7 +242,7 @@ class Instance:
         object.__setattr__(self, "_preds", tuple(map(tuple, preds)))
         object.__setattr__(self, "_succs", tuple(map(tuple, succs)))
         object.__setattr__(self, "_ptime", dict(zip(keys, chain.from_iterable(times))))
-        order = _kahn(n, self._preds)
+        order = _kahn(n, self._preds, self._succs)
         if len(order) < n:
             cycle = _find_cycle(self._preds, order)
             raise InstanceError("cycle", f"precedence arcs contain a cycle: {'->'.join(map(str, cycle))}")
@@ -257,7 +258,9 @@ class Instance:
 
     @property
     def order(self) -> tuple[int, ...]:
-        """The operations in topological order of the arcs, ties by lowest id."""
+        """The operations in topological order of the arcs, from a depth-first
+        frontier that pops the lowest id first; on generated instances this is
+        the order a min-id frontier gives."""
         return self._order
 
     def ptime(self, v: int, k: int) -> Rational:
@@ -422,22 +425,30 @@ class ValidationReport:
         return "; ".join(f"{i.kind}: {i.message}" for i in self.issues)
 
 
-def _kahn(n: int, preds: Sequence[Sequence[int]]) -> list[int]:
-    """Kahn topological order with a min-id frontier; incomplete iff there is a cycle."""
-    indeg = [len(p) for p in preds]
-    succs: list[list[int]] = [[] for _ in range(n)]
-    for w in range(n):
-        for u in preds[w]:
-            succs[u].append(w)
-    frontier = [v for v in range(n) if indeg[v] == 0]  # ascending, hence a heap
+def _kahn(n: int, preds: Sequence[Sequence[int]], succs: Sequence[Sequence[int]] | None = None) -> list[int]:
+    """Kahn topological order; incomplete iff there is a cycle.
+
+    The frontier is a stack, popped depth first with the lowest id first:
+    the sources go on it in descending order, and so do the successors
+    that each popped operation releases.  ``succs`` are the ascending
+    successor lists of ``preds``, made from them when not given.
+    """
+    if succs is None:
+        succs = [[] for _ in range(n)]
+        for w in range(n):
+            for u in preds[w]:
+                succs[u].append(w)
+    indeg = list(map(len, preds))
+    stack = [v for v in range(n - 1, -1, -1) if not indeg[v]]
+    pop, push = stack.pop, stack.append
     order = []
-    while frontier:
-        v = heapq.heappop(frontier)
+    while stack:
+        v = pop()
         order.append(v)
-        for w in succs[v]:
+        for w in reversed(succs[v]):
             indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(frontier, w)
+            if not indeg[w]:
+                push(w)
     return order
 
 
@@ -517,7 +528,8 @@ def selection_from_starts(instance: Instance, assignment: tuple[int, ...], start
 
 
 def topological_order(n: int, preds: Sequence[Sequence[int]]) -> list[int]:
-    """Kahn topological order with a min-id frontier; raises on cycles."""
+    """Kahn topological order with a depth-first frontier that pops the
+    lowest id first (see ``_kahn``); raises on cycles."""
     order = _kahn(n, preds)
     if len(order) != n:
         raise InadmissibleError(_find_cycle(preds, order))
@@ -566,23 +578,28 @@ def certified_critical_path(
 
 
 def weakly_connected_components(instance: Instance) -> tuple[tuple[int, ...], ...]:
-    """Components of the undirected precedence graph; a proxy for jobs."""
-    parent = list(instance.ops)
+    """Components of the undirected precedence graph, each ascending and in
+    the order of their lowest ids; a proxy for jobs.
 
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for u, w in instance.arcs:
-        ru, rw = find(u), find(w)
-        if ru != rw:
-            parent[max(ru, rw)] = min(ru, rw)
-    groups: dict[int, list[int]] = {}
-    for v in instance.ops:
-        groups.setdefault(find(v), []).append(v)
-    return tuple(tuple(groups[r]) for r in sorted(groups))
+    Each component is walked breadth first over the instance's predecessor
+    and successor lists, from its lowest id.
+    """
+    preds, succs = instance._preds, instance._succs
+    seen = [False] * instance.n_ops
+    components = []
+    for root in instance.ops:
+        if seen[root]:
+            continue
+        seen[root] = True
+        component = [root]
+        for v in component:  # the list grows as it is walked
+            for w in chain(preds[v], succs[v]):
+                if not seen[w]:
+                    seen[w] = True
+                    component.append(w)
+        component.sort()
+        components.append(tuple(component))
+    return tuple(components)
 
 
 def validate_solution(instance: Instance, sol: SolutionPair, sched: Schedule) -> ValidationReport:

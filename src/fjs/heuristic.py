@@ -36,8 +36,7 @@ def _scaled_tails(instance: Instance) -> list[Rational]:
     """
     scale = lcm(*(len(row) for row in instance.times))
     weights = [sum(row) * (scale // len(row)) for row in instance.times]
-    succs = [instance.successors(v) for v in instance.ops]
-    return _longest_path(reversed(instance.order), succs, weights)
+    return _longest_path(reversed(instance.order), instance._succs, weights)
 
 
 def earliest_start_heuristic(instance: Instance) -> tuple[SolutionPair, Schedule]:
@@ -48,10 +47,11 @@ def earliest_start_heuristic(instance: Instance) -> tuple[SolutionPair, Schedule
     reverse sweep, and each of the |V| steps scans the m machine tops.
     """
     n, m = instance.n_ops, instance.machines
+    eligible, ptime, successors = instance.eligible, instance._ptime, instance._succs
     tails = _scaled_tails(instance)
     rank_of = {t: r for r, t in enumerate(sorted(set(tails), reverse=True))}
     rank = [rank_of[t] for t in tails]  # a heavier tail gets a smaller rank
-    pending = [len(instance.predecessors(v)) for v in instance.ops]
+    pending = list(map(len, instance._preds))
     ready_time: list[Rational] = [0] * n
     machine_avail: list[Rational] = [0] * (m + 1)
     machine_seq: list[list[int]] = [[] for _ in range(m)]
@@ -69,7 +69,7 @@ def earliest_start_heuristic(instance: Instance) -> tuple[SolutionPair, Schedule
 
     def release(w: int) -> None:
         rt = ready_time[w]
-        for k in instance.eligible[w]:
+        for k in eligible[w]:
             if rt <= machine_avail[k]:
                 heappush(released[k], (rank[w], w))
             else:
@@ -105,7 +105,7 @@ def earliest_start_heuristic(instance: Instance) -> tuple[SolutionPair, Schedule
         start, _, w, k = best
         placed[w] = True
         chosen_machine[w] = k
-        completion = start + instance.ptime(w, k)
+        completion = start + ptime[w, k]
         machine_avail[k] = completion
         machine_seq[k - 1].append(w)
         heap = waiting[k]
@@ -113,7 +113,7 @@ def earliest_start_heuristic(instance: Instance) -> tuple[SolutionPair, Schedule
             _, r, v = heappop(heap)
             if not placed[v]:
                 heappush(released[k], (r, v))
-        for succ in instance.successors(w):
+        for succ in successors[w]:
             if completion > ready_time[succ]:
                 ready_time[succ] = completion
             pending[succ] -= 1

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
@@ -156,6 +157,15 @@ def decode_json(text: str, error: Callable[[str], FjsError]) -> object:
         raise error("JSON nested too deeply to decode") from exc
 
 
+def _fresh_id_pairs(entries: list) -> bool:
+    """Whether every entry is a two-item list led by an int id, and no id
+    leads two entries, checked in bulk."""
+    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}):
+        return False
+    ids = list(map(itemgetter(0), entries))
+    return set(map(type, ids)) <= {int} and len(set(ids)) == len(ids)
+
+
 def _int_pairs(entries: list) -> bool:
     """Whether every entry is a list of two ints, checked in bulk."""
     return (
@@ -183,16 +193,7 @@ def parse_instance(text: str) -> Instance:
     operations = document["operations"]
     if not isinstance(operations, list):
         raise InstanceError("bad-format", "operations must be a list")
-    rows: dict[int, list] = {}
-    for op in operations:
-        if not isinstance(op, dict) or "id" not in op or "times" not in op:
-            raise InstanceError("bad-format", f"operation entry {_echo(op)} needs 'id' and 'times'")
-        v = op["id"]
-        if type(v) is not int or v in rows:
-            raise InstanceError("bad-id", f"operation id {_echo(v)} is not a fresh integer")
-        if not isinstance(op["times"], list):
-            raise InstanceError("bad-format", f"operation {v}: times must be a list of [machine, time] pairs")
-        rows[v] = op["times"]
+    rows = _operation_rows(operations)
     if not _ints_within(list(rows), 0, len(rows) - 1):  # distinct ids in 0..n-1 are all of them
         raise InstanceError("bad-id", "operation ids must be dense integers 0..n-1")
     if not _int_pairs(list(chain.from_iterable(rows.values()))):
@@ -207,6 +208,35 @@ def parse_instance(text: str) -> Instance:
     columns = [tuple(zip(*sorted(rows[v]))) or ((), ()) for v in range(len(rows))]
     eligible, times = tuple(zip(*columns)) or ((), ())
     return Instance(document["name"], document["machines"], eligible, times, tuple(map(tuple, arcs)))
+
+
+def _operation_rows(operations: list) -> dict[int, list]:
+    """Each operation entry's ``times`` list by its id.
+
+    The entries are checked in bulk: dicts with ``id`` and ``times``, int
+    ids, all distinct, and list times.  Only when that fails does a loop walk
+    them in order, raising the InstanceError of the first fault.
+    """
+    if set(map(type, operations)) <= {dict}:
+        try:
+            ids = list(map(itemgetter("id"), operations))
+            rows = list(map(itemgetter("times"), operations))
+        except KeyError:
+            pass
+        else:
+            if set(map(type, ids)) <= {int} and set(map(type, rows)) <= {list} and len(set(ids)) == len(ids):
+                return dict(zip(ids, rows))
+    by_id: dict[int, list] = {}
+    for op in operations:
+        if not isinstance(op, dict) or "id" not in op or "times" not in op:
+            raise InstanceError("bad-format", f"operation entry {_echo(op)} needs 'id' and 'times'")
+        v = op["id"]
+        if type(v) is not int or v in by_id:
+            raise InstanceError("bad-id", f"operation id {_echo(v)} is not a fresh integer")
+        if not isinstance(op["times"], list):
+            raise InstanceError("bad-format", f"operation {v}: times must be a list of [machine, time] pairs")
+        by_id[v] = op["times"]
+    return by_id
 
 
 def _raise_times_fault(rows: dict[int, list]) -> None:
@@ -279,14 +309,17 @@ def parse_solution(source: str | dict, instance: Instance) -> tuple[SolutionPair
     def id_map(entries: object, what: str) -> dict[int, object]:
         if not isinstance(entries, list):
             raise SolutionError(f"{what} must be a list of [id, value] pairs")
-        out: dict[int, object] = {}
-        for pair in entries:
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise SolutionError(f"{what} entries must be [id, value] pairs")
-            v, value = pair
-            if not isinstance(v, int) or isinstance(v, bool) or v in out:
-                raise SolutionError(f"{what}: id {_echo(v)} is not a fresh integer")
-            out[v] = value
+        if _fresh_id_pairs(entries):
+            out = dict(entries)
+        else:  # walk the pairs in order to name the first fault
+            out = {}
+            for pair in entries:
+                if not (isinstance(pair, list) and len(pair) == 2):
+                    raise SolutionError(f"{what} entries must be [id, value] pairs")
+                v, value = pair
+                if not isinstance(v, int) or isinstance(v, bool) or v in out:
+                    raise SolutionError(f"{what}: id {_echo(v)} is not a fresh integer")
+                out[v] = value
         if sorted(out) != list(instance.ops):
             raise SolutionError(f"{what} must cover operation ids 0..{instance.n_ops - 1}")
         return out

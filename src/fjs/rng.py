@@ -50,14 +50,28 @@ class Xoshiro256StarStar:
         return result
 
     def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in the inclusive range [lo, hi], via rejection."""
+        """Uniform integer in the inclusive range [lo, hi], via rejection.
+
+        Each draw is the step of ``next_u64``, run inline on local state
+        words; the state is stored once, after the accepted draw.
+        """
         if lo > hi:
             raise ValueError(f"empty range [{lo}, {hi}]")
         span = hi - lo + 1
         limit = (1 << 64) - ((1 << 64) % span)
+        s0, s1, s2, s3 = self.s
         while True:
-            r = self.next_u64()
+            x = (s1 * 5) & _MASK64
+            r = (((x << 7) | (x >> 57)) * 9) & _MASK64
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
             if r < limit:
+                self.s = [s0, s1, s2, s3]
                 return lo + r % span
 
     def sample(self, population: list[int], k: int) -> list[int]:

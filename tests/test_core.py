@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import reprlib
 from collections import Counter
 from fractions import Fraction
@@ -23,6 +24,7 @@ from fjs.core import (
     disjunctive_pairs,
     selection_from_starts,
     tight_schedule,
+    topological_order,
     validate_solution,
     weakly_connected_components,
     _echo,
@@ -31,6 +33,7 @@ from fjs.core import (
     _num_text,
     _selection_preds,
 )
+from fjs.generate import DafjsParams, YfjsParams, generate_dafjs, generate_yfjs
 from fjs.heuristic import earliest_start_heuristic
 from fjs.rng import Xoshiro256StarStar
 
@@ -174,9 +177,9 @@ class TestOneSortPerGraph:
         runs = []
         kahn = fjs.core._kahn
 
-        def counted(n, preds):
+        def counted(n, preds, succs=None):
             runs.append(n)
-            return kahn(n, preds)
+            return kahn(n, preds, succs)
 
         monkeypatch.setattr(fjs.core, "_kahn", counted)
         return runs
@@ -218,6 +221,51 @@ class TestOneSortPerGraph:
         # the compact decoder sorts in tight_schedule; the machine-indexed one
         # hands the point's starts, which keep every arc, to validate_solution
         assert len(kahn_runs) == {"compact": 1, "machine_indexed": 0}[model]
+
+
+def _min_id_order(instance: Instance) -> tuple[int, ...]:
+    """Kahn's order with a min-id heap for a frontier."""
+    pending = [len(instance.predecessors(v)) for v in instance.ops]
+    frontier = [v for v in instance.ops if not pending[v]]
+    order = []
+    while frontier:
+        v = heapq.heappop(frontier)
+        order.append(v)
+        for w in instance.successors(v):
+            pending[w] -= 1
+            if not pending[w]:
+                heapq.heappush(frontier, w)
+    return tuple(order)
+
+
+# the benchmark's corpus, then seeded instances of small and wide shapes
+ORDER_CASES = [
+    *(YfjsParams(*sizes) for sizes in [(10, 10, 10, 3, 1), (100, 10, 10, 3, 1), (200, 10, 20, 3, 1)]),
+    *(YfjsParams(*sizes) for sizes in [(3, 4, 3, 2, 3), (3, 5, 4, 2, 2), (3, 5, 4, 2, 3), (4, 5, 5, 3, 1)]),
+    *(DafjsParams(*sizes) for sizes in [(5, 10, 1), (60, 10, 1), (3, 4, 2), (3, 5, 3), (3, 4, 3)]),
+    *(YfjsParams(2 + seed % 5, 1 + seed % 9, 4, 2, seed) for seed in range(20)),
+    *(DafjsParams(1 + seed % 6, 2 + seed % 9, seed) for seed in range(20)),
+]
+
+
+class TestTopologicalOrder:
+    """``Instance.order`` is the row order of the branch-and-bound's bound
+    walk, so its speed depends on it: on generated instances the depth-first
+    frontier gives the order of a min-id heap."""
+
+    @pytest.mark.parametrize("params", ORDER_CASES, ids=str)
+    def test_generated_instances_keep_the_min_id_order(self, params):
+        instance = generate_yfjs(params) if isinstance(params, YfjsParams) else generate_dafjs(params)
+        assert instance.order == _min_id_order(instance)
+
+    def test_order_is_topological_on_random_dags(self):
+        for seed in range(200):
+            instance = small_random_instance(seed, max_ops=14, arc_percent=20)
+            position = {v: i for i, v in enumerate(instance.order)}
+            assert sorted(position) == list(instance.ops)
+            assert all(position[u] < position[w] for u, w in instance.arcs)
+            preds = [instance.predecessors(v) for v in instance.ops]
+            assert topological_order(instance.n_ops, preds) == list(instance.order)
 
 
 class TestTightSchedule:

@@ -263,6 +263,24 @@ class TestRng:
         seen = {rng.randint(0, 3) for _ in range(200)}
         assert seen == {0, 1, 2, 3}
 
+    # randint(0, 2**63) rejects about half of its draws, (1, 3 * 2**62) a
+    # quarter; the generators' spans almost never reject
+    @pytest.mark.parametrize("lo, hi", [(0, 2**63), (1, 3 * 2**62), (-7, 5 * 2**60), (0, 2), (10, 200)])
+    def test_rejected_draws_advance_the_state(self, lo, hi):
+        rng, twin = Xoshiro256StarStar(9), Xoshiro256StarStar(9)
+        span = hi - lo + 1
+        limit = 2**64 - 2**64 % span
+        rejected = 0
+        for _ in range(200):
+            r = twin.next_u64()
+            while r >= limit:
+                rejected += 1
+                r = twin.next_u64()
+            assert rng.randint(lo, hi) == lo + r % span
+        assert rng.s == twin.s
+        if hi == 2**63:
+            assert rejected > 150
+
     def test_randint_rejects_empty_range(self):
         with pytest.raises(ValueError):
             Xoshiro256StarStar(1).randint(5, 4)

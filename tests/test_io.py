@@ -552,3 +552,102 @@ class TestInstanceReaderRules:
         with pytest.raises(InstanceError) as err:
             Instance("bad", 2, eligible, ((1, 1),), ())
         assert (err.value.code, str(err.value)) == ("bad-machine", message)
+
+
+# ---------------------------------------------------------------------------
+# The readers check their entries in bulk and walk them in order only when a
+# check fails: a fault after many valid entries keeps its first-fault message
+
+
+def _wide() -> Instance:
+    """110 operations, no arcs: operation v runs on machine 1 for v + 1, or on machine 2."""
+    return Instance.from_tables("wide", 2, {v: {1: v + 1, 2: 3} for v in range(110)}, [])
+
+
+def _put(value, at=100):
+    def edit(entries):
+        entries[at] = value
+
+    return edit
+
+
+def _change(field, value, at=100):
+    def edit(entries):
+        entries[at] = {**entries[at], field: value}
+
+    return edit
+
+
+def _without(field):
+    def edit(entries):
+        del entries[100][field]
+
+    return edit
+
+
+def _both(first, second):
+    def edit(entries):
+        first(entries)
+        second(entries)
+
+    return edit
+
+
+LATE_OPERATION_FAULTS = [
+    ("not-a-dict", _put([100, [[1, 101]]]), "bad-format", "operation entry [100, [[1, 101]]] needs 'id' and 'times'"),
+    ("no-id", _without("id"), "bad-format", "operation entry {'times': [[1, 101], [2, 3]]} needs 'id' and 'times'"),
+    ("no-times", _without("times"), "bad-format", "operation entry {'id': 100} needs 'id' and 'times'"),
+    ("bool-id", _change("id", True), "bad-id", "operation id True is not a fresh integer"),
+    ("repeated-id", _change("id", 7), "bad-id", "operation id 7 is not a fresh integer"),
+    ("times-not-a-list", _change("times", {"1": 101}), "bad-format", "operation 100: times must be a list of [machine, time] pairs"),
+    ("repeated-id-then-a-non-dict", _both(_change("id", 7), _put(5, at=105)), "bad-id", "operation id 7 is not a fresh integer"),
+    (
+        "times-not-a-list-then-a-bool-id",
+        _both(_change("times", 5), _change("id", False, at=101)),
+        "bad-format",
+        "operation 100: times must be a list of [machine, time] pairs",
+    ),
+]
+
+LATE_PAIR_FAULTS = [
+    ("not-a-list", _put({"100": 1}), "{what} entries must be [id, value] pairs"),
+    ("pair-of-one", _put([100]), "{what} entries must be [id, value] pairs"),
+    ("pair-of-three", _put([100, 1, 1]), "{what} entries must be [id, value] pairs"),
+    ("bool-id", _put([True, 1]), "{what}: id True is not a fresh integer"),
+    ("string-id", _put(["100", 1]), "{what}: id '100' is not a fresh integer"),
+    ("repeated-id", _put([7, 1]), "{what}: id 7 is not a fresh integer"),
+    ("repeated-id-then-a-pair-of-one", _both(_put([7, 1]), _put([101], at=101)), "{what}: id 7 is not a fresh integer"),
+]
+
+WIDE_SOL = SolutionPair((2,) * 110, Selection(((), tuple(range(110)))))
+
+
+class TestLateFirstFaults:
+    @pytest.mark.parametrize(
+        "edit, code, message", [case[1:] for case in LATE_OPERATION_FAULTS], ids=[case[0] for case in LATE_OPERATION_FAULTS]
+    )
+    def test_operation_entry(self, edit, code, message):
+        document = json.loads(serialize_instance(_wide()))
+        edit(document["operations"])
+        with pytest.raises(InstanceError) as err:
+            parse_instance(json.dumps(document))
+        assert (err.value.code, str(err.value)) == (code, message)
+
+    @pytest.mark.parametrize("what", ["assignment", "starts"])
+    @pytest.mark.parametrize(
+        "edit, message", [case[1:] for case in LATE_PAIR_FAULTS], ids=[case[0] for case in LATE_PAIR_FAULTS]
+    )
+    def test_solution_pair(self, what, edit, message):
+        instance = _wide()
+        document = json.loads(serialize_solution(instance, WIDE_SOL, tight_schedule(instance, WIDE_SOL)))
+        edit(document[what])
+        with pytest.raises(SolutionError) as err:
+            parse_solution(json.dumps(document), instance)
+        assert str(err.value) == message.format(what=what)
+
+    def test_solution_pairs_may_come_in_any_id_order(self):
+        instance = _wide()
+        sched = tight_schedule(instance, WIDE_SOL)
+        document = json.loads(serialize_solution(instance, WIDE_SOL, sched))
+        document["assignment"].reverse()
+        assert parse_solution(document, instance)[:2] == (WIDE_SOL, sched)
