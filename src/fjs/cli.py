@@ -111,7 +111,7 @@ SOLVERS = {"est": _run_est, "bnb": _run_bnb}
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    if args.method == "bnb" and not args.time_limit > 0:
+    if not args.time_limit > 0:
         raise _UsageError(f"--time-limit must be positive, got {args.time_limit}")
     instance = parse_instance(_read(args.infile))
     sol, sched, status, meta = SOLVERS[args.method](instance, args.time_limit)
@@ -219,7 +219,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if name not in instances:
             raise _UsageError(f"{path.name}: no instance file named {_echo(name)} in {directory}")
         instance = instances[name][0]
-        sol, sched, meta = parse_solution(document, instance)
+        _, sched, meta = parse_solution(document, instance)
+        del document  # only its meta is read from here on, so EST below does not run beside it
         if name not in columns:
             columns[name] = (*instance_size(instance), earliest_start_heuristic(instance)[1].makespan)
         rows.append(
@@ -268,7 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve an instance")
     solve.set_defaults(handler=_cmd_solve)
     solve.add_argument("--method", choices=tuple(SOLVERS), required=True)
-    solve.add_argument("--time-limit", type=float, default=3600.0)
+    solve.add_argument(
+        "--time-limit",
+        type=float,
+        default=3600.0,
+        help="positive number of seconds the search may run (default 3600); est stops after one pass",
+    )
     solve.add_argument(
         "--threads", type=int, default=1, help="accepted and ignored: the search runs on one thread"
     )

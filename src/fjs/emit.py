@@ -107,22 +107,24 @@ def write_lp(model: MilpModel) -> str:
 
 
 def write_mps(model: MilpModel) -> str:
-    """Render the model in MPS format (column-aligned, markers for binaries)."""
-    row_kind = {"<=": "L", ">=": "G", "=": "E"}
+    """Render the model in MPS format (column-aligned, markers for binaries).
+
+    Each section is joined into one string as soon as it is complete, and
+    its lines are let go, so at its peak the writer holds about the model
+    plus twice the text.
+    """
     first = itemgetter(0)  # a record's name
     width = max(map(len, chain(map(first, model.variables), map(first, model.constraints), ["'MARKER'"]))) + 2
 
-    # One pass over the rows writes the ROWS section and fills the per-column
-    # and RHS cells; every row name is padded once, not once per cell.
-    lines = [f"NAME          {_printable(model.name)}", "ROWS", " N  obj"]
+    # One pass over the rows fills the per-column and RHS cells; every row
+    # name is padded once, not once per cell.
     cells: dict[str, list[str]] = {v.name: [] for v in model.variables}
     obj = "obj".ljust(width)
     for coef, name in _objective(model):
         cells[name].append(f"{obj}{coef}")
     rhs_column = f"    {'RHS':<{width}}"
-    rhs_cells = []
+    rhs_cells = ["RHS"]
     for row in model.constraints:
-        lines.append(f" {row_kind[row.relation]}  {row.name}")
         row_name = row.name.ljust(width)
         terms, rhs = _scaled_row(row)
         for coef, name in terms:
@@ -130,11 +132,13 @@ def write_mps(model: MilpModel) -> str:
                 cells[name].append(f"{row_name}{coef}")
         if rhs:
             rhs_cells.append(f"{rhs_column}{row_name}{rhs}")
+    rhs_section = "\n".join(rhs_cells)
+    del rhs_cells
 
     def entry(col: str, row: str, val: object) -> str:
         return f"    {col:<{width}}{row:<{width}}{val}"
 
-    lines.append("COLUMNS")
+    lines = ["COLUMNS"]
     in_integer_block = False
     for var in model.variables:
         if var.kind == BINARY and not in_integer_block:
@@ -149,9 +153,9 @@ def write_mps(model: MilpModel) -> str:
             lines.append(column + ("\n" + column).join(column_cells))
     if in_integer_block:
         lines.append(entry("MARKER2", "'MARKER'", "'INTEND'"))
-    lines.append("RHS")
-    lines += rhs_cells
-    lines.append("BOUNDS")
+    columns_section = "\n".join(lines)
+
+    lines = ["BOUNDS"]
     bound_name = f"{'BND':<{width}}"
     for var in model.variables:
         if var.kind == BINARY:
@@ -163,5 +167,14 @@ def write_mps(model: MilpModel) -> str:
             lines.append(f" LO {bound_name}{var.name:<{width}}{_exact_decimal(var.lower)}")
         if var.upper is not None:
             lines.append(f" UP {bound_name}{var.name:<{width}}{_exact_decimal(var.upper)}")
-    lines += ["ENDATA", ""]
-    return "\n".join(lines)
+    bounds_section = "\n".join(lines)
+
+    # ROWS comes first in the file but is rendered last, in a second pass
+    # over the rows, so none of its lines lives beside the cells.
+    row_kind = {"<=": "L", ">=": "G", "=": "E"}
+    lines = ["ROWS", " N  obj"]
+    lines += [f" {row_kind[relation]}  {name}" for name, _, relation, _ in model.constraints]
+    rows_section = "\n".join(lines)
+    del lines
+    name_line = f"NAME          {_printable(model.name)}"
+    return "\n".join([name_line, rows_section, columns_section, rhs_section, bounds_section, "ENDATA", ""])

@@ -180,8 +180,15 @@ def parse_instance(text: str) -> Instance:
 
     The document's shape is checked here: an object with the required
     fields, operation entries with fresh dense ids, ``[machine, time]`` and
-    ``[from, to]`` pairs of integers.  Every value is checked by ``Instance``.
+    ``[from, to]`` pairs of integers.  Every value is checked by ``Instance``,
+    which runs once the decoded document is gone.
     """
+    return Instance(*_instance_fields(text))
+
+
+def _instance_fields(text: str) -> tuple[object, object, tuple, tuple, tuple]:
+    """The name, machine count, eligible machines, times and arcs of an
+    instance document whose shape is checked; its values are not."""
     document = decode_json(text, partial(InstanceError, "syntax"))
     if not isinstance(document, dict):
         raise InstanceError("bad-format", "top-level value must be an object")
@@ -207,7 +214,7 @@ def parse_instance(text: str) -> Instance:
     # each row sorted by machine, then split into its machines and its times
     columns = [tuple(zip(*sorted(rows[v]))) or ((), ()) for v in range(len(rows))]
     eligible, times = tuple(zip(*columns)) or ((), ())
-    return Instance(document["name"], document["machines"], eligible, times, tuple(map(tuple, arcs)))
+    return document["name"], document["machines"], eligible, times, tuple(map(tuple, arcs))
 
 
 def _operation_rows(operations: list) -> dict[int, list]:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -110,3 +113,16 @@ def with_fraction_rows(model: MilpModel, divisor: int = 1) -> MilpModel:
     )
     objective = tuple((Fraction(coef), name) for coef, name in model.objective)
     return replace(model, constraints=rows, objective=objective)
+
+
+def traced(call: Callable, *args) -> tuple[object, int, int]:
+    """``call(*args)``, the bytes its result holds and the peak bytes the call
+    held at once, both as ``tracemalloc`` counts what the call allocated."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak

@@ -253,10 +253,12 @@ def test_emit_auto_horizon_of_an_empty_instance_is_a_usage_error(tmp_path, capsy
     assert capsys.readouterr().err.startswith("fjs: --L auto")
 
 
-def test_solve_rejects_non_positive_time_limit(ex1_file, capsys):
-    code = main(["solve", "--method", "bnb", "--time-limit", "0", "--in", str(ex1_file)])
+@pytest.mark.parametrize("method", ["est", "bnb"])
+@pytest.mark.parametrize("limit, shown", [("0", "0.0"), ("-1", "-1.0"), ("nan", "nan")])
+def test_solve_rejects_non_positive_time_limit(ex1_file, capsys, method, limit, shown):
+    code = main(["solve", "--method", method, "--time-limit", limit, "--in", str(ex1_file)])
     assert code == 2
-    assert capsys.readouterr().err == "fjs: --time-limit must be positive, got 0.0\n"
+    assert capsys.readouterr().err == f"fjs: --time-limit must be positive, got {shown}\n"
 
 
 def test_report_rejects_a_solution_file_that_is_not_an_object(ex1_file, tmp_path, capsys):

@@ -23,7 +23,7 @@ from fjs.milp import (
     default_horizon,
 )
 
-from conftest import integral_instances, small_random_instance, with_fraction_rows
+from conftest import integral_instances, small_random_instance, traced, with_fraction_rows
 
 
 def test_emission_is_deterministic(ex1):
@@ -214,3 +214,240 @@ def test_exact_decimal_rendering():
     assert _exact_decimal(Fraction(1, 20)) == "0.05"
     with pytest.raises(ValueError):
         _exact_decimal(Fraction(1, 3))
+
+
+def _continuous(name: str, lower=0, upper=None) -> Variable:
+    return Variable(name, CONTINUOUS, lower, upper)
+
+
+def _binary(name: str) -> Variable:
+    return Variable(name, BINARY, 0, 1)
+
+
+def _row(name: str, terms, relation: str, rhs) -> LinearConstraint:
+    return LinearConstraint(name, tuple(terms), relation, rhs)
+
+
+# Models the builders never make, each with write_mps's text recorded before the
+# writer joined its sections one at a time.
+EDGE_MODELS = {
+    "no-rows": MilpModel("no-rows", (_continuous("z"),), ((1, "z"),), ()),
+    "zero-rhs": MilpModel(
+        "zero-rhs",
+        (_continuous("s_0"), _continuous("s_1"), _continuous("z")),
+        ((1, "z"),),
+        (
+            _row("p", [(1, "s_0"), (-1, "s_1")], "<=", 0),
+            _row("q", [(1, "s_1"), (-1, "z")], "<=", 0),
+            _row("e", [(2, "s_0"), (-1, "s_1")], "=", 0),
+        ),
+    ),
+    "zero-coef-empty-row": MilpModel(
+        "zero-coef-empty-row",
+        (_continuous("s_0"), _continuous("s_1"), _continuous("unused"), _continuous("z")),
+        ((1, "z"),),
+        (
+            _row("r0", [(0, "s_0"), (3, "s_1")], ">=", 4),
+            _row("empty", [], "<=", 0),
+            _row("r1", [(1, "s_1"), (-1, "z")], "<=", -2),
+        ),
+    ),
+    "fraction-row": MilpModel(
+        "fraction-row",
+        (_continuous("s_0", Fraction(1, 4), Fraction(5, 2)), _continuous("s_1", Fraction(-3, 8)), _continuous("z")),
+        ((1, "z"),),
+        (
+            _row("half", [(Fraction(1, 2), "s_0"), (Fraction(-2, 3), "s_1")], "<=", Fraction(7, 6)),
+            _row("whole", [(Fraction(4, 2), "s_1"), (-1, "z")], ">=", Fraction(-6, 3)),
+            _row("third", [(Fraction(1, 3), "z")], "=", 1),
+        ),
+    ),
+    "binaries-only": MilpModel(
+        "binaries-only",
+        (_binary("x_0"), _binary("x_1"), _binary("x_2")),
+        ((1, "x_0"), (2, "x_2")),
+        (_row("pick", [(1, "x_0"), (1, "x_1"), (1, "x_2")], "=", 1), _row("not_2", [(1, "x_2")], "<=", 0)),
+    ),
+    "binary-block": MilpModel(
+        "binary-block",
+        (_continuous("s_0", 0, 10), _binary("x_0"), _binary("x_1"), _continuous("s_1", -5, -1), _continuous("z")),
+        ((1, "z"),),
+        (
+            _row("a", [(1, "s_0"), (10, "x_0"), (-1, "z")], "<=", 10),
+            _row("b", [(1, "x_0"), (1, "x_1")], "=", 1),
+            _row("c", [(-1, "s_1"), (1, "z"), (-3, "x_1")], ">=", 0),
+        ),
+    ),
+    "newline-name": MilpModel(
+        "two\nlines\tand a tab",
+        (_continuous("s_0"), _binary("x_0"), _continuous("z")),
+        ((1, "z"),),
+        (_row("cap", [(1, "s_0"), (5, "x_0"), (-1, "z")], "<=", 0),),
+    ),
+}
+EDGE_MPS = {
+    "no-rows": """\
+NAME          no-rows
+ROWS
+ N  obj
+COLUMNS
+    z         obj       1
+RHS
+BOUNDS
+ENDATA
+""",
+    "zero-rhs": """\
+NAME          zero-rhs
+ROWS
+ N  obj
+ L  p
+ L  q
+ E  e
+COLUMNS
+    s_0       p         1
+    s_0       e         2
+    s_1       p         -1
+    s_1       q         1
+    s_1       e         -1
+    z         obj       1
+    z         q         -1
+RHS
+BOUNDS
+ENDATA
+""",
+    "zero-coef-empty-row": """\
+NAME          zero-coef-empty-row
+ROWS
+ N  obj
+ G  r0
+ L  empty
+ L  r1
+COLUMNS
+    s_1       r0        3
+    s_1       r1        1
+    z         obj       1
+    z         r1        -1
+RHS
+    RHS       r0        4
+    RHS       r1        -2
+BOUNDS
+ENDATA
+""",
+    "fraction-row": """\
+NAME          fraction-row
+ROWS
+ N  obj
+ L  half
+ G  whole
+ E  third
+COLUMNS
+    s_0       half      3
+    s_1       half      -4
+    s_1       whole     2
+    z         obj       1
+    z         whole     -1
+    z         third     1
+RHS
+    RHS       half      7
+    RHS       whole     -2
+    RHS       third     3
+BOUNDS
+ LO BND       s_0       0.25
+ UP BND       s_0       2.5
+ LO BND       s_1       -0.375
+ENDATA
+""",
+    "binaries-only": """\
+NAME          binaries-only
+ROWS
+ N  obj
+ E  pick
+ L  not_2
+COLUMNS
+    MARKER1   'MARKER'  'INTORG'
+    x_0       obj       1
+    x_0       pick      1
+    x_1       pick      1
+    x_2       obj       2
+    x_2       pick      1
+    x_2       not_2     1
+    MARKER2   'MARKER'  'INTEND'
+RHS
+    RHS       pick      1
+BOUNDS
+ BV BND       x_0
+ BV BND       x_1
+ BV BND       x_2
+ENDATA
+""",
+    "binary-block": """\
+NAME          binary-block
+ROWS
+ N  obj
+ L  a
+ E  b
+ G  c
+COLUMNS
+    s_0       a         1
+    MARKER1   'MARKER'  'INTORG'
+    x_0       a         10
+    x_0       b         1
+    x_1       b         1
+    x_1       c         -3
+    MARKER2   'MARKER'  'INTEND'
+    s_1       c         -1
+    z         obj       1
+    z         a         -1
+    z         c         1
+RHS
+    RHS       a         10
+    RHS       b         1
+BOUNDS
+ UP BND       s_0       10
+ BV BND       x_0
+ BV BND       x_1
+ LO BND       s_1       -5
+ UP BND       s_1       -1
+ENDATA
+""",
+    "newline-name": """\
+NAME          two\\nlines\\tand a tab
+ROWS
+ N  obj
+ L  cap
+COLUMNS
+    s_0       cap       1
+    MARKER1   'MARKER'  'INTORG'
+    x_0       cap       5
+    MARKER2   'MARKER'  'INTEND'
+    z         obj       1
+    z         cap       -1
+RHS
+BOUNDS
+ BV BND       x_0
+ENDATA
+""",
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_MODELS))
+def test_mps_text_of_edge_models_is_pinned(case):
+    assert_same_text(write_mps(EDGE_MODELS[case]), EDGE_MPS[case])
+
+
+# The models of the benchmark's export workload: fjs emit --L auto of both models of two instances.
+EXPORT_INSTANCES = {
+    "YFJS-n10-o10-m10-q3-s1": lambda: generate_yfjs(YfjsParams(10, 10, 10, 3, 1)),
+    "DAFJS-n5-m10-s1": lambda: generate_dafjs(DafjsParams(5, 10, 1)),
+}
+
+
+@pytest.mark.parametrize("build", [build_compact_model, build_machine_indexed_model])
+@pytest.mark.parametrize("family", sorted(EXPORT_INSTANCES))
+def test_mps_peak_is_below_two_and_a_half_times_its_text(family, build):
+    # Holding every ROWS line and cell until one final join peaks at 2.69-3.24 times the
+    # text on these models; joining each section once it is complete, at 2.25-2.31.
+    instance = EXPORT_INSTANCES[family]()
+    model = build(instance, default_horizon(instance, earliest_start_heuristic(instance)[1].makespan))
+    text, _, peak = traced(write_mps, model)
+    assert peak < 2.5 * len(text)

@@ -22,6 +22,7 @@ from fjs.core import (
     weakly_connected_components,
     _echo,
 )
+from fjs.generate import DafjsParams, YfjsParams, generate_dafjs, generate_yfjs
 from fjs.io import (
     ReportRow,
     SolutionError,
@@ -38,7 +39,7 @@ from fjs.io import (
     solution_document,
 )
 
-from conftest import make_ex1, random_admissible_solution, small_random_instance
+from conftest import make_ex1, random_admissible_solution, small_random_instance, traced
 
 EX1_SOL = SolutionPair((1, 1, 2), Selection(((0, 1), (2,))))
 DEEP_JSON = "[" * 100_000 + "]" * 100_000  # json.loads raises RecursionError on it
@@ -121,6 +122,25 @@ class TestInstanceFormat:
         with pytest.raises(InstanceError, match="nested too deeply") as err:
             parse_instance(DEEP_JSON)
         assert err.value.code == "syntax"
+
+    @pytest.mark.parametrize(
+        "generate",
+        [
+            lambda: generate_yfjs(YfjsParams(200, 10, 20, 3, 1)),
+            lambda: generate_yfjs(YfjsParams(50, 10, 10, 3, 1)),
+            lambda: generate_dafjs(DafjsParams(60, 10, 1)),
+        ],
+        ids=["YFJS-n200", "YFJS-n50", "DAFJS-n60"],
+    )
+    def test_the_decoded_document_is_gone_before_the_instance_is_built(self, generate):
+        # Holding the document, its rows and the instance at once peaks at 1.21-1.23 times
+        # the sum below on these instances; letting go of the document first, at 0.71-0.78.
+        instance = generate()
+        text = serialize_instance(instance)
+        _, document_bytes, _ = traced(json.loads, text)
+        parsed, instance_bytes, peak = traced(parse_instance, text)
+        assert parsed == instance
+        assert peak < document_bytes + instance_bytes
 
     def test_fractional_times_cannot_be_serialized(self):
         inst = Instance.from_tables("frac", 1, {0: {1: Fraction(3, 2)}}, [])
