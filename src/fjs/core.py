@@ -185,6 +185,13 @@ class Instance:
     positive times of at most ``MAX_DIGITS`` digits, arcs between known ids,
     acyclicity) is enforced at construction, so every ``Instance`` in
     circulation is well formed.
+
+    Construction also publishes the tables every reader shares, read in
+    place: ``preds[v]`` and ``succs[v]``, ascending; ``ptime[v, k]``, the
+    time of ``v`` on its eligible machine ``k`` (a plain dict, so an instance
+    pickles); and ``order``, a topological order of the arcs from a
+    depth-first frontier that pops the lowest id first (on generated
+    instances, the order a min-id frontier gives).
     """
 
     name: str
@@ -239,14 +246,14 @@ class Instance:
         for u, w in arcs:
             preds[w].append(u)
             succs[u].append(w)
-        object.__setattr__(self, "_preds", tuple(map(tuple, preds)))
-        object.__setattr__(self, "_succs", tuple(map(tuple, succs)))
-        object.__setattr__(self, "_ptime", dict(zip(keys, chain.from_iterable(times))))
-        order = _kahn(n, self._preds, self._succs)
+        object.__setattr__(self, "preds", tuple(map(tuple, preds)))
+        object.__setattr__(self, "succs", tuple(map(tuple, succs)))
+        object.__setattr__(self, "ptime", dict(zip(keys, chain.from_iterable(times))))
+        order = _kahn(n, self.preds, self.succs)
         if len(order) < n:
-            cycle = _find_cycle(self._preds, order)
+            cycle = _find_cycle(self.preds, order)
             raise InstanceError("cycle", f"precedence arcs contain a cycle: {'->'.join(map(str, cycle))}")
-        object.__setattr__(self, "_order", tuple(order))
+        object.__setattr__(self, "order", tuple(order))
 
     @property
     def n_ops(self) -> int:
@@ -255,23 +262,6 @@ class Instance:
     @property
     def ops(self) -> range:
         return range(self.n_ops)
-
-    @property
-    def order(self) -> tuple[int, ...]:
-        """The operations in topological order of the arcs, from a depth-first
-        frontier that pops the lowest id first; on generated instances this is
-        the order a min-id frontier gives."""
-        return self._order
-
-    def ptime(self, v: int, k: int) -> Rational:
-        """Processing time of operation ``v`` on machine ``k`` (must be eligible)."""
-        return self._ptime[(v, k)]
-
-    def predecessors(self, v: int) -> tuple[int, ...]:
-        return self._preds[v]
-
-    def successors(self, v: int) -> tuple[int, ...]:
-        return self._succs[v]
 
     @classmethod
     def from_tables(
@@ -498,7 +488,7 @@ def _selection_preds(instance: Instance, sol: SolutionPair) -> list[list[int]]:
     sequences = sol.selection.sequences
     if len(sequences) != instance.machines:
         raise SelectionError(f"selection has {len(sequences)} sequences for {instance.machines} machines")
-    preds = [list(instance.predecessors(v)) for v in instance.ops]
+    preds = list(map(list, instance.preds))
     seen = [False] * n
     for k, seq in enumerate(sequences, 1):
         for i, v in enumerate(seq):
@@ -547,7 +537,7 @@ def tight_schedule(instance: Instance, sol: SolutionPair) -> Schedule:
     the selection and the precedence arcs close a cycle.
     """
     preds = _selection_preds(instance, sol)
-    p = [instance.ptime(v, k) for v, k in enumerate(sol.assignment)]
+    p = [instance.ptime[v, k] for v, k in enumerate(sol.assignment)]
     finish = _longest_path(topological_order(instance.n_ops, preds), preds, p)
     return Schedule(start=tuple(finish[v] - p[v] for v in instance.ops), makespan=max(finish, default=0))
 
@@ -568,7 +558,7 @@ def certified_critical_path(
         return ()
     f = sol.assignment
     preds = _selection_preds(instance, sol)
-    finish = [start[v] + instance.ptime(v, f[v]) for v in instance.ops]
+    finish = [start[v] + instance.ptime[v, f[v]] for v in instance.ops]
     path, tight = [], [finish.index(max(finish))]
     while tight:
         v = min(tight)
@@ -584,7 +574,7 @@ def weakly_connected_components(instance: Instance) -> tuple[tuple[int, ...], ..
     Each component is walked breadth first over the instance's predecessor
     and successor lists, from its lowest id.
     """
-    preds, succs = instance._preds, instance._succs
+    preds, succs = instance.preds, instance.succs
     seen = [False] * instance.n_ops
     components = []
     for root in instance.ops:
@@ -627,7 +617,7 @@ def validate_solution(instance: Instance, sol: SolutionPair, sched: Schedule) ->
         return ValidationReport(tuple(issues))
 
     s = sched.start
-    p = [instance.ptime(v, f[v]) for v in instance.ops]
+    p = [instance.ptime[v, f[v]] for v in instance.ops]
     try:
         preds = _selection_preds(instance, sol)
     except SelectionError as exc:

@@ -81,18 +81,17 @@ def brute_force(instance: Instance) -> SolveResult:
     if n_assignments > BRUTE_FORCE_MAX_ASSIGNMENTS:
         raise CapError(f"{n_assignments} assignments exceed the cap of {BRUTE_FORCE_MAX_ASSIGNMENTS}")
 
-    base_preds = [list(instance.predecessors(v)) for v in range(n)]
     best_mks = None
     best = None
     examined = 0
     for assignment in itertools.product(*instance.eligible):
-        p = [instance.ptime(v, assignment[v]) for v in range(n)]
+        p = [instance.ptime[v, assignment[v]] for v in range(n)]
         groups: list[list[int]] = [[] for _ in range(instance.machines)]
         for v in range(n):
             groups[assignment[v] - 1].append(v)
         for sequences in itertools.product(*map(itertools.permutations, groups)):
             examined += 1
-            preds = [list(ps) for ps in base_preds]
+            preds = list(map(list, instance.preds))
             for seq in sequences:
                 for a, b in zip(seq, seq[1:]):
                     preds[b].append(a)
@@ -111,14 +110,16 @@ class BnbNode(NamedTuple):
     """A partial forward schedule: a prefix of (operation, machine) decisions.
 
     Its makespan so far is ``max(machine_avail)``: each machine's newest
-    operation ends last on that machine.
+    operation ends last on that machine.  ``decisions`` is None at the root
+    and otherwise links to the last decision, ``(parent decisions, v, k,
+    start)``: operation v put last on zero-based machine k at ``start``.
     """
 
     lower_bound: Rational
     scheduled_mask: int
     ready_time: tuple[Rational, ...]
     machine_avail: tuple[Rational, ...]
-    machine_seq: tuple[tuple[int, ...], ...]
+    decisions: tuple | None
 
 
 class _Search:
@@ -148,11 +149,10 @@ class _Search:
         self.options = [tuple(zip(machs, times)) for machs, times in zip(eligible, instance.times)]
         self.ptime = [dict(pairs) for pairs in self.options]
         pmin = [min(times) for times in instance.times]
-        preds = [instance.predecessors(v) for v in range(n)]
         machines = [pairs[0][0] if len(pairs) == 1 else pairs for pairs in self.options]
-        self.rows = [(v, 1 << v, machines[v], preds[v], pmin[v]) for v in instance.order]
-        self.ready_rows = [(v, 1 << v, sum(1 << u for u in preds[v])) for v in range(n)]
-        self.successors = [instance.successors(v) for v in range(n)]
+        self.rows = [(v, 1 << v, machines[v], instance.preds[v], pmin[v]) for v in instance.order]
+        self.ready_rows = [(v, 1 << v, sum(1 << u for u in instance.preds[v])) for v in range(n)]
+        self.successors = instance.succs
         single: dict[int, list[tuple[int, Rational]]] = {}
         for v in range(n):
             if len(eligible[v]) == 1:
@@ -164,9 +164,9 @@ class _Search:
         self.dp: list[Rational] = [0] * n
         self.nodes = 0
         self.best_value = cutoff
-        self.best_leaf: tuple[tuple[int, ...], ...] | None = None
+        self.best_leaf: tuple | None = None  # the decisions of the best leaf found
         ready, avail = (0,) * n, (0,) * instance.machines
-        self.stack = [BnbNode(self.lower_bound(ready, 0, avail), 0, ready, avail, ((),) * instance.machines)]
+        self.stack = [BnbNode(self.lower_bound(ready, 0, avail), 0, ready, avail, None)]
 
     def lower_bound(self, ready, mask, avail, cutoff=math.inf) -> Rational:
         """Max of the path bound and the machine workload bound.
@@ -239,11 +239,8 @@ class _Search:
         later than in S; k* is idle until theta; and its old machine is
         freed.  That is a child too, as positive times (``check_time``)
         start it before theta.
-
-        A child's machine sequences are built only once it is kept: a
-        pruned child builds nothing.
         """
-        _, mask, node_ready, node_avail, node_seq = node
+        _, mask, node_ready, node_avail, decisions = node
         ready_ops = [v for v, bit, preds in self.ready_rows if not mask & bit and mask & preds == preds]
         theta = k = None
         options = self.options
@@ -273,10 +270,8 @@ class _Search:
             if child_mask == self.full_mask:
                 makespan = max(avail)
                 if makespan < cutoff:
-                    seqs = list(node_seq)
-                    seqs[k] += (v,)
                     self.best_value = cutoff = makespan
-                    self.best_leaf = tuple(seqs)
+                    self.best_leaf = (decisions, v, k, est)
                 continue
             ready = list(node_ready)
             for w in successors[v]:
@@ -285,9 +280,8 @@ class _Search:
             lb = self.lower_bound(ready, child_mask, avail, cutoff)
             if lb >= cutoff:
                 continue
-            seqs = list(node_seq)
-            seqs[k] += (v,)
-            children.append(tuple.__new__(BnbNode, (lb, child_mask, tuple(ready), tuple(avail), tuple(seqs))))
+            link = (decisions, v, k, est)
+            children.append(tuple.__new__(BnbNode, (lb, child_mask, tuple(ready), tuple(avail), link)))
         children.sort(key=itemgetter(0), reverse=True)
         return children
 
@@ -309,12 +303,21 @@ class _Search:
         return min([self.best_value] + [node.lower_bound for node in self.stack])
 
     def result(self) -> tuple[SolutionPair, Schedule] | None:
-        """The best leaf found and its tight schedule, or None when no leaf beat the cutoff."""
+        """The best leaf found and the schedule the search built for it, or
+        None when no leaf beat the cutoff.  Its starts are tight: v went last
+        on machine k, so it starts once k is free and v's predecessors, all
+        placed, have ended."""
         if self.best_leaf is None:
             return None
-        selection = Selection(self.best_leaf)
-        sol = SolutionPair(tuple(k for _, (k, _) in sorted(selection.positions().items())), selection)
-        return sol, tight_schedule(self.instance, sol)
+        n = self.instance.n_ops
+        assignment, start, sequences = [0] * n, [0] * n, [[] for _ in range(self.instance.machines)]
+        decisions = self.best_leaf
+        while decisions is not None:  # from the last decision back to the first
+            decisions, v, k, start[v] = decisions
+            assignment[v] = k + 1
+            sequences[k].append(v)
+        selection = Selection([seq[::-1] for seq in sequences])
+        return SolutionPair(tuple(assignment), selection), Schedule(tuple(start), self.best_value)
 
 
 def solve_branch_and_bound(instance: Instance, time_limit: float = 3600.0) -> SolveResult:

@@ -36,7 +36,7 @@ def _scaled_tails(instance: Instance) -> list[Rational]:
     """
     scale = lcm(*(len(row) for row in instance.times))
     weights = [sum(row) * (scale // len(row)) for row in instance.times]
-    return _longest_path(reversed(instance.order), instance._succs, weights)
+    return _longest_path(reversed(instance.order), instance.succs, weights)
 
 
 def earliest_start_heuristic(instance: Instance) -> tuple[SolutionPair, Schedule]:
@@ -47,14 +47,14 @@ def earliest_start_heuristic(instance: Instance) -> tuple[SolutionPair, Schedule
     reverse sweep, and each of the |V| steps scans the m machine tops.
     """
     n, m = instance.n_ops, instance.machines
-    eligible, ptime, successors = instance.eligible, instance._ptime, instance._succs
+    eligible, ptime, successors = instance.eligible, instance.ptime, instance.succs
     tails = _scaled_tails(instance)
     rank_of = {t: r for r, t in enumerate(sorted(set(tails), reverse=True))}
     rank = [rank_of[t] for t in tails]  # a heavier tail gets a smaller rank
-    pending = list(map(len, instance._preds))
+    pending = list(map(len, instance.preds))
     ready_time: list[Rational] = [0] * n
     machine_avail: list[Rational] = [0] * (m + 1)
-    machine_seq: list[list[int]] = [[] for _ in range(m)]
+    sequences: list[list[int]] = [[] for _ in range(m)]
     chosen_machine = [0] * n
     placed = [False] * n
     # Heap invariant, for every machine k: released[k] holds (rank, w) for the
@@ -107,7 +107,7 @@ def earliest_start_heuristic(instance: Instance) -> tuple[SolutionPair, Schedule
         chosen_machine[w] = k
         completion = start + ptime[w, k]
         machine_avail[k] = completion
-        machine_seq[k - 1].append(w)
+        sequences[k - 1].append(w)
         heap = waiting[k]
         while heap and heap[0][0] <= completion:
             _, r, v = heappop(heap)
@@ -120,5 +120,5 @@ def earliest_start_heuristic(instance: Instance) -> tuple[SolutionPair, Schedule
             if pending[succ] == 0:
                 release(succ)
 
-    sol = SolutionPair(tuple(chosen_machine), Selection(machine_seq))
+    sol = SolutionPair(tuple(chosen_machine), Selection(sequences))
     return sol, tight_schedule(instance, sol)

@@ -318,7 +318,7 @@ def build_machine_indexed_model(instance: Instance, L: Rational) -> MilpModel:
     rows = [
         new(LinearConstraint, (f"cmax_{ids[v]}_{ids[k]}", (term, minus_z), "<=", 0))
         for v in ops
-        if not instance.successors(v)
+        if not instance.succs[v]
         for k, term in t_plus[v].items()
     ]
     rows += _assign_rows(ids, x)
@@ -549,7 +549,7 @@ def decode_machine_indexed(instance: Instance, point: ModelPoint) -> tuple[Solut
     sol = _read_binaries(instance, point, x, lambda k, v, w: y[k][v, w])
     f = sol.assignment
     start = tuple(point[s[v][f[v]]] for v in instance.ops)
-    makespan = max((start[v] + instance.ptime(v, f[v]) for v in instance.ops), default=0)
+    makespan = max((start[v] + instance.ptime[v, f[v]] for v in instance.ops), default=0)
     sched = Schedule(start, makespan)
     report = validate_solution(instance, sol, sched)
     if not report.ok:
@@ -575,9 +575,9 @@ def machine_indexed_gap_witness(instance: Instance, L: Rational) -> ModelPoint:
         if len(instance.eligible[v]) < 2:
             raise WitnessError(f"operation {v} has a single eligible machine; need at least 2")
         for k in instance.eligible[v]:
-            if 2 * instance.ptime(v, k) > L:
+            if 2 * instance.ptime[v, k] > L:
                 raise WitnessError(
-                    f"processing time p({v},{k}) = {instance.ptime(v, k)} exceeds L/2 = {Fraction(L) / 2}"
+                    f"processing time p({v},{k}) = {instance.ptime[v, k]} exceeds L/2 = {Fraction(L) / 2}"
                 )
     s, t, x, y = _machine_indexed_names(instance)
     values: dict[str, Rational] = {"z": 0}
@@ -591,7 +591,7 @@ def machine_indexed_gap_witness(instance: Instance, L: Rational) -> ModelPoint:
 
 def makespan_lower_bound(instance: Instance) -> Rational:
     """Longest path with per-operation minimum times: a valid optimum bound."""
-    preds = [instance.predecessors(v) for v in instance.ops]
+    preds = instance.preds
     pmin = [min(row) for row in instance.times]
     return max(_longest_path(topological_order(instance.n_ops, preds), preds, pmin), default=0)
 

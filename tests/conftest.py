@@ -71,13 +71,13 @@ def random_admissible_solution(instance: Instance, seed: int) -> SolutionPair:
     machine = tuple(
         row[rng.randint(0, len(row) - 1)] for row in instance.eligible
     )
-    pending = [len(instance.predecessors(v)) for v in instance.ops]
+    pending = [len(instance.preds[v]) for v in instance.ops]
     ready = sorted(v for v in instance.ops if pending[v] == 0)
     position = {}
     while ready:
         v = ready.pop(rng.randint(0, len(ready) - 1))
         position[v] = len(position)
-        for w in instance.successors(v):
+        for w in instance.succs[v]:
             pending[w] -= 1
             if pending[w] == 0:
                 ready.append(w)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import json
 import shlex
 from dataclasses import replace
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from fjs import cli
+from fjs import cli, exact
 from fjs.cli import main
 from fjs.exact import solve_branch_and_bound
 from fjs.generate import DafjsParams, YfjsParams, generate_dafjs, generate_yfjs
@@ -332,6 +333,15 @@ def test_decode_both_models(ex1_file, tmp_path, capsys):
         assert code == 0
         _, sched, _ = parse_solution(out.read_text(), ex1)
         assert sched.makespan == 8
+
+
+def test_decode_refuses_a_point_file_that_is_not_an_object(ex1_file, tmp_path, capsys):
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps(list(encode_compact(make_ex1(), EX1_SOL).values)))
+    argv = ["decode", "--model", "new", "--in", str(ex1_file), "--point", str(point), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "fjs: point file must be a JSON object of variable values\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_decode_infeasible_point_fails(ex1_file, tmp_path, capsys):
@@ -944,15 +954,22 @@ def test_a_command_leaves_bounded_cyclic_garbage(ex1_file, tmp_path, restore_gc,
         assert _cyclic_garbage(argv) <= CYCLIC_GARBAGE_BOUND, argv[:3]
 
 
-def test_cyclic_garbage_does_not_grow_with_the_search(ex1_file, tmp_path, restore_gc, capsys):
-    # DAFJS-n4-m6-s9 is far from closed at 0.5 s ([326;371]) and still open at 5 s
+def test_cyclic_garbage_does_not_grow_with_the_search(ex1_file, tmp_path, restore_gc, monkeypatch, capsys):
+    # DAFJS-n4-m6-s9 is still open after 100,000 nodes.  Around the capped
+    # run the clock reads 0 at the start and one more at each node the search
+    # would expand, so the deadline strikes after exactly 10,000 nodes.
     big = tmp_path / "big.fjs.json"
     big.write_text(serialize_instance(generate_dafjs(DafjsParams(4, 6, 9))))
     closed = _cyclic_garbage(["solve", "--method", "bnb", "--in", str(ex1_file), "--out", str(tmp_path / "a.sol.json")])
-    capped = _cyclic_garbage(
-        ["solve", "--method", "bnb", "--time-limit", "0.5", "--in", str(big), "--out", str(tmp_path / "b.sol.json")]
-    )
+    capped_sol = tmp_path / "b.sol.json"
+    with monkeypatch.context() as patch:
+        clock = itertools.count()
+        patch.setattr(exact.time, "monotonic", lambda: float(next(clock)))
+        capped = _cyclic_garbage(
+            ["solve", "--method", "bnb", "--time-limit", "10000.5", "--in", str(big), "--out", str(capped_sol)]
+        )
     assert "(bound-pair)" in capsys.readouterr().out  # the capped search stopped at its time limit
+    assert json.loads(capped_sol.read_text())["meta"]["nodes_explored"] == 10_000
     assert closed == capped <= CYCLIC_GARBAGE_BOUND
 
 

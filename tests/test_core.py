@@ -44,7 +44,7 @@ def all_paths_longest_start(instance, sol):
     """Independent oracle: max path length into each op by full enumeration."""
     edges = set(instance.arcs) | set(sol.selection.pairs)
     f = sol.assignment
-    p = [instance.ptime(v, f[v]) for v in instance.ops]
+    p = [instance.ptime[v, f[v]] for v in instance.ops]
     preds = {v: [u for (u, w) in edges if w == v] for v in instance.ops}
 
     def longest_into(v, seen):
@@ -154,6 +154,20 @@ class TestAdmissibility:
         with pytest.raises(SelectionError, match="operation 1 is sequenced on machine 1 but not assigned"):
             tight_schedule(ex1, sol)
 
+    @pytest.mark.parametrize(
+        "sol, message",
+        [
+            (SolutionPair((1, 1), Selection(((0, 1), (2,)))), "assignment covers 2 of 3 operations"),
+            (SolutionPair((2, 1, 2), Selection(((1,), (0, 2)))), "operation 0 assigned to ineligible machine 2"),
+            (SolutionPair((1, 1, 2), Selection(((0, 1),))), "selection has 1 sequences for 2 machines"),
+        ],
+        ids=["assignment-length", "ineligible-machine", "sequence-count"],
+    )
+    def test_a_malformed_solution_is_refused_before_its_sequences_are_read(self, ex1, sol, message):
+        with pytest.raises(SelectionError) as err:
+            tight_schedule(ex1, sol)
+        assert str(err.value) == message
+
     def test_inadmissible_solution_has_cycle_certificate(self, ex1):
         sol = SolutionPair((1, 1, 2), Selection(((1, 0), (2,))))
         with pytest.raises(InadmissibleError) as err:
@@ -225,13 +239,13 @@ class TestOneSortPerGraph:
 
 def _min_id_order(instance: Instance) -> tuple[int, ...]:
     """Kahn's order with a min-id heap for a frontier."""
-    pending = [len(instance.predecessors(v)) for v in instance.ops]
+    pending = [len(instance.preds[v]) for v in instance.ops]
     frontier = [v for v in instance.ops if not pending[v]]
     order = []
     while frontier:
         v = heapq.heappop(frontier)
         order.append(v)
-        for w in instance.successors(v):
+        for w in instance.succs[v]:
             pending[w] -= 1
             if not pending[w]:
                 heapq.heappush(frontier, w)
@@ -264,8 +278,7 @@ class TestTopologicalOrder:
             position = {v: i for i, v in enumerate(instance.order)}
             assert sorted(position) == list(instance.ops)
             assert all(position[u] < position[w] for u, w in instance.arcs)
-            preds = [instance.predecessors(v) for v in instance.ops]
-            assert topological_order(instance.n_ops, preds) == list(instance.order)
+            assert topological_order(instance.n_ops, instance.preds) == list(instance.order)
 
 
 class TestTightSchedule:
@@ -305,7 +318,7 @@ class TestTightSchedule:
             sched = tight_schedule(inst, sol)
             rng = Xoshiro256StarStar(seed)
             f = sol.assignment
-            p = [inst.ptime(v, f[v]) for v in inst.ops]
+            p = [inst.ptime[v, f[v]] for v in inst.ops]
             edges = set(inst.arcs) | set(sol.selection.pairs)
             preds = {v: [u for (u, w) in edges if w == v] for v in inst.ops}
             order = sorted(inst.ops, key=lambda v: (sched.start[v], v))
@@ -324,7 +337,7 @@ class TestTightSchedule:
             sol = random_admissible_solution(inst, seed + 999)
             sched = tight_schedule(inst, sol)
             f = sol.assignment
-            p = [inst.ptime(v, f[v]) for v in inst.ops]
+            p = [inst.ptime[v, f[v]] for v in inst.ops]
             edges = set(inst.arcs) | set(sol.selection.pairs)
             preds = {v: [u for (u, w) in edges if w == v] for v in inst.ops}
             for v in inst.ops:
@@ -339,7 +352,7 @@ class TestTightSchedule:
             f = sol.assignment
             path = certified_critical_path(inst, sol, sched.start)
             assert path, "tight schedules always admit a certificate"
-            assert sum(inst.ptime(v, f[v]) for v in path) == sched.makespan
+            assert sum(inst.ptime[v, f[v]] for v in path) == sched.makespan
 
 
 def _reference_validate(instance, sol, sched):
@@ -372,7 +385,7 @@ def _reference_validate(instance, sol, sched):
             issues.append(ValidationIssue("admissibility", f"cycle {'->'.join(map(str, cycle))}"))
     sequences = (selection_from_starts(instance, sol.assignment, s) if issues else sol.selection).sequences
 
-    p = [instance.ptime(v, f[v]) for v in instance.ops]
+    p = [instance.ptime[v, f[v]] for v in instance.ops]
     for v in instance.ops:
         if s[v] < 0:
             issues.append(ValidationIssue("start-range", f"operation {v} starts at {_num_text(s[v])} < 0"))
@@ -484,6 +497,33 @@ class TestValidateSolution:
         report = validate_solution(ex1, EX1_SOL, Schedule(start=(0, 3, 3), makespan=10**5000))
         assert [(i.kind, i.message) for i in report.issues] == [("makespan", f"recorded makespan {BIG_CUT} != 8")]
 
+    @pytest.mark.parametrize(
+        "assignment, start, issues",
+        [
+            ((1, 1), (0, 3, 3), [("assignment", "assignment covers 2 of 3 operations")]),
+            ((1, 1, 2), (0, 3), [("schedule", "schedule covers 2 of 3 operations")]),
+            (
+                (1, 1, 2, 2),
+                (0, 3, 3, 3),
+                [
+                    ("assignment", "assignment covers 4 of 3 operations"),
+                    ("schedule", "schedule covers 4 of 3 operations"),
+                ],
+            ),
+        ],
+        ids=["short-assignment", "short-starts", "both-long"],
+    )
+    def test_lengths_are_reported_before_any_other_check(self, ex1, assignment, start, issues):
+        report = validate_solution(ex1, SolutionPair(assignment, EX1_SOL.selection), Schedule(start, 8))
+        assert [(i.kind, i.message) for i in report.issues] == issues
+
+    def test_an_empty_instance_has_makespan_0(self):
+        empty = Instance("empty", 2, (), (), ())
+        sol = SolutionPair((), Selection(((), ())))
+        assert validate_solution(empty, sol, Schedule((), 0)).ok
+        report = validate_solution(empty, sol, Schedule((), 3))
+        assert [(i.kind, i.message) for i in report.issues] == [("makespan", "empty instance must have makespan 0")]
+
     def test_never_raises_on_garbage(self, ex1):
         sol = SolutionPair((1, 1, 2), Selection(((1, 0, 1), (2,))))
         sched = Schedule(start=(-1, 0, 0), makespan=0)
@@ -507,6 +547,13 @@ class TestEcho:
         assert _echo(-x) == f"-12345{'0' * 32}...{'0' * 36}678"
         assert _echo(Fraction(x, 11)) == f"Fraction(12345{'0' * 33}...{'0' * 36}678, 11)"
         assert _echo(Fraction(-1, 3)) == repr(Fraction(-1, 3))
+
+
+    def test_a_dict_is_cut_at_8_items_and_3_levels(self):
+        assert _echo({}) == "{}"
+        assert _echo(dict.fromkeys(range(9), 0)) == "{0: 0, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 7: 0, ...}"
+        assert _echo({1: {2: {3: {4: 5}}}}) == "{1: {2: {3: {...}}}}"
+        assert _echo({1: {2: {3: {}}}}) == "{1: {2: {3: {}}}}"  # an empty dict is shown at any depth
 
 
 class TestInstanceValidation:
@@ -542,6 +589,20 @@ class TestInstanceValidation:
         with pytest.raises(InstanceError) as err:
             Instance("bad", 1, ((),), ((),), ())
         assert err.value.code == "empty-eligible"
+
+    @pytest.mark.parametrize(
+        "eligible, times, code, message",
+        [
+            (((1,), (1,)), ((1,),), "shape-mismatch", "eligible and times must have one entry per operation"),
+            (((1, 2),), ((1,),), "shape-mismatch", "operation 0: one time per eligible machine required"),
+            (((1.0,),), ((1,),), "bad-machine", "operation 0: machine id 1.0 is not an integer"),
+        ],
+        ids=["row-count", "time-count", "float-machine"],
+    )
+    def test_malformed_rows_passed_to_the_constructor(self, eligible, times, code, message):
+        with pytest.raises(InstanceError) as err:
+            Instance("bad", 2, eligible, times, ())
+        assert (err.value.code, str(err.value)) == (code, message)
 
     def test_nonpositive_time(self):
         with pytest.raises(InstanceError) as err:

@@ -435,6 +435,116 @@ def test_mps_text_of_edge_models_is_pinned(case):
     assert_same_text(write_mps(EDGE_MODELS[case]), EDGE_MPS[case])
 
 
+# `r0` leaves out its zero coefficient, and the row `empty`, with no term, reads `0`.
+EDGE_LP = {
+    "no-rows": """\
+\\ Problem: no-rows
+Minimize
+ obj: z
+Subject To
+Bounds
+ 0 <= z
+Binaries
+End
+""",
+    "zero-rhs": """\
+\\ Problem: zero-rhs
+Minimize
+ obj: z
+Subject To
+ p: s_0 - s_1 <= 0
+ q: s_1 - z <= 0
+ e: 2 s_0 - s_1 = 0
+Bounds
+ 0 <= s_0
+ 0 <= s_1
+ 0 <= z
+Binaries
+End
+""",
+    "zero-coef-empty-row": """\
+\\ Problem: zero-coef-empty-row
+Minimize
+ obj: z
+Subject To
+ r0: 3 s_1 >= 4
+ empty: 0 <= 0
+ r1: s_1 - z <= -2
+Bounds
+ 0 <= s_0
+ 0 <= s_1
+ 0 <= unused
+ 0 <= z
+Binaries
+End
+""",
+    "fraction-row": """\
+\\ Problem: fraction-row
+Minimize
+ obj: z
+Subject To
+ half: 3 s_0 - 4 s_1 <= 7
+ whole: 2 s_1 - z >= -2
+ third: z = 3
+Bounds
+ 0.25 <= s_0 <= 2.5
+ -0.375 <= s_1
+ 0 <= z
+Binaries
+End
+""",
+    "binaries-only": """\
+\\ Problem: binaries-only
+Minimize
+ obj: x_0 + 2 x_2
+Subject To
+ pick: x_0 + x_1 + x_2 = 1
+ not_2: x_2 <= 0
+Bounds
+Binaries
+ x_0
+ x_1
+ x_2
+End
+""",
+    "binary-block": """\
+\\ Problem: binary-block
+Minimize
+ obj: z
+Subject To
+ a: s_0 + 10 x_0 - z <= 10
+ b: x_0 + x_1 = 1
+ c: - s_1 + z - 3 x_1 >= 0
+Bounds
+ 0 <= s_0 <= 10
+ -5 <= s_1 <= -1
+ 0 <= z
+Binaries
+ x_0
+ x_1
+End
+""",
+    "newline-name": """\
+\\ Problem: two\\nlines\\tand a tab
+Minimize
+ obj: z
+Subject To
+ cap: s_0 + 5 x_0 - z <= 0
+Bounds
+ 0 <= s_0
+ 0 <= z
+Binaries
+ x_0
+End
+""",
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_MODELS))
+def test_lp_text_of_edge_models_is_pinned(case):
+    assert_same_text(write_lp(EDGE_MODELS[case]), EDGE_LP[case])
+
+
 # The models of the benchmark's export workload: fjs emit --L auto of both models of two instances.
 EXPORT_INSTANCES = {
     "YFJS-n10-o10-m10-q3-s1": lambda: generate_yfjs(YfjsParams(10, 10, 10, 3, 1)),

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from fjs import exact
-from fjs.core import Instance, Schedule, Selection, SolutionPair, validate_solution
+from fjs.core import Instance, Schedule, Selection, SolutionPair, tight_schedule, validate_solution
 from fjs.exact import CapError, SolveResult, brute_force, solve_branch_and_bound
 from fjs.generate import DafjsParams, YfjsParams, generate_dafjs, generate_yfjs
 from fjs.heuristic import earliest_start_heuristic
@@ -81,13 +81,22 @@ def test_oracle_agreement_on_random_instances():
     assert kept_est == 37
 
 
+def sequences_of(decisions, machines):
+    """A node's machine sequences, read back from its chain of decisions."""
+    sequences = [[] for _ in range(machines)]
+    while decisions is not None:
+        decisions, v, k, _ = decisions
+        sequences[k].insert(0, v)
+    return tuple(map(tuple, sequences))
+
+
 def test_no_partial_schedule_is_built_twice(monkeypatch):
     built: list[tuple[tuple[int, ...], ...]] = []
 
     class Recording(exact._Search):
         def expand(self, node):
             children = super().expand(node)
-            built.extend(child.machine_seq for child in children)
+            built.extend(sequences_of(child.decisions, self.instance.machines) for child in children)
             return children
 
     monkeypatch.setattr(exact, "_Search", Recording)
@@ -99,6 +108,22 @@ def test_no_partial_schedule_is_built_twice(monkeypatch):
         assert bb.status == "optimal"
         assert brute_force(inst).upper_bound == bb.upper_bound, inst.name
         assert validate_solution(inst, bb.solution, bb.schedule).ok
+
+
+def test_the_returned_schedule_is_the_tight_schedule_of_its_solution():
+    # The search returns the starts it placed each operation at, without
+    # scheduling the leaf's solution again: they must be its tight schedule.
+    found = 0
+    for seed in range(400):
+        inst = small_random_instance(seed, max_ops=10, max_machines=4, max_eligible=3)
+        if seed % 2:
+            inst = replace(inst, times=tuple(tuple(Fraction(t, 7) for t in row) for row in inst.times))
+        result = solve_branch_and_bound(inst, 60)
+        assert result.status == "optimal"
+        assert result.schedule == tight_schedule(inst, result.solution), inst.name
+        assert validate_solution(inst, result.solution, result.schedule).ok, inst.name
+        found += result.upper_bound < earliest_start_heuristic(inst)[1].makespan
+    assert found > 200  # leaves the search built, not EST's solution
 
 
 def test_counters_repeat_exactly():
@@ -222,7 +247,7 @@ def test_result_metadata(ex1):
 
 def least_end(instance, v, release, avail):
     """The earliest an open operation can end: on its best eligible machine, from its free time."""
-    return min(max(avail[k - 1], release) + instance.ptime(v, k) for k in instance.eligible[v])
+    return min(max(avail[k - 1], release) + instance.ptime[v, k] for k in instance.eligible[v])
 
 
 def split_end(instance, v, release, avail):
@@ -250,7 +275,7 @@ def reference_lower_bound(instance, ready, mask, avail, end=least_end):
         if mask >> v & 1:
             continue
         release = ready[v]
-        for u in instance.predecessors(v):
+        for u in instance.preds[v]:
             if not (mask >> u & 1) and dp[u] > release:
                 release = dp[u]
         c = end(instance, v, release, avail)

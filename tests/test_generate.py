@@ -189,6 +189,8 @@ class TestDafjs:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             DafjsParams(1, 1, seed=0)
+        with pytest.raises(ValueError, match="^n_jobs must be >= 1$"):
+            DafjsParams(0, 4, seed=0)
 
     def test_machine_count_cap(self):
         # MAX_MACHINES itself passes the machine cap and is then refused for its work

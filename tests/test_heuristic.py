@@ -51,7 +51,7 @@ def test_tail_weights_follow_the_mean_time_recurrence():
     assert mean == [Fraction(1, 2), Fraction(5, 6), Fraction(43, 36), Fraction(6, 5), Fraction(3)]
     expected = [Fraction(0)] * inst.n_ops
     for v in reversed(inst.ops):  # arcs only go id-upward
-        expected[v] = 6 * mean[v] + max((expected[w] for w in inst.successors(v)), default=0)
+        expected[v] = 6 * mean[v] + max((expected[w] for w in inst.succs[v]), default=0)
     assert _scaled_tails(inst) == expected
     assert expected[0] == 6 * (Fraction(1, 2) + Fraction(43, 36) + 3)
 
@@ -112,10 +112,10 @@ def _reference_est(instance):
     ready operation w and eligible machine k, ranking heavier tails first."""
     tail = _scaled_tails(instance)
     rank_of = {t: r for r, t in enumerate(sorted(set(tail), reverse=True))}
-    pending = [len(instance.predecessors(v)) for v in instance.ops]
+    pending = [len(instance.preds[v]) for v in instance.ops]
     ready_time = [0] * instance.n_ops
     machine_avail = [0] * (instance.machines + 1)
-    machine_seq = [[] for _ in range(instance.machines)]
+    sequences = [[] for _ in range(instance.machines)]
     chosen_machine = [0] * instance.n_ops
     ready = [v for v in instance.ops if pending[v] == 0]
     while ready:
@@ -125,15 +125,15 @@ def _reference_est(instance):
             for k in instance.eligible[w]
         )
         chosen_machine[w] = k
-        machine_avail[k] = start + instance.ptime(w, k)
-        machine_seq[k - 1].append(w)
+        machine_avail[k] = start + instance.ptime[w, k]
+        sequences[k - 1].append(w)
         ready.remove(w)
-        for succ in instance.successors(w):
+        for succ in instance.succs[w]:
             ready_time[succ] = max(ready_time[succ], machine_avail[k])
             pending[succ] -= 1
             if pending[succ] == 0:
                 ready.append(succ)
-    sol = SolutionPair(tuple(chosen_machine), Selection(machine_seq))
+    sol = SolutionPair(tuple(chosen_machine), Selection(sequences))
     return sol, tight_schedule(instance, sol)
 
 

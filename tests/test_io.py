@@ -215,6 +215,28 @@ class TestSolutionFormat:
             parse_solution(json.dumps(document), ex1)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("assignment", {"0": 1}, "assignment must be a list of [id, value] pairs"),
+            ("starts", "0 3 3", "starts must be a list of [id, value] pairs"),
+            ("assignment", [[0, 1], [1, 1], [3, 2]], "assignment must cover operation ids 0..2"),
+            ("starts", [[0, 0], [1, 3]], "starts must cover operation ids 0..2"),
+            ("assignment", [[0, 1], [1, "1"], [2, 2]], "assignment: machine '1' of operation 1 is not an integer"),
+            ("assignment", [[0, 1], [1, 1.0], [2, 2]], "assignment: machine 1.0 of operation 1 is not an integer"),
+            ("meta", [], "meta must be an object"),
+        ],
+        ids=[
+            "assignment-object", "starts-string", "assignment-ids", "starts-ids", "str-machine", "float-machine", "meta"
+        ],
+    )
+    def test_a_malformed_field_is_named(self, ex1, field, value, message):
+        document = json.loads(serialize_solution(ex1, EX1_SOL, tight_schedule(ex1, EX1_SOL)))
+        document[field] = value
+        with pytest.raises(SolutionError) as err:
+            parse_solution(json.dumps(document), ex1)
+        assert str(err.value) == message
+
     def test_wrong_instance_name(self, ex1):
         sched = tight_schedule(ex1, EX1_SOL)
         text = serialize_solution(ex1, EX1_SOL, sched).replace('"EX1"', '"OTHER"')

@@ -133,6 +133,11 @@ class TestModelSizes:
             with pytest.raises(ValueError):
                 build_machine_indexed_model(ex1, bad)
 
+    def test_a_float_horizon_is_refused(self, ex1):
+        with pytest.raises(ValueError) as info:
+            build_compact_model(ex1, 8.0)
+        assert str(info.value) == "horizon L must be int or Fraction, got 8.0"
+
     def test_a_horizon_too_long_for_text_is_cut(self, ex1):
         with pytest.raises(ValueError) as info:
             build_compact_model(ex1, -(10**5000))
