@@ -627,14 +627,10 @@ def validate_solution(instance: Instance, sol: SolutionPair, sched: Schedule) ->
         # strictly along each path, and the arcs close no cycle: only a
         # broken arc calls for the cycle search.
         if any(s[u] + p[u] > s[v] for v in instance.ops for u in preds[v]):
-            order = _kahn(instance.n_ops, preds)
-            if len(order) < instance.n_ops:
-                # the full orientation reaches what ``preds`` reaches, so ``order``
-                # leaves out the same nodes; name the cycle the full orientation gives
-                for v, w in sol.selection.pairs:
-                    preds[w].append(v)
-                cycle = _find_cycle(preds, order)
-                issues.append(ValidationIssue("admissibility", f"cycle {'->'.join(map(str, cycle))}"))
+            try:
+                topological_order(instance.n_ops, preds)  # the cycle tight_schedule names
+            except InadmissibleError as exc:
+                issues.append(ValidationIssue("admissibility", f"cycle {'->'.join(map(str, exc.cycle))}"))
     # an issue so far is a malformed or cyclic selection: then follow the starts' own order
     sequences = (selection_from_starts(instance, sol.assignment, s) if issues else sol.selection).sequences
 

@@ -528,7 +528,7 @@ def decode_compact(instance: Instance, point: ModelPoint) -> tuple[SolutionPair,
     try:
         sched = tight_schedule(instance, sol)
     except InadmissibleError as exc:
-        raise PointError("infeasible point: selection induces a precedence cycle") from exc
+        raise PointError(f"infeasible point: cycle {'->'.join(map(str, exc.cycle))}") from exc
     if instance.n_ops and sched.makespan > point["z"]:
         z, makespan = _num_text(point["z"]), _num_text(sched.makespan)
         raise PointError(f"infeasible point: z = {z} below the tight makespan {makespan}")

@@ -6,13 +6,15 @@ import gc
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Callable
 
 import pytest
 
-from fjs.core import Instance, Selection, SolutionPair
+from fjs.core import InadmissibleError, Instance, Schedule, Selection, SolutionPair, tight_schedule
 from fjs.generate import DafjsParams, YfjsParams, generate_dafjs, generate_yfjs
+from fjs.heuristic import earliest_start_heuristic
 from fjs.milp import MilpModel
 from fjs.rng import Xoshiro256StarStar
 
@@ -86,6 +88,34 @@ def random_admissible_solution(instance: Instance, seed: int) -> SolutionPair:
     for v in sorted(instance.ops, key=position.__getitem__):
         sequences[machine[v] - 1].append(v)
     return SolutionPair(machine, Selection(sequences))
+
+
+@cache
+def reversed_sequence_mix() -> tuple[tuple[Instance, SolutionPair, Schedule, SolutionPair], ...]:
+    """``(instance, EST solution, its schedule, the solution with its longest
+    machine sequence reversed)`` for 300 seeds; the reversal closes a cycle
+    when a precedence path joins two operations of that sequence."""
+    mix = []
+    for seed in range(300):
+        inst = small_random_instance(seed, max_ops=10, max_machines=4, max_eligible=3, max_time=5)
+        sol, sched = earliest_start_heuristic(inst)
+        sequences = list(sol.selection.sequences)
+        k = max(range(len(sequences)), key=lambda i: len(sequences[i]))
+        sequences[k] = sequences[k][::-1]
+        mix.append((inst, sol, sched, SolutionPair(sol.assignment, Selection(sequences))))
+    return tuple(mix)
+
+
+def cyclic_reversals() -> list[tuple[Instance, SolutionPair, Schedule, SolutionPair, tuple[int, ...]]]:
+    """The cases of ``reversed_sequence_mix`` whose reversal is cyclic, each
+    with the cycle that ``tight_schedule`` raises for it."""
+    cases = []
+    for inst, sol, sched, reversed_sol in reversed_sequence_mix():
+        try:
+            tight_schedule(inst, reversed_sol)
+        except InadmissibleError as exc:
+            cases.append((inst, sol, sched, reversed_sol, exc.cycle))
+    return cases
 
 
 def integral_instances() -> list[Instance]:

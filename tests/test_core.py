@@ -34,10 +34,15 @@ from fjs.core import (
     _selection_preds,
 )
 from fjs.generate import DafjsParams, YfjsParams, generate_dafjs, generate_yfjs
-from fjs.heuristic import earliest_start_heuristic
 from fjs.rng import Xoshiro256StarStar
 
-from conftest import integral_instances, random_admissible_solution, small_random_instance
+from conftest import (
+    cyclic_reversals,
+    integral_instances,
+    random_admissible_solution,
+    reversed_sequence_mix,
+    small_random_instance,
+)
 
 
 def all_paths_longest_start(instance, sol):
@@ -297,6 +302,10 @@ class TestTightSchedule:
         assert sched.makespan == 7
         assert certified_critical_path(inst, sol, sched.start) == (0,)
 
+    def test_an_empty_instance_has_an_empty_certificate(self):
+        empty = Instance("empty", 2, (), (), ())
+        assert certified_critical_path(empty, SolutionPair((), Selection(((), ()))), ()) == ()
+
     def test_chain_forced_by_precedence(self):
         inst = Instance.from_tables("chain", 3, {0: {1: 1}, 1: {2: 1}, 2: {3: 1}}, [(0, 1), (1, 2)])
         sol = SolutionPair((1, 2, 3), Selection(((0,), (1,), (2,))))
@@ -379,8 +388,6 @@ def _reference_validate(instance, sol, sched):
     else:
         order = _kahn(instance.n_ops, preds)
         if len(order) < instance.n_ops:
-            for v, w in sol.selection.pairs:
-                preds[w].append(v)
             cycle = _find_cycle(preds, order)
             issues.append(ValidationIssue("admissibility", f"cycle {'->'.join(map(str, cycle))}"))
     sequences = (selection_from_starts(instance, sol.assignment, s) if issues else sol.selection).sequences
@@ -414,25 +421,29 @@ class TestValidateSolution:
         # machine's sequence reversed, which closes a cycle when a
         # precedence path joins two of its operations
         kinds = Counter()
-        for seed in range(300):
-            inst = small_random_instance(seed, max_ops=10, max_machines=4, max_eligible=3, max_time=5)
-            sol, sched = earliest_start_heuristic(inst)
+        for seed, (inst, sol, sched, reversed_sol) in enumerate(reversed_sequence_mix()):
             rng = Xoshiro256StarStar(seed)
             shifted = tuple(t + rng.randint(-3, 3) if rng.randint(0, 2) == 0 else t for t in sched.start)
-            sequences = list(sol.selection.sequences)
-            k = max(range(len(sequences)), key=lambda i: len(sequences[i]))
-            sequences[k] = sequences[k][::-1]
-            reversed_sol = SolutionPair(sol.assignment, Selection(sequences))
             for case in ((sol, sched), (sol, Schedule(shifted, sched.makespan)), (reversed_sol, sched)):
                 report = validate_solution(inst, *case)
                 assert report == _reference_validate(inst, *case), inst.name
                 kinds.update(issue.kind for issue in report.issues)
         assert kinds["admissibility"] >= 100 and kinds["precedence"] >= 100, kinds
 
+    def test_a_cyclic_selection_is_named_by_the_cycle_tight_schedule_raises(self):
+        cases = cyclic_reversals()
+        assert len(cases) == 213
+        for inst, _, sched, reversed_sol, cycle in cases:
+            report = validate_solution(inst, reversed_sol, sched)
+            assert report.issues[0] == ValidationIssue("admissibility", f"cycle {'->'.join(map(str, cycle))}")
+
     def test_feasible_triple_is_clean(self, ex1):
         sched = tight_schedule(ex1, EX1_SOL)
         report = validate_solution(ex1, EX1_SOL, sched)
         assert report.ok
+
+    def test_a_clean_report_summarises_as_ok(self, ex1):
+        assert validate_solution(ex1, EX1_SOL, tight_schedule(ex1, EX1_SOL)).summary() == "ok"
 
     def test_precedence_violation_reported(self, ex1):
         sched = Schedule(start=(0, 2, 3), makespan=8)
@@ -471,14 +482,17 @@ class TestValidateSolution:
         report = validate_solution(ex1, sol, sched)
         assert any(i.kind == "assignment" for i in report.issues)
 
-    def test_cycle_is_named_through_the_full_orientation(self):
-        # 1, 2, 0 on one machine against arc (0, 1): the walk from 0 meets
-        # 1 first among all earlier operations, so the cycle is 1->0, not
-        # the neighbour chain 1->2->0
+    def test_cycle_is_named_on_the_neighbour_arcs(self):
+        # 1, 2, 0 on one machine against arc (0, 1): only neighbours on the
+        # machine are arcs, so the cycle is the chain 1->2->0, the one
+        # tight_schedule raises, and not 1->0 through the pair (1, 0)
         inst = Instance.from_tables("c", 1, {0: {1: 1}, 1: {1: 1}, 2: {1: 1}}, [(0, 1)])
         sol = SolutionPair((1, 1, 1), Selection(((1, 2, 0),)))
+        with pytest.raises(InadmissibleError) as err:
+            tight_schedule(inst, sol)
+        assert err.value.cycle == (1, 2, 0)
         report = validate_solution(inst, sol, Schedule((0, 1, 2), 3))
-        assert [(i.kind, i.message) for i in report.issues] == [("admissibility", "cycle 1->0")]
+        assert [(i.kind, i.message) for i in report.issues] == [("admissibility", "cycle 1->2->0")]
 
     def test_a_start_too_long_for_text_is_cut(self, ex1):
         report = validate_solution(ex1, EX1_SOL, Schedule(start=(-(10**5000), 3, 3), makespan=8))

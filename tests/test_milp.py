@@ -23,6 +23,7 @@ from fjs.core import (
     ValidationReport,
     certified_critical_path,
     tight_schedule,
+    validate_solution,
 )
 from fjs.exact import brute_force
 from fjs.heuristic import earliest_start_heuristic
@@ -49,6 +50,7 @@ from fjs.milp import (
 )
 
 from conftest import (
+    cyclic_reversals,
     integral_instances,
     make_ex1,
     random_admissible_solution,
@@ -57,6 +59,20 @@ from conftest import (
 )
 
 EX1_SOL = SolutionPair((1, 1, 2), Selection(((0, 1), (2,))))
+
+
+def _reversed_points(instance, sol, reversed_sol):
+    """The compact and machine-indexed points of the admissible ``sol`` with
+    the sequencing binaries of each assigned machine set as ``reversed_sol``
+    orders its operations."""
+    f, pos = sol.assignment, reversed_sol.selection.positions()
+    compact = dict(encode_compact(instance, sol).values)
+    indexed = dict(encode_machine_indexed(instance, sol).values)
+    for v in instance.ops:
+        for w in instance.ops:
+            if v != w and f[v] == f[w]:
+                compact[f"y_{v}_{w}"] = indexed[f"y_{v}_{w}_{f[v]}"] = int(pos[v] < pos[w])
+    return ModelPoint(compact), ModelPoint(indexed)
 
 
 def independent_sizes(instance):
@@ -245,7 +261,7 @@ class TestEncodeDecode:
     @pytest.mark.parametrize(
         "encode, decode, suffix, message",
         [
-            (encode_compact, decode_compact, "", "selection induces a precedence cycle"),
+            (encode_compact, decode_compact, "", "cycle 1->0"),
             (encode_machine_indexed, decode_machine_indexed, "_1", "cycle 1->0"),
         ],
         ids=["compact", "machine-indexed"],
@@ -256,6 +272,31 @@ class TestEncodeDecode:
         values[f"y_0_1{suffix}"], values[f"y_1_0{suffix}"] = 0, 1
         with pytest.raises(PointError, match=f"^infeasible point: {message}$"):
             decode(ex1, ModelPoint(values))
+
+    def test_both_decoders_name_the_cycle_tight_schedule_raises(self):
+        cases = cyclic_reversals()
+        assert len(cases) == 213
+        for inst, sol, _, reversed_sol, cycle in cases:
+            compact, indexed = _reversed_points(inst, sol, reversed_sol)
+            for decode, point in ((decode_compact, compact), (decode_machine_indexed, indexed)):
+                with pytest.raises(PointError) as err:
+                    decode(inst, point)
+                assert str(err.value) == f"infeasible point: cycle {'->'.join(map(str, cycle))}", inst.name
+
+    def test_no_cycle_is_named_through_the_pair_view(self, monkeypatch):
+        # Selection.pairs is quadratic in the operations per machine
+        cases = [(inst, sched, reversed_sol, _reversed_points(inst, sol, reversed_sol))
+                 for inst, sol, sched, reversed_sol, _ in cyclic_reversals()]
+
+        def refuse(self):
+            raise AssertionError("Selection.pairs built")
+
+        monkeypatch.setattr(Selection, "pairs", property(refuse))
+        for inst, sched, reversed_sol, (compact, indexed) in cases:
+            assert validate_solution(inst, reversed_sol, sched).issues[0].kind == "admissibility"
+            for decode, point in ((decode_compact, compact), (decode_machine_indexed, indexed)):
+                with pytest.raises(PointError, match="^infeasible point: cycle "):
+                    decode(inst, point)
 
     def test_decode_rejects_unoriented_and_doubly_oriented_pairs(self, ex1):
         for encode, decode, suffix in (
