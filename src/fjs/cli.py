@@ -14,7 +14,7 @@ from operator import countOf, itemgetter
 from pathlib import Path
 
 from . import __version__
-from .core import FjsError, Instance, Rational, Schedule, SolutionPair, _echo, _printable, validate_solution
+from .core import FjsError, Instance, Rational, Schedule, SolutionPair, _echo, _printable, check_time, validate_solution
 from .emit import write_lp, write_mps
 from .exact import STATUS_BOUND_PAIR, solve_branch_and_bound
 from .generate import DafjsParams, YfjsParams, generate_dafjs, generate_yfjs
@@ -128,17 +128,14 @@ def _parse_horizon(text: str, instance: Instance):
     if text == "auto":
         _, sched = earliest_start_heuristic(instance)
         return default_horizon(instance, sched.makespan)
-    value = number_from_json(text, "--L")  # the grammar of numbers in files
-    if value <= 0:
-        raise SolutionError(f"non-positive horizon {value}")
-    return int(value) if value.denominator == 1 else value
+    return check_time(number_from_json(text, "--L"))  # the grammar of numbers in files, the rule of times
 
 
 def _cmd_emit(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.infile))
     try:
         horizon = _parse_horizon(args.L, instance)
-    except SolutionError as exc:
+    except FjsError as exc:
         raise _UsageError(f"--L must be 'auto' or a positive rational, got {_echo(args.L)}") from exc
     if horizon == 0:
         raise _UsageError("--L auto gives no horizon for an instance without operations; give a positive --L")

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Set
 from itertools import chain, islice, permutations, repeat
-from operator import eq, lt
-from typing import Iterable, Mapping, Sequence
+from operator import eq, itemgetter, lt
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Rational = int | Fraction
 
@@ -180,11 +180,14 @@ class Instance:
 
     ``eligible[v]`` is the sorted tuple of machines that can run operation
     ``v`` and ``times[v][i]`` its processing time on ``eligible[v][i]``.
-    ``arcs`` is the precedence DAG, kept sorted and deduplicated.  Validity
-    (a string name, a machine count in ``1..MAX_MACHINES``, machine ranges,
-    positive times of at most ``MAX_DIGITS`` digits, arcs between known ids,
-    acyclicity) is enforced at construction, so every ``Instance`` in
-    circulation is well formed.
+    ``arcs`` is the precedence DAG, kept sorted and deduplicated.  Rows may
+    be given in any machine order: construction sorts each operation's
+    ``(machine, time)`` pairs by machine.  Validity (a string name, a
+    machine count in ``1..MAX_MACHINES``, integer machine ids in range and
+    each once per operation, positive times of at most ``MAX_DIGITS``
+    digits, arcs between known ids, acyclicity) is enforced at
+    construction, so every ``Instance`` in circulation is well formed; this
+    is the one place an instance's values are judged.
 
     Construction also publishes the tables every reader shares, read in
     place: ``preds[v]`` and ``succs[v]``, ascending; ``ptime[v, k]``, the
@@ -218,18 +221,20 @@ class Instance:
         eligible = tuple(map(tuple, self.eligible))
         times = tuple(map(tuple, self.times))
         if not _ints_within(list(chain.from_iterable(times)), 1, _DIGITS_BOUND - 1):
-            times = tuple(tuple(map(check_time, row)) for row in times)  # raises, or makes Fractions exact
+            times = tuple(_checked_times(times))  # raises, or makes Fractions exact
         lengths = list(map(len, eligible))
         machine_ids = list(chain.from_iterable(eligible))
+        if not (all(lengths) and lengths == list(map(len, times)) and _ints_within(machine_ids, 1, machines)):
+            _raise_row_fault(eligible, times, machines)
         # (v, k) for each eligible machine k of each operation v, in row order
         keys = list(zip(chain.from_iterable(map(repeat, range(n), lengths)), machine_ids))
-        if not (
-            all(lengths)
-            and lengths == list(map(len, times))
-            and _ints_within(machine_ids, 1, machines)
-            and all(map(lt, keys, keys[1:]))  # each row strictly increasing
-        ):
-            _raise_row_fault(eligible, times, machines)
+        if not all(map(lt, keys, keys[1:])):  # a row not strictly increasing: sort every row
+            keys.sort()
+            for (v, k), later in zip(keys, keys[1:]):
+                if (v, k) == later:
+                    raise InstanceError("bad-machine", f"operation {v}: machine {k} listed twice")
+            rows = [tuple(zip(*sorted(zip(*row), key=itemgetter(0)))) for row in zip(eligible, times)]
+            eligible, times = tuple(map(itemgetter(0), rows)), tuple(map(itemgetter(1), rows))
         arcs = tuple(map(tuple, self.arcs))
         ends = list(chain.from_iterable(arcs))
         if not (
@@ -278,9 +283,18 @@ class Instance:
         n = len(ptimes)
         if sorted(ptimes) != list(range(n)):
             raise InstanceError("bad-id", "operation ids must be dense integers 0..n-1")
-        eligible = tuple(tuple(sorted(ptimes[v])) for v in range(n))
-        times = tuple(tuple(ptimes[v][k] for k in eligible[v]) for v in range(n))
+        eligible = tuple(tuple(ptimes[v]) for v in range(n))
+        times = tuple(tuple(ptimes[v].values()) for v in range(n))
         return cls(name, machines, eligible, times, tuple(arcs))
+
+
+def _checked_times(times: tuple[tuple, ...]) -> Iterator[tuple[Rational, ...]]:
+    """Each row through ``check_time``; a fault is raised naming its operation."""
+    for v, row in enumerate(times):
+        try:
+            yield tuple(map(check_time, row))
+        except InstanceError as exc:
+            raise InstanceError(exc.code, f"operation {v}: {exc}") from None
 
 
 def _raise_row_fault(eligible: tuple[tuple, ...], times: tuple[tuple, ...], machines: int) -> None:
@@ -295,11 +309,6 @@ def _raise_row_fault(eligible: tuple[tuple, ...], times: tuple[tuple, ...], mach
                 raise InstanceError("bad-machine", f"operation {v}: machine id {_echo(k)} is not an integer")
         if any(k < 1 or k > machines for k in machs):
             raise InstanceError("bad-machine", f"operation {v}: machine id outside 1..{machines}")
-        if tuple(sorted(set(machs))) != machs:
-            for i, k in enumerate(machs):
-                if k in machs[:i]:
-                    raise InstanceError("bad-machine", f"operation {v}: machine {k} listed twice")
-            raise InstanceError("bad-machine", f"operation {v}: eligible machines must be sorted and distinct")
 
 
 def _raise_arc_fault(arcs: tuple[tuple, ...], n: int) -> None:
@@ -363,10 +372,6 @@ class Selection:
     def pairs(self) -> Set[tuple[int, int]]:
         """Every ordered same-machine pair ``(v, w)`` with ``v`` first; only ``len`` is cheap."""
         return _PairView(self.sequences)
-
-    def positions(self) -> dict[int, tuple[int, int]]:
-        """``(machine, index)`` of each operation listed in the sequences."""
-        return {v: (k, i) for k, seq in enumerate(self.sequences, 1) for i, v in enumerate(seq)}
 
 
 @dataclass(frozen=True)

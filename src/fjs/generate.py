@@ -116,7 +116,7 @@ def generate_yfjs(params: YfjsParams) -> Instance:
     for job in range(n):
         i = rng.randint(1, o)
         j = rng.randint(1, o)
-        arcs.extend(sorted(rewired_chain_arcs(job * o, o, i, j)))
+        arcs.extend(rewired_chain_arcs(job * o, o, i, j))
 
     eligible = []
     times = []
@@ -241,4 +241,4 @@ def generate_dafjs(params: DafjsParams) -> Instance:
         times.append(tuple(row))
 
     name = f"DAFJS-n{params.n_jobs}-m{m}-s{params.seed}"
-    return Instance(name, m, tuple(eligible), tuple(times), tuple(sorted(arcs)))
+    return Instance(name, m, tuple(eligible), tuple(times), tuple(arcs))

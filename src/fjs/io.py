@@ -157,36 +157,33 @@ def decode_json(text: str, error: Callable[[str], FjsError]) -> object:
         raise error("JSON nested too deeply to decode") from exc
 
 
+def _two_item_lists(entries: list) -> bool:
+    """Whether every entry is a list of two items, checked in bulk."""
+    return set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}
+
+
 def _fresh_id_pairs(entries: list) -> bool:
     """Whether every entry is a two-item list led by an int id, and no id
     leads two entries, checked in bulk."""
-    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}):
+    if not _two_item_lists(entries):
         return False
     ids = list(map(itemgetter(0), entries))
     return set(map(type, ids)) <= {int} and len(set(ids)) == len(ids)
 
 
-def _int_pairs(entries: list) -> bool:
-    """Whether every entry is a list of two ints, checked in bulk."""
-    return (
-        set(map(type, entries)) <= {list}
-        and set(map(len, entries)) <= {2}
-        and set(map(type, chain.from_iterable(entries))) <= {int}
-    )
-
-
 def parse_instance(text: str) -> Instance:
-    """Parse a canonical instance document.
+    """Parse an instance document.
 
-    The document's shape is checked here: an object with the required
-    fields, operation entries with fresh dense ids, ``[machine, time]`` and
-    ``[from, to]`` pairs of integers.  Every value is checked by ``Instance``,
-    which runs once the decoded document is gone.
+    Only the document's shape is checked here: an object with the required
+    fields, operation entries with fresh dense ids, and ``[machine, time]``
+    and ``[from, to]`` pairs of two items.  The values, and the order of
+    each operation's pairs, are ``Instance``'s to check and sort, once the
+    decoded document is gone.
     """
     return Instance(*_instance_fields(text))
 
 
-def _instance_fields(text: str) -> tuple[object, object, tuple, tuple, tuple]:
+def _instance_fields(text: str) -> tuple[object, object, tuple, tuple, list]:
     """The name, machine count, eligible machines, times and arcs of an
     instance document whose shape is checked; its values are not."""
     document = decode_json(text, partial(InstanceError, "syntax"))
@@ -203,18 +200,19 @@ def _instance_fields(text: str) -> tuple[object, object, tuple, tuple, tuple]:
     rows = _operation_rows(operations)
     if not _ints_within(list(rows), 0, len(rows) - 1):  # distinct ids in 0..n-1 are all of them
         raise InstanceError("bad-id", "operation ids must be dense integers 0..n-1")
-    if not _int_pairs(list(chain.from_iterable(rows.values()))):
-        _raise_times_fault(rows)
     arcs = document["arcs"]
     if not isinstance(arcs, list):
         raise InstanceError("bad-format", "arcs must be a list of [from, to] pairs")
-    if not _int_pairs(arcs):
-        arc = next(arc for arc in arcs if not _int_pairs([arc]))
+    if not _two_item_lists(list(chain(chain.from_iterable(rows.values()), arcs))):
+        for v, row in rows.items():
+            if not _two_item_lists(row):
+                raise InstanceError("bad-format", f"operation {v}: times must be [machine, time] pairs")
+        arc = next(arc for arc in arcs if not _two_item_lists([arc]))
         raise InstanceError("bad-format", f"arc entry {_echo(arc)} must be a pair of ids")
-    # each row sorted by machine, then split into its machines and its times
-    columns = [tuple(zip(*sorted(rows[v]))) or ((), ()) for v in range(len(rows))]
+    # each row split into its machines and its times
+    columns = [tuple(zip(*rows[v])) or ((), ()) for v in range(len(rows))]
     eligible, times = tuple(zip(*columns)) or ((), ())
-    return document["name"], document["machines"], eligible, times, tuple(map(tuple, arcs))
+    return document["name"], document["machines"], eligible, times, arcs
 
 
 def _operation_rows(operations: list) -> dict[int, list]:
@@ -233,31 +231,16 @@ def _operation_rows(operations: list) -> dict[int, list]:
         else:
             if set(map(type, ids)) <= {int} and set(map(type, rows)) <= {list} and len(set(ids)) == len(ids):
                 return dict(zip(ids, rows))
-    by_id: dict[int, list] = {}
+    seen: set[int] = set()
     for op in operations:
         if not isinstance(op, dict) or "id" not in op or "times" not in op:
             raise InstanceError("bad-format", f"operation entry {_echo(op)} needs 'id' and 'times'")
         v = op["id"]
-        if type(v) is not int or v in by_id:
+        if type(v) is not int or v in seen:
             raise InstanceError("bad-id", f"operation id {_echo(v)} is not a fresh integer")
         if not isinstance(op["times"], list):
             raise InstanceError("bad-format", f"operation {v}: times must be a list of [machine, time] pairs")
-        by_id[v] = op["times"]
-    return by_id
-
-
-def _raise_times_fault(rows: dict[int, list]) -> None:
-    """Raise the InstanceError for the first entry of ``rows`` that is not a
-    ``[machine, time]`` pair of integers."""
-    for v, row in rows.items():
-        for pair in row:
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise InstanceError("bad-format", f"operation {v}: times must be [machine, time] pairs")
-            k, t = pair
-            if type(k) is not int:
-                raise InstanceError("bad-machine", f"operation {v}: machine id {_echo(k)} is not an integer")
-            if type(t) is not int:
-                raise InstanceError("bad-time", f"operation {v}: time {_echo(t)} is not an integer")
+        seen.add(v)
 
 
 def serialize_solution(

@@ -49,6 +49,8 @@ from .core import (
     topological_order,
     validate_solution,
     _echo,
+    _find_cycle,
+    _kahn,
     _longest_path,
     _num_text,
     _ops_by_machine,
@@ -399,15 +401,14 @@ def encode_compact(instance: Instance, sol: SolutionPair) -> ModelPoint:
     """
     sched = tight_schedule(instance, sol)
     _, s, x, y = _compact_names(instance)
-    f = sol.assignment
-    pos = sol.selection.positions()
+    f, start = sol.assignment, sched.start
     values: dict[str, Rational] = {"z": sched.makespan}
     for v in instance.ops:
-        values[s[v]] = sched.start[v]
+        values[s[v]] = start[v]
         for k, name in x[v].items():
             values[name] = 1 if f[v] == k else 0
-    for (v, w), name in y.items():
-        values[name] = 1 if f[v] == f[w] and pos[v] < pos[w] else 0
+    for (v, w), name in y.items():  # times are positive: v runs first on a shared machine iff it starts first
+        values[name] = 1 if f[v] == f[w] and start[v] < start[w] else 0
     return ModelPoint(values)
 
 
@@ -421,20 +422,19 @@ def encode_machine_indexed(instance: Instance, sol: SolutionPair) -> ModelPoint:
     least every processing time.
     """
     sched = tight_schedule(instance, sol)
-    pos = sol.selection.positions()
     s, t, x, y = _machine_indexed_names(instance)
-    f = sol.assignment
+    f, start = sol.assignment, sched.start
     values: dict[str, Rational] = {"z": sched.makespan}
     for v in instance.ops:
         for k, p in zip(instance.eligible[v], instance.times[v]):
             on = f[v] == k
-            values[s[v][k]] = sched.start[v] if on else 0
-            values[t[v][k]] = sched.start[v] + p if on else 0
+            values[s[v][k]] = start[v] if on else 0
+            values[t[v][k]] = start[v] + p if on else 0
             values[x[v][k]] = 1 if on else 0
     for k, row in y.items():
         for (v, w), name in row.items():
             if f[v] == k and f[w] == k:
-                bit = 1 if pos[v] < pos[w] else 0
+                bit = 1 if start[v] < start[w] else 0  # times are positive: the first to start runs first
             elif f[v] != k and f[w] == k:
                 bit = 1
             elif f[v] != k and f[w] != k:
@@ -482,8 +482,9 @@ def _read_binaries(
     Only the pairs sharing an assigned machine are read, each once.  An
     operation's index counts those oriented before it; the indices are a
     permutation iff the orientation is transitive, that is, acyclic on each
-    machine.  Cycles through the precedence arcs are left to the decoder's
-    schedule check.
+    machine; otherwise the error names the machine and a cycle on it.
+    Cycles through the precedence arcs are left to the decoder's schedule
+    check.
     """
     f, on_machine = [], [[] for _ in range(instance.machines + 1)]
     for v, row in enumerate(x):
@@ -505,8 +506,12 @@ def _read_binaries(
                     raise PointError(f"infeasible point: pair ({v}, {w}) has {state} selected")
                 index[w if v_first else v] += 1
         indices.append(index)
-    if any(sorted(index.values()) != list(range(len(index))) for index in indices):
-        raise PointError("infeasible point: selection induces a precedence cycle")
+    for k, index in enumerate(indices, 1):
+        if sorted(index.values()) != list(range(len(index))):  # machine k's orientation has a cycle
+            ops_k = list(index)
+            preds = [[i for i, v in enumerate(ops_k) if v != w and _binary(point, y_name(k, v, w))] for w in ops_k]
+            cycle = map(ops_k.__getitem__, _find_cycle(preds, _kahn(len(ops_k), preds)))
+            raise PointError(f"infeasible point: cycle {'->'.join(map(str, cycle))} on machine {k}")
     return SolutionPair(tuple(f), Selection([sorted(index, key=index.__getitem__) for index in indices]))
 
 

@@ -106,15 +106,16 @@ def test_validate_cyclic_instance_fails(tmp_path, capsys):
     assert "cycle" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("arcs", [5, [[True, 0]]])
-def test_malformed_arcs_exit_one(tmp_path, capsys, arcs):
+@pytest.mark.parametrize("arcs, code", [(5, "bad-format"), ([[True, 0]], "dangling-arc")])
+def test_malformed_arcs_exit_one(tmp_path, capsys, arcs, code):
+    # a list that is not of pairs is the document's shape; a bool end is an arc's value
     document = json.loads(serialize_instance(make_ex1()))
     document["arcs"] = arcs
     path = tmp_path / "bad.fjs.json"
     path.write_text(json.dumps(document))
     for command in (["validate"], ["solve", "--method", "bnb"]):
         assert main([*command, "--in", str(path)]) == 1
-        assert "bad-format" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"fjs: {code}: ")
 
 
 def test_a_huge_bad_arc_entry_gives_a_short_message(tmp_path, capsys):

@@ -123,9 +123,6 @@ class TestSelection:
         assert (0, 1) in pairs and (1, 0) not in pairs and (0, 3) not in pairs
         assert pairs | {(3, 0)} == frozenset({(0, 2), (0, 1), (2, 1), (3, 0)})
 
-    def test_positions(self):
-        assert Selection(((0, 2, 1), (3,))).positions() == {0: (1, 0), 2: (1, 1), 1: (1, 2), 3: (2, 0)}
-
 
 class TestAdmissibility:
     def test_ex1_forward_orientation(self, ex1):

@@ -60,6 +60,21 @@ class TestInstanceFormat:
         inst = small_random_instance(seed)
         assert parse_instance(serialize_instance(inst)) == inst
 
+    @given(st.integers(0, 10_000), st.randoms(use_true_random=False))
+    @settings(max_examples=40, derandomize=True)
+    def test_shuffled_documents_parse_to_the_canonical_instance(self, seed, rnd):
+        # the reader keeps each row's order; Instance sorts the pairs and the arcs
+        inst = small_random_instance(seed, max_eligible=3, arc_percent=50)
+        text = serialize_instance(inst)
+        document = json.loads(text)
+        for op in document["operations"]:
+            rnd.shuffle(op["times"])
+        rnd.shuffle(document["operations"])
+        rnd.shuffle(document["arcs"])
+        parsed = parse_instance(json.dumps(document))
+        assert parsed == inst and parsed.ptime == inst.ptime and parsed.order == inst.order
+        assert serialize_instance(parsed) == text
+
     def test_matches_checked_in_golden(self, ex1, golden_dir):
         assert serialize_instance(ex1) == (golden_dir / "ex1.fjs.json").read_text()
 
@@ -101,13 +116,17 @@ class TestInstanceFormat:
             parse_instance(text)
         assert err.value.code == "bad-time"
 
-    @pytest.mark.parametrize("arcs", [5, "0,1", [[True, 0]], [[0, False]]])
-    def test_malformed_arcs_rejected(self, ex1, arcs):
+    @pytest.mark.parametrize(
+        "arcs, code",
+        [(5, "bad-format"), ("0,1", "bad-format"), ([[True, 0]], "dangling-arc"), ([[0, False]], "dangling-arc")],
+    )
+    def test_malformed_arcs_rejected(self, ex1, arcs, code):
+        # the reader checks that arcs are a list of pairs; Instance, that their ends are ids
         document = json.loads(serialize_instance(ex1))
         document["arcs"] = arcs
         with pytest.raises(InstanceError) as err:
             parse_instance(json.dumps(document))
-        assert err.value.code == "bad-format"
+        assert err.value.code == code
 
     @pytest.mark.parametrize("name", [None, ["a"], 5, True])
     def test_non_string_name_rejected(self, ex1, name):
@@ -525,19 +544,20 @@ MALFORMED_INSTANCES = [
     ("machine-id-not-int", _edit_op(0, times=[["1", 3]]), "bad-machine", "operation 0: machine id '1' is not an integer"),
     ("machine-id-out-of-range", _edit_op(0, times=[[3, 3]]), "bad-machine", "operation 0: machine id outside 1..2"),
     # times
-    ("time-not-int", _edit_op(0, times=[[1, "3"]]), "bad-time", "operation 0: time '3' is not an integer"),
-    ("time-float", _edit_op(0, times=[[1, 1.5]]), "bad-time", "operation 0: time 1.5 is not an integer"),
-    ("time-zero", _edit_op(1, times=[[1, 2], [2, 0]]), "nonpositive-time", "processing time must be positive, got 0"),
+    ("time-not-int", _edit_op(0, times=[[1, "3"]]), "bad-time", "operation 0: processing time must be int or Fraction, got '3'"),
+    ("time-float", _edit_op(0, times=[[1, 1.5]]), "bad-time", "operation 0: processing time must be int or Fraction, got 1.5"),
+    ("time-zero", _edit_op(1, times=[[1, 2], [2, 0]]), "nonpositive-time", "operation 1: processing time must be positive, got 0"),
     (
         "time-too-long",
         _edit_op(0, times=[[1, 10**1000]]),
         "bad-time",
-        f"processing time must have at most 1000 digits, got {_echo(10**1000)}",
+        f"operation 0: processing time must have at most 1000 digits, got {_echo(10**1000)}",
     ),
     # arcs
     ("arc-dangling", _edit(arcs=[[0, 9]]), "dangling-arc", "arc (0, 9) references an unknown operation id"),
     ("arc-not-a-pair", _edit(arcs=[[0, 1], [0]]), "bad-format", "arc entry [0] must be a pair of ids"),
-    ("arc-bool-end", _edit(arcs=[[True, 0]]), "bad-format", "arc entry [True, 0] must be a pair of ids"),
+    ("arc-bool-end", _edit(arcs=[[True, 0]]), "dangling-arc", "arc (True, 0) references an unknown operation id"),
+    ("arc-string-end", _edit(arcs=[[0, "1"]]), "dangling-arc", "arc (0, '1') references an unknown operation id"),
     ("arcs-not-a-list", _edit(arcs=5), "bad-format", "arcs must be a list of [from, to] pairs"),
     # self-loop
     ("self-loop", _edit(arcs=[[0, 1], [1, 1]]), "self-loop", "arc (1, 1) is a self-loop"),
@@ -586,14 +606,24 @@ class TestInstanceReaderRules:
         assert parse_instance(json.dumps(document)) == ex1
 
     @pytest.mark.parametrize(
-        "eligible, message",
-        [(((2, 1),), "operation 0: eligible machines must be sorted and distinct"), (((1, 1),), "operation 0: machine 1 listed twice")],
-        ids=["unsorted", "duplicate"],
+        "eligible, times, message",
+        [
+            (((1, 1),), ((1, 1),), "operation 0: machine 1 listed twice"),
+            (((1,), (2, 1, 2)), ((1,), (1, 2, 3)), "operation 1: machine 2 listed twice"),
+        ],
+        ids=["duplicate", "duplicate-apart"],
     )
-    def test_constructor_wants_sorted_distinct_machines(self, eligible, message):
+    def test_constructor_refuses_a_machine_listed_twice(self, eligible, times, message):
         with pytest.raises(InstanceError) as err:
-            Instance("bad", 2, eligible, ((1, 1),), ())
+            Instance("bad", 2, eligible, times, ())
         assert (err.value.code, str(err.value)) == ("bad-machine", message)
+
+    def test_constructor_sorts_each_row(self):
+        unsorted = Instance("rows", 3, ((3, 1, 2), (2,), (2, 1)), ((30, 10, 20), (5,), (7, Fraction(8, 2))), [(2, 0), (0, 1)])
+        expected = Instance("rows", 3, ((1, 2, 3), (2,), (1, 2)), ((10, 20, 30), (5,), (4, 7)), ((0, 1), (2, 0)))
+        assert unsorted == expected
+        assert unsorted.ptime == expected.ptime and type(unsorted.times[2][0]) is int
+        assert Instance.from_tables("rows", 3, {0: {3: 30, 1: 10, 2: 20}, 1: {2: 5}, 2: {2: 7, 1: 4}}, [(2, 0), (0, 1)]) == expected
 
 
 # ---------------------------------------------------------------------------

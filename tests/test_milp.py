@@ -65,7 +65,8 @@ def _reversed_points(instance, sol, reversed_sol):
     """The compact and machine-indexed points of the admissible ``sol`` with
     the sequencing binaries of each assigned machine set as ``reversed_sol``
     orders its operations."""
-    f, pos = sol.assignment, reversed_sol.selection.positions()
+    f = sol.assignment
+    pos = {v: i for seq in reversed_sol.selection.sequences for i, v in enumerate(seq)}  # compared on one machine
     compact = dict(encode_compact(instance, sol).values)
     indexed = dict(encode_machine_indexed(instance, sol).values)
     for v in instance.ops:
@@ -338,8 +339,9 @@ class TestEncodeDecode:
         ):
             values = dict(encode(inst, sol).values)
             values[f"y_0_2{suffix}"], values[f"y_2_0{suffix}"] = 0, 1
-            with pytest.raises(PointError, match="cycle"):
+            with pytest.raises(PointError) as err:
                 decode(inst, ModelPoint(values))
+            assert str(err.value) == "infeasible point: cycle 1->2->0 on machine 1"
 
     def test_decode_rejects_z_below_makespan(self, ex1):
         point = encode_compact(ex1, EX1_SOL)
