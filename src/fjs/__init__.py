@@ -26,7 +26,7 @@ from .core import (
 )
 from .exact import SolveResult, brute_force, solve_branch_and_bound
 from .generate import DafjsParams, YfjsParams, generate_dafjs, generate_yfjs
-from .heuristic import earliest_start_heuristic
+from .heuristic import earliest_start_heuristic, earliest_start_selection
 from .io import parse_instance, parse_solution, serialize_instance, serialize_solution
 from .milp import (
     MilpModel,
@@ -69,6 +69,7 @@ __all__ = [
     "default_horizon",
     "disjunctive_pairs",
     "earliest_start_heuristic",
+    "earliest_start_selection",
     "encode_compact",
     "encode_machine_indexed",
     "generate_dafjs",

@@ -18,7 +18,7 @@ from .core import FjsError, Instance, Rational, Schedule, SolutionPair, _echo, _
 from .emit import write_lp, write_mps
 from .exact import STATUS_BOUND_PAIR, solve_branch_and_bound
 from .generate import DafjsParams, YfjsParams, generate_dafjs, generate_yfjs
-from .heuristic import earliest_start_heuristic
+from .heuristic import earliest_start_heuristic, earliest_start_selection
 from .io import (
     FORMAT_INSTANCE,
     FORMAT_SOLUTION,
@@ -126,8 +126,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _parse_horizon(text: str, instance: Instance):
     if text == "auto":
-        _, sched = earliest_start_heuristic(instance)
-        return default_horizon(instance, sched.makespan)
+        return default_horizon(instance, earliest_start_selection(instance)[1])
     return check_time(number_from_json(text, "--L"))  # the grammar of numbers in files, the rule of times
 
 
@@ -219,7 +218,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         _, sched, meta = parse_solution(document, instance)
         del document  # only its meta is read from here on, so EST below does not run beside it
         if name not in columns:
-            columns[name] = (*instance_size(instance), earliest_start_heuristic(instance)[1].makespan)
+            columns[name] = (*instance_size(instance), earliest_start_selection(instance)[1])
         rows.append(
             ReportRow(
                 name,

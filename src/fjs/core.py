@@ -213,13 +213,13 @@ class Instance:
             raise InstanceError("bad-machine-count", f"machine count must be >= 1, got {_num_text(machines)}")
         if machines > MAX_MACHINES:
             raise InstanceError("bad-machine-count", f"machine count must be <= {MAX_MACHINES}, got {_echo(machines)}")
-        n = len(self.eligible)
-        if len(self.times) != n:
+        eligible = _rows(self.eligible, "eligible machines")
+        times = _rows(self.times, "times")
+        n = len(eligible)
+        if len(times) != n:
             raise InstanceError("shape-mismatch", "eligible and times must have one entry per operation")
         # Each rule is checked in bulk over the flattened rows; only when one
         # fails does a loop walk the rows in order to name the first fault.
-        eligible = tuple(map(tuple, self.eligible))
-        times = tuple(map(tuple, self.times))
         if not _ints_within(list(chain.from_iterable(times)), 1, _DIGITS_BOUND - 1):
             times = tuple(_checked_times(times))  # raises, or makes Fractions exact
         lengths = list(map(len, eligible))
@@ -235,13 +235,14 @@ class Instance:
                     raise InstanceError("bad-machine", f"operation {v}: machine {k} listed twice")
             rows = [tuple(zip(*sorted(zip(*row), key=itemgetter(0)))) for row in zip(eligible, times)]
             eligible, times = tuple(map(itemgetter(0), rows)), tuple(map(itemgetter(1), rows))
-        arcs = tuple(map(tuple, self.arcs))
+        arcs = _rows(self.arcs, "arcs")
         ends = list(chain.from_iterable(arcs))
         if not (
             set(map(len, arcs)) <= {2} and _ints_within(ends, 0, n - 1) and not any(map(eq, ends[::2], ends[1::2]))
         ):
             _raise_arc_fault(arcs, n)
-        arcs = tuple(sorted(set(arcs)))
+        if not all(map(lt, arcs, arcs[1:])):  # strictly increasing arcs are already sorted and distinct
+            arcs = tuple(sorted(set(arcs)))
         object.__setattr__(self, "eligible", eligible)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "arcs", arcs)
@@ -288,6 +289,14 @@ class Instance:
         return cls(name, machines, eligible, times, tuple(arcs))
 
 
+def _rows(rows: object, what: str) -> tuple[tuple, ...]:
+    """``rows`` as a tuple of tuples; raises bad-format when it or one of its rows is not iterable."""
+    try:
+        return tuple(map(tuple, rows))
+    except TypeError:
+        raise InstanceError("bad-format", f"{what} must be a sequence of sequences") from None
+
+
 def _checked_times(times: tuple[tuple, ...]) -> Iterator[tuple[Rational, ...]]:
     """Each row through ``check_time``; a fault is raised naming its operation."""
     for v, row in enumerate(times):
@@ -314,6 +323,8 @@ def _raise_row_fault(eligible: tuple[tuple, ...], times: tuple[tuple, ...], mach
 def _raise_arc_fault(arcs: tuple[tuple, ...], n: int) -> None:
     """Raise the InstanceError for the first arc that is not a pair of distinct operation ids."""
     for arc in arcs:
+        if len(arc) != 2:
+            raise InstanceError("bad-format", f"arc {_echo(arc)} is not a pair of ids")
         u, w = arc
         if not (type(u) is int and type(w) is int and 0 <= u < n and 0 <= w < n):
             raise InstanceError("dangling-arc", f"arc {_echo(arc)} references an unknown operation id")

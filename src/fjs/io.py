@@ -74,10 +74,16 @@ def _array(items: Sequence[str], depth: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
 
 
-def _pairs(pairs: Iterable[tuple[object, object]], depth: int) -> str:
-    """``_array`` of ``[a, b]`` pairs whose values are ints or JSON text."""
+def _pair_layout(depth: int) -> str:
+    """The ``%`` template of one ``[a, b]`` item of an array ``depth`` levels deep."""
     item, value = "  " * (depth + 1), "  " * (depth + 2)
-    return _array([f"[\n{value}{a},\n{value}{b}\n{item}]" for a, b in pairs], depth)
+    return f"[\n{value}%s,\n{value}%s\n{item}]"
+
+
+def _pairs(pairs: Iterable[tuple[object, object]], depth: int) -> str:
+    """``_array`` of ``[a, b]`` pairs whose values are ints or JSON text,
+    each filled into one template by ``%``."""
+    return _array(list(map(_pair_layout(depth).__mod__, pairs)), depth)
 
 
 def _json_values(values: Sequence[object]) -> Sequence[object]:
@@ -129,8 +135,13 @@ def serialize_instance(instance: Instance) -> str:
             if type(t) is not int
         )
         raise InstanceError("bad-time", f"instance files carry integer times; p({v},{k}) = {t}")
+    # one template per row length, with the id and each [machine, time] pair left as %s
+    layouts = {
+        length: '{\n      "id": %s,\n      "times": ' + _array([_pair_layout(3)] * length, 3) + "\n    }"
+        for length in set(map(len, instance.times))
+    }
     operations = [
-        f'{{\n      "id": {v},\n      "times": {_pairs(zip(machs, row), 3)}\n    }}'
+        layouts[len(row)] % (v, *chain.from_iterable(zip(machs, row)))
         for v, (machs, row) in enumerate(zip(instance.eligible, instance.times))
     ]
     jobs = [_array(list(map(str, group)), 2) for group in weakly_connected_components(instance)]

@@ -12,13 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from fjs import cli, exact
+from fjs import cli, exact, heuristic
 from fjs.cli import main
 from fjs.exact import solve_branch_and_bound
 from fjs.generate import DafjsParams, YfjsParams, generate_dafjs, generate_yfjs
-from fjs.heuristic import earliest_start_heuristic
+from fjs.heuristic import earliest_start_heuristic, earliest_start_selection
 from fjs.io import parse_instance, parse_solution, serialize_instance, serialize_solution
-from fjs.milp import encode_compact, encode_machine_indexed
+from fjs.milp import default_horizon, encode_compact, encode_machine_indexed
 from fjs.core import Instance, Selection, SolutionPair, _echo, tight_schedule
 
 from conftest import make_ex1
@@ -422,9 +422,9 @@ def test_report_runs_est_once_per_instance(tmp_path, monkeypatch):
 
     def counting_est(inst):
         calls.append(inst.name)
-        return earliest_start_heuristic(inst)
+        return earliest_start_selection(inst)
 
-    monkeypatch.setattr(cli, "earliest_start_heuristic", counting_est)
+    monkeypatch.setattr(cli, "earliest_start_selection", counting_est)
     out = tmp_path / "out.report.txt"
     assert main(["report", "--dir", str(tmp_path), "--out", str(out)]) == 0
     assert calls == [instance.name]
@@ -433,6 +433,27 @@ def test_report_runs_est_once_per_instance(tmp_path, monkeypatch):
         "YFJS-n3-o4-m3-q2-s2  3, 4, 3  692  bnb     649              0.25\n"
         "YFJS-n3-o4-m3-q2-s2  3, 4, 3  692  est     [692;692] 0.00%  0.25\n"
     )
+
+
+def test_report_and_emit_auto_build_no_schedule(tmp_path, monkeypatch, capsys):
+    # The report's EST column and emit --L auto read only EST's makespan.
+    instance = generate_yfjs(YfjsParams(3, 4, 3, 2, 2))
+    path = tmp_path / "y.fjs.json"
+    path.write_text(serialize_instance(instance))
+    sol, sched = earliest_start_heuristic(instance)
+    meta = {"method": "est", "status": "feasible", "elapsed": 0.25}
+    (tmp_path / "y.sol.json").write_text(serialize_solution(instance, sol, sched, meta))
+
+    def refuse(*args):
+        raise AssertionError("tight_schedule called")
+
+    monkeypatch.setattr(heuristic, "tight_schedule", refuse)
+    out = tmp_path / "out.report.txt"
+    assert main(["report", "--dir", str(tmp_path), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].split()[4:6] == [str(sched.makespan), "est"]
+    argv = ["emit", "--model", "new", "--format", "lp", "--L", "auto", "--in", str(path), "--out", str(tmp_path / "y.lp")]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith(f", L = {default_horizon(instance, sched.makespan)}\n")
 
 
 def test_cli_flow_never_builds_the_pair_view(tmp_path, monkeypatch, capsys):

@@ -8,6 +8,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fjs.core import (
     MAX_MACHINES,
@@ -602,18 +604,32 @@ class TestInstanceValidation:
         assert err.value.code == "empty-eligible"
 
     @pytest.mark.parametrize(
-        "eligible, times, code, message",
+        "eligible, times, arcs, code, message",
         [
-            (((1,), (1,)), ((1,),), "shape-mismatch", "eligible and times must have one entry per operation"),
-            (((1, 2),), ((1,),), "shape-mismatch", "operation 0: one time per eligible machine required"),
-            (((1.0,),), ((1,),), "bad-machine", "operation 0: machine id 1.0 is not an integer"),
+            (((1,), (1,)), ((1,),), (), "shape-mismatch", "eligible and times must have one entry per operation"),
+            (((1, 2),), ((1,),), (), "shape-mismatch", "operation 0: one time per eligible machine required"),
+            (((1.0,),), ((1,),), (), "bad-machine", "operation 0: machine id 1.0 is not an integer"),
+            ((5,), ((1,),), (), "bad-format", "eligible machines must be a sequence of sequences"),
+            (((1,), (1,)), ((1,), (1,)), [(0,)], "bad-format", "arc (0,) is not a pair of ids"),
+            (((1,), (1,)), ((1,), (1,)), [(0, 1), (0, 1, 2)], "bad-format", "arc (0, 1, 2) is not a pair of ids"),
         ],
-        ids=["row-count", "time-count", "float-machine"],
+        ids=["row-count", "time-count", "float-machine", "row-not-iterable", "arc-of-one", "arc-of-three"],
     )
-    def test_malformed_rows_passed_to_the_constructor(self, eligible, times, code, message):
+    def test_malformed_rows_passed_to_the_constructor(self, eligible, times, arcs, code, message):
         with pytest.raises(InstanceError) as err:
-            Instance("bad", 2, eligible, times, ())
+            Instance("bad", 2, eligible, times, arcs)
         assert (err.value.code, str(err.value)) == (code, message)
+
+    @given(st.integers(0, 10_000), st.randoms(use_true_random=False))
+    @settings(max_examples=40, derandomize=True)
+    def test_shuffled_repeated_arcs_give_the_sorted_instance(self, seed, rnd):
+        # sorted distinct arcs skip the sort, so any other order must still be sorted
+        inst = small_random_instance(seed, max_ops=12, arc_percent=40)
+        arcs = [list(arc) for arc in inst.arcs + tuple(arc for arc in inst.arcs if rnd.random() < 0.5)]
+        rnd.shuffle(arcs)
+        built = Instance(inst.name, inst.machines, inst.eligible, inst.times, arcs)
+        assert built == inst and built.arcs == inst.arcs
+        assert (built.preds, built.succs, built.order) == (inst.preds, inst.succs, inst.order)
 
     def test_nonpositive_time(self):
         with pytest.raises(InstanceError) as err:

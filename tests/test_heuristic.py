@@ -11,7 +11,8 @@ from fjs.core import (
     tight_schedule,
     validate_solution,
 )
-from fjs.heuristic import _scaled_tails, earliest_start_heuristic
+from fjs.generate import DafjsParams, YfjsParams, generate_dafjs, generate_yfjs
+from fjs.heuristic import _scaled_tails, earliest_start_heuristic, earliest_start_selection
 
 from conftest import small_random_instance
 
@@ -160,3 +161,21 @@ def test_matches_the_plain_scan():
         cases.append(_with_fractional_times(inst) if seed % 2 else inst)
     for inst in cases:
         assert earliest_start_heuristic(inst) == _reference_est(inst), inst.name
+
+
+def test_selection_gives_the_solution_and_makespan_of_the_heuristic():
+    # earliest_start_selection builds no schedule: its makespan, the last
+    # machine's completion, must be that of the tight schedule of its solution
+    cases = [Instance("empty", 1, (), (), ())]
+    for seed in range(200):
+        cases.append(small_random_instance(seed, max_ops=20, max_machines=4, max_eligible=1 + seed % 4, max_time=5))
+    for seed in range(200, 240):
+        inst = small_random_instance(seed, max_ops=20, max_machines=4, max_eligible=1 + seed % 4, max_time=30)
+        times = tuple(tuple(Fraction(t, 7) for t in row) for row in inst.times)
+        cases.append(Instance(inst.name, inst.machines, inst.eligible, times, inst.arcs))
+    for seed in range(1, 11):
+        cases.append(generate_yfjs(YfjsParams(2 + seed % 4, 3 + seed % 5, 4, 1 + seed % 3, seed)))
+        cases.append(generate_dafjs(DafjsParams(1 + seed % 4, 3 + seed % 4, seed)))
+    for inst in cases:
+        sol, sched = earliest_start_heuristic(inst)
+        assert earliest_start_selection(inst) == (sol, sched.makespan), inst.name
