@@ -7,14 +7,24 @@ error, 3 time limit hit with an open optimality gap.
 from __future__ import annotations
 
 import argparse
-import gc
 import sys
 import time
 from operator import countOf, itemgetter
 from pathlib import Path
 
 from . import __version__
-from .core import FjsError, Instance, Rational, Schedule, SolutionPair, _echo, _printable, check_time, validate_solution
+from .core import (
+    FjsError,
+    Instance,
+    Rational,
+    Schedule,
+    SolutionPair,
+    _collector_paused,
+    _echo,
+    _printable,
+    check_time,
+    validate_solution,
+)
 from .emit import write_lp, write_mps
 from .exact import STATUS_BOUND_PAIR, solve_branch_and_bound
 from .generate import DafjsParams, YfjsParams, generate_dafjs, generate_yfjs
@@ -138,7 +148,10 @@ def _cmd_emit(args: argparse.Namespace) -> int:
         raise _UsageError(f"--L must be 'auto' or a positive rational, got {_echo(args.L)}") from exc
     if horizon == 0:
         raise _UsageError("--L auto gives no horizon for an instance without operations; give a positive --L")
-    model = MODEL_BUILDERS[args.model](instance, horizon)
+    try:
+        model = MODEL_BUILDERS[args.model](instance, horizon)
+    except ValueError as exc:  # a horizon below a processing time, which the ooy model refuses
+        raise _UsageError(f"--L is too small for the {args.model} model: {exc}") from exc
     del instance  # and with it the builder's name layout, which the writers do not read
     _write(args.out, WRITERS[args.format](model))
     n_binary = countOf(map(itemgetter(1), model.variables), BINARY)
@@ -311,22 +324,19 @@ def main(argv: list[str] | None = None) -> int:
     """Run one ``fjs`` command and return its exit code.
 
     The command runs with the cyclic garbage collector paused, and the
-    caller's collector is left as it was found; library calls such as
-    ``fjs.milp`` and ``fjs.emit`` never touch it.
+    caller's collector is left as it was found.  Of the library calls, only
+    the two model builders pause it too, for the call alone; the writers,
+    codecs and solvers never touch it.
     """
     args = _PARSER.parse_args(argv)
-    gc_was_enabled = gc.isenabled()
-    gc.disable()  # a command's records live until it returns and hold no cycles
     try:
-        return args.handler(args)
+        with _collector_paused():  # a command's records live until it returns and hold no cycles
+            return args.handler(args)
     except _UsageError as exc:
         message, code = str(exc), 2
     except FjsError as exc:
         prefix = f"{exc.code}: " if getattr(exc, "code", None) else ""
         message, code = f"{prefix}{exc}", 1
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     print(f"fjs: {message}", file=sys.stderr)
     return code
 

@@ -18,7 +18,9 @@ first, over the instance's own successor lists where it has them.
 
 from __future__ import annotations
 
+import gc
 import reprlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Set
@@ -138,6 +140,24 @@ def _num_text(value: Rational) -> str:
         if isinstance(value, Fraction):
             return f"{_num_text(value.numerator)}/{_num_text(value.denominator)}"
         return _echo(value)
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the block, or for each call of a function it
+    decorates, and leave it as it was found on every exit.
+
+    For work that makes tens of thousands of tuple records which live past it and hold no
+    cycles (a model, a command's data): collections the allocations trigger would walk every
+    one of them again and free nothing.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 MAX_MACHINES = 10_000

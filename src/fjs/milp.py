@@ -12,7 +12,9 @@ machine-indexed ones ``s_v_k``, ``t_v_k``, ``x_v_k`` and ``y_v_w_k``
 layout is made once per instance and kept while the instance lives, so the
 builder, the codecs and the gap witness of one instance share it; names and row
 names are spelled from the decimal text of the ids (``_id_text``), made once per
-instance too.
+instance too.  Each builder runs with the cyclic garbage collector paused and
+leaves it as it found it: a model's records are tuples that hold no cycles, and
+collections triggered while they are made would walk every one made before.
 
 Feasible solutions translate to feasible model points and back; the codecs
 here implement both directions exactly (exact arithmetic: ``int``
@@ -44,6 +46,7 @@ from .core import (
     SolutionPair,
     ValidationIssue,
     ValidationReport,
+    _collector_paused,
     disjunctive_pairs,
     tight_schedule,
     topological_order,
@@ -184,7 +187,9 @@ def _id_text(instance: Instance) -> tuple[str, ...]:
     return tuple(map(str, range(max(instance.n_ops, instance.machines + 1))))
 
 
+@_per_instance
 def _x_names(instance: Instance) -> list[dict[int, str]]:
+    """The names ``x[v][k]`` of the assignment binaries, which both layouts share."""
     ids = _id_text(instance)
     return [{k: f"x_{ids[v]}_{ids[k]}" for k in instance.eligible[v]} for v in instance.ops]
 
@@ -242,6 +247,7 @@ def _assign_rows(ids: tuple[str, ...], x: list[dict[int, str]]) -> list[LinearCo
     ]
 
 
+@_collector_paused()
 def build_compact_model(instance: Instance, L: Rational) -> MilpModel:
     """Operation-indexed model: start per operation, big-M machine conflicts.
 
@@ -291,6 +297,7 @@ def build_compact_model(instance: Instance, L: Rational) -> MilpModel:
     )
 
 
+@_collector_paused()
 def build_machine_indexed_model(instance: Instance, L: Rational) -> MilpModel:
     """Machine-indexed model: start/completion per (operation, machine).
 
@@ -299,9 +306,18 @@ def build_machine_indexed_model(instance: Instance, L: Rational) -> MilpModel:
     pair-orientation rows are emitted once per ordered pair, so the model has
     ``|V| + |A| + phi_hat + 2 phi + 2 beta`` rows and ``3 phi + beta``
     variables besides z.
+
+    ``L`` must be at least every processing time: the row ``comp_v_k`` reads
+    ``0 <= L - p(v, k)`` on a machine k that v does not use, so a smaller L
+    would force v onto k.  A smaller L raises ``ValueError``.
     """
     _check_horizon(L)
     ops, eligible = instance.ops, instance.eligible
+    if max(map(max, instance.times), default=0) > L:
+        v, k, p = next((v, k, p) for v in ops for k, p in zip(eligible[v], instance.times[v]) if p > L)
+        raise ValueError(
+            f"horizon L = {_num_text(L)} is below the time {_num_text(p)} of operation {v} on machine {k}"
+        )
 
     # Each name, and each term that recurs, is made once and shared by every row using it; each
     # record is made by tuple.__new__ in C.
@@ -602,7 +618,8 @@ def makespan_lower_bound(instance: Instance) -> Rational:
 
 
 def default_horizon(instance: Instance, est_makespan: Rational | None = None) -> Rational:
-    """Big-M horizon: a provided heuristic makespan, else the sum of maxima."""
+    """Big-M horizon: a provided heuristic makespan, raised to the largest processing time
+    (the least L the machine-indexed model takes), else the sum of maxima."""
     if est_makespan is not None:
-        return est_makespan
+        return max(est_makespan, max(map(max, instance.times), default=0))
     return sum(max(row) for row in instance.times)

@@ -42,6 +42,14 @@ def ex1() -> Instance:
     return make_ex1()
 
 
+@pytest.fixture
+def restore_gc():
+    """Leave the cyclic garbage collector as the test found it."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
 def small_random_instance(
     seed: int,
     max_ops: int = 8,

@@ -216,10 +216,29 @@ def test_emit_horizon_parts_hold_at_most_max_digits(ex1_file, tmp_path, capsys, 
         assert main(argv) == 2
         assert capsys.readouterr().err == f"fjs: --L must be 'auto' or a positive rational, got {_echo(horizon)}\n"
         assert not out.exists()
-    horizon = "1/" + "9" * 1000
+    horizon = "9" * 1000 + "/" + str(10**999 + 3)  # parts of 1000 digits, in lowest terms, above every EX1 time
     argv = ["emit", "--model", model, "--format", fmt, "--L", horizon, "--in", str(ex1_file), "--out", str(out)]
     assert main(argv) == 0
     assert capsys.readouterr().out.endswith(f", L = {horizon}\n")
+
+
+def test_emit_ooy_refuses_a_horizon_below_a_time(tmp_path, capsys):
+    # The EST makespan of YFJS-n2-o2-m3-q3-s6 is 172, below the time 187 of operation 2 on machine 3: at L = 172
+    # the row comp_2_3 would force operation 2 onto machine 3.
+    path = tmp_path / "y.fjs.json"
+    path.write_text(serialize_instance(generate_yfjs(YfjsParams(2, 2, 3, 3, 6))))
+    out = tmp_path / "y.lp"
+    argv = ["emit", "--model", "ooy", "--format", "lp", "--in", str(path), "--out", str(out), "--L"]
+    assert main([*argv, "172"]) == 2
+    assert capsys.readouterr().err == (
+        "fjs: --L is too small for the ooy model: horizon L = 172 is below the time 187 of operation 2 on machine 3\n"
+    )
+    assert not out.exists()
+    for horizon in ("auto", "187"):
+        assert main([*argv, horizon]) == 0
+        assert capsys.readouterr().out.endswith(", L = 187\n")
+    argv[2] = "new"
+    assert main([*argv, "172"]) == 0  # the compact model takes any horizon of at least the makespan
 
 
 def test_validate_start_parts_hold_at_most_max_digits(ex1_file, tmp_path, capsys):
@@ -883,13 +902,6 @@ def test_report_echoes_a_long_unknown_instance_name_cut(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("fjs: x.sol.json: no instance file named 'nnn")
     assert len(err.encode()) < 300
-
-
-@pytest.fixture
-def restore_gc():
-    was_enabled = gc.isenabled()
-    yield
-    (gc.enable if was_enabled else gc.disable)()
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])

@@ -26,6 +26,7 @@ from fjs.core import (
     validate_solution,
 )
 from fjs.exact import brute_force
+from fjs.generate import DafjsParams, YfjsParams, generate_dafjs, generate_yfjs
 from fjs.heuristic import earliest_start_heuristic
 from fjs.io import parse_instance, serialize_instance
 from fjs.milp import (
@@ -159,6 +160,14 @@ class TestModelSizes:
         with pytest.raises(ValueError) as info:
             build_compact_model(ex1, -(10**5000))
         assert str(info.value) == f"horizon L must be positive, got -1{'0' * 36}...{'0' * 39}"
+
+    def test_the_machine_indexed_model_refuses_a_horizon_below_a_time(self, ex1):
+        for L in (4, Fraction(49, 10)):
+            with pytest.raises(ValueError) as info:
+                build_machine_indexed_model(ex1, L)
+            assert str(info.value) == f"horizon L = {L} is below the time 5 of operation 2 on machine 2"
+        assert build_machine_indexed_model(ex1, 5).constraints  # the largest time itself is a horizon
+        assert build_compact_model(ex1, 4).constraints
 
 
 class TestEncodeDecode:
@@ -560,6 +569,10 @@ class TestLayout:
                 decode(instance, encode(instance, EX1_SOL))
         assert 1 <= len(calls) <= 2
 
+    def test_both_layouts_share_one_x_table(self):
+        instance = replace(make_ex1(), name="x-shared")
+        assert milp._compact_names(instance)[2] is milp._machine_indexed_names(instance)[2]
+
     def test_equal_instances_give_equal_points(self):
         text = serialize_instance(make_ex1())
         first, second = parse_instance(text), parse_instance(text)
@@ -578,6 +591,44 @@ def all_coefficients(model):
         yield row.rhs
         for coef, _ in row.terms:
             yield coef
+
+
+BUILDERS = [build_compact_model, build_machine_indexed_model]
+
+
+class TestCollector:
+    """Each builder runs with the cyclic garbage collector paused and leaves it as it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_a_build_leaves_the_collector_as_it_found_it(self, ex1, restore_gc, build, enabled):
+        (gc.enable if enabled else gc.disable)()
+        assert build(ex1, 14).constraints
+        assert gc.isenabled() is enabled
+        for L in (0, 4) if build is build_machine_indexed_model else (0,):  # 4 is below the time 5 of operation 2
+            with pytest.raises(ValueError):
+                build(ex1, L)
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("build, layout", zip(BUILDERS, ["_compact_names", "_machine_indexed_names"]))
+    def test_the_collector_is_paused_while_the_layout_is_made(self, monkeypatch, restore_gc, build, layout):
+        gc.enable()
+        seen = []
+        made = getattr(milp, layout)
+        monkeypatch.setattr(milp, layout, lambda instance: seen.append(gc.isenabled()) or made(instance))
+        build(replace(make_ex1(), name=f"paused-{layout}"), 14)  # equal to no instance of another test
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_a_build_leaves_no_cyclic_garbage(self, restore_gc, build):
+        instance = generate_dafjs(DafjsParams(3, 4, 3))
+        L = default_horizon(instance, earliest_start_heuristic(instance)[1].makespan)
+        gc.disable()
+        gc.collect()
+        model = build(instance, L)
+        assert gc.collect() == 0
+        assert model.constraints
 
 
 class TestIntegerCoefficients:
@@ -687,7 +738,19 @@ class TestBounds:
     def test_default_horizon(self, ex1):
         assert default_horizon(ex1) == 12  # 3 + 4 + 5
         assert default_horizon(ex1, 8) == 8
+        assert default_horizon(ex1, 4) == 5  # raised to the largest time
         assert default_horizon(Instance("empty", 1, (), (), ())) == 0
+
+    def test_est_point_is_feasible_in_both_models_at_the_default_horizon(self):
+        # 6 of these YFJS instances and 10 of the random ones have an EST makespan below their largest time
+        instances = [generate_yfjs(YfjsParams(2, 2, 3, 3, seed)) for seed in range(1, 101)]
+        instances += [small_random_instance(seed, max_machines=4, max_eligible=3) for seed in range(200)]
+        for instance in instances:
+            sol, sched = earliest_start_heuristic(instance)
+            L = default_horizon(instance, sched.makespan)
+            for build, encode, _ in CODECS:
+                report = check_feasible(build(instance, L), encode(instance, sol))
+                assert report.ok, (instance.name, L, report.summary())
 
 
 def _model(*variables, rows=()):
