@@ -16,7 +16,6 @@ from . import __version__
 from .core import (
     FjsError,
     Instance,
-    Rational,
     Schedule,
     SolutionPair,
     _collector_paused,
@@ -33,7 +32,6 @@ from .io import (
     FORMAT_INSTANCE,
     FORMAT_SOLUTION,
     ReportRow,
-    SolutionError,
     decode_json,
     instance_size,
     number_from_json,
@@ -168,13 +166,18 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         print(f"{_printable(instance.name)}: instance ok ({instance.n_ops} operations)")
         return 0
     sol, sched, _ = parse_solution(_read(args.sol), instance)
-    report = validate_solution(instance, sol, sched)
-    if report.ok:
-        print(f"{_printable(instance.name)}: solution ok (makespan {sched.makespan})")
-        return 0
-    for issue in report.issues:
+    if not _valid(instance, sol, sched):
+        return 1
+    print(f"{_printable(instance.name)}: solution ok (makespan {sched.makespan})")
+    return 0
+
+
+def _valid(instance: Instance, sol: SolutionPair, sched: Schedule) -> bool:
+    """Whether ``validate_solution`` passes a parsed solution; if not, each issue goes to stderr."""
+    issues = validate_solution(instance, sol, sched).issues
+    for issue in issues:
         print(f"{_printable(instance.name)}: {issue.kind}: {issue.message}", file=sys.stderr)
-    return 1
+    return not issues
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
@@ -191,22 +194,6 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     _write(args.out, serialize_solution(instance, sol, sched, meta))
     print(f"{_printable(instance.name)}: decoded point, makespan {sched.makespan}")
     return 0
-
-
-def _report_bound(meta: dict, key: str, makespan: Rational) -> Rational:
-    if key not in meta:
-        return makespan
-    value = number_from_json(meta[key], key)
-    if abs(value) > sys.float_info.max:  # a report cell shows a non-integral bound as a float
-        raise SolutionError(f"{key}: {_echo(meta[key])} is beyond the range of a float")
-    return value
-
-
-def _report_elapsed(meta: dict) -> float:
-    elapsed = meta.get("elapsed", 0.0)
-    if isinstance(elapsed, bool) or not isinstance(elapsed, (int, float)) or not 0 <= elapsed <= sys.float_info.max:
-        raise SolutionError(f"elapsed: expected a finite non-negative number of seconds, got {_echo(elapsed)}")
-    return float(elapsed)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -228,8 +215,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if name not in instances:
             raise _UsageError(f"{path.name}: no instance file named {_echo(name)} in {directory}")
         instance = instances[name][0]
-        _, sched, meta = parse_solution(document, instance)
+        sol, sched, meta = parse_solution(document, instance)
         del document  # only its meta is read from here on, so EST below does not run beside it
+        if not _valid(instance, sol, sched):  # the judge of fjs validate --sol, with its output
+            return 1
         if name not in columns:
             columns[name] = (*instance_size(instance), earliest_start_selection(instance)[1])
         rows.append(
@@ -238,9 +227,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 *columns[name],
                 method=str(meta.get("method", "?")),
                 status=str(meta.get("status", "?")),
-                lower_bound=_report_bound(meta, "lower_bound", sched.makespan),
-                upper_bound=_report_bound(meta, "upper_bound", sched.makespan),
-                elapsed=_report_elapsed(meta),
+                lower_bound=meta["lower_bound"],
+                upper_bound=meta["upper_bound"],
+                elapsed=meta["elapsed"],
             )
         )
     rows.sort(key=lambda r: (r.name, r.method))

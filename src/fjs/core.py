@@ -654,6 +654,7 @@ def validate_solution(instance: Instance, sol: SolutionPair, sched: Schedule) ->
 
     s = sched.start
     p = [instance.ptime[v, f[v]] for v in instance.ops]
+    broken = True  # whether a start breaks a precedence arc or a machine sequence
     try:
         preds = _selection_preds(instance, sol)
     except SelectionError as exc:
@@ -661,8 +662,9 @@ def validate_solution(instance: Instance, sol: SolutionPair, sched: Schedule) ->
     else:
         # Times are positive, so exact starts that keep every arc rise
         # strictly along each path, and the arcs close no cycle: only a
-        # broken arc calls for the cycle search.
-        if any(s[u] + p[u] > s[v] for v in instance.ops for u in preds[v]):
+        # broken arc calls for the cycle search, and for the walks that name it.
+        broken = any(s[u] + p[u] > s[v] for v in instance.ops for u in preds[v])
+        if broken:
             try:
                 topological_order(instance.n_ops, preds)  # the cycle tight_schedule names
             except InadmissibleError as exc:
@@ -673,14 +675,15 @@ def validate_solution(instance: Instance, sol: SolutionPair, sched: Schedule) ->
     for v in instance.ops:
         if s[v] < 0:
             issues.append(ValidationIssue("start-range", f"operation {v} starts at {_num_text(s[v])} < 0"))
-    for u, w in instance.arcs:
-        if s[u] + p[u] > s[w]:
-            message = f"arc ({u}, {w}): {_num_text(s[u])} + {p[u]} > {_num_text(s[w])}"
-            issues.append(ValidationIssue("precedence", message))
-    for k, seq in enumerate(sequences, 1):
-        for a, b in zip(seq, seq[1:]):
-            if s[a] + p[a] > s[b]:
-                issues.append(ValidationIssue("machine-conflict", f"operations {a} and {b} overlap on machine {k}"))
+    if broken:
+        for u, w in instance.arcs:
+            if s[u] + p[u] > s[w]:
+                message = f"arc ({u}, {w}): {_num_text(s[u])} + {p[u]} > {_num_text(s[w])}"
+                issues.append(ValidationIssue("precedence", message))
+        for k, seq in enumerate(sequences, 1):
+            for a, b in zip(seq, seq[1:]):
+                if s[a] + p[a] > s[b]:
+                    issues.append(ValidationIssue("machine-conflict", f"operations {a} and {b} overlap on machine {k}"))
     if instance.n_ops:
         actual = max(s[v] + p[v] for v in instance.ops)
         if sched.makespan != actual:

@@ -15,11 +15,12 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain
-from operator import itemgetter
+from operator import eq, itemgetter, le, lt
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
@@ -300,7 +301,11 @@ def parse_solution(source: str | dict, instance: Instance) -> tuple[SolutionPair
 
     The selection is reconstructed from the start times (each machine's
     operations sequenced by start).  Structural errors raise; feasibility is the
-    caller's concern via ``validate_solution``.
+    caller's concern via ``validate_solution``.  The returned ``meta`` holds its
+    bounds as numbers, each defaulting to the makespan, and ``elapsed`` (0.0 by
+    default).  A bad value of these, or a claim the file refutes, raises
+    SolutionError: an upper bound other than the makespan, a lower bound above
+    the upper, ``optimal`` with the two apart or ``bound-pair`` with them equal.
     """
     document = solution_document(source)
     name = document["instance"]
@@ -341,7 +346,18 @@ def parse_solution(source: str | dict, instance: Instance) -> tuple[SolutionPair
     meta = document.get("meta", {})
     if not isinstance(meta, dict):
         raise SolutionError("meta must be an object")
-    return sol, Schedule(start, makespan), meta
+    lower, upper = (number_from_json(meta[k], k) if k in meta else makespan for k in ("lower_bound", "upper_bound"))
+    elapsed = meta.get("elapsed", 0.0)
+    if type(elapsed) not in (int, float) or not 0 <= elapsed <= sys.float_info.max:
+        raise SolutionError(f"elapsed: expected a finite non-negative number of seconds, got {_echo(elapsed)}")
+    if upper != makespan:
+        raise SolutionError(f"upper_bound {_echo(meta['upper_bound'])} is not the makespan {_echo(document['makespan'])}")
+    status = meta.get("status")
+    relation, holds = ("=", eq) if status == "optimal" else ("<", lt) if status == "bound-pair" else ("<=", le)
+    if not holds(lower, upper):
+        shown = " and ".join(_echo(number_to_json(bound)) for bound in (lower, upper))
+        raise SolutionError(f"status {_echo(status)} needs lower_bound {relation} upper_bound, got {shown}")
+    return sol, Schedule(start, makespan), {**meta, "lower_bound": lower, "upper_bound": upper, "elapsed": elapsed}
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ import argparse
 import gc
 import itertools
 import json
+import random
 import shlex
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,11 +19,11 @@ from fjs.cli import main
 from fjs.exact import solve_branch_and_bound
 from fjs.generate import DafjsParams, YfjsParams, generate_dafjs, generate_yfjs
 from fjs.heuristic import earliest_start_heuristic, earliest_start_selection
-from fjs.io import parse_instance, parse_solution, serialize_instance, serialize_solution
+from fjs.io import number_to_json, parse_instance, parse_solution, serialize_instance, serialize_solution
 from fjs.milp import default_horizon, encode_compact, encode_machine_indexed
-from fjs.core import Instance, Selection, SolutionPair, _echo, tight_schedule
+from fjs.core import Instance, Schedule, Selection, SolutionPair, _echo, tight_schedule
 
-from conftest import make_ex1
+from conftest import make_ex1, small_random_instance
 
 EX1_SOL = SolutionPair((1, 1, 2), Selection(((0, 1), (2,))))
 
@@ -600,62 +602,115 @@ def test_huge_integer_literal_exits_1(ex1_file, tmp_path, capsys, command):
     assert capsys.readouterr().err == f"fjs: {prefix}JSON integer literal too long to decode\n"
 
 
-def _write_ex1_solution(directory, meta):
+def _write_ex1_solution(directory, meta, shift=0):
+    """EX1 and a solution file of it in ``directory``: the tight schedule with
+    every start moved by ``shift``, so its makespan is 8 + shift, and ``meta``."""
     ex1 = make_ex1()
+    tight = tight_schedule(ex1, EX1_SOL)
+    sched = Schedule(tuple(start + shift for start in tight.start), tight.makespan + shift)
     (directory / "ex1.fjs.json").write_text(serialize_instance(ex1))
-    text = serialize_solution(ex1, EX1_SOL, tight_schedule(ex1, EX1_SOL), meta)
-    (directory / "ex1.sol.json").write_text(text)
+    (directory / "ex1.sol.json").write_text(serialize_solution(ex1, EX1_SOL, sched, meta))
+
+
+def _both_commands(capsys, directory, stem):
+    """The exit code and stderr of ``fjs validate --sol`` on ``stem``'s files in
+    ``directory``, then those of ``fjs report`` over the directory."""
+    validate = ["validate", "--in", str(directory / f"{stem}.fjs.json"), "--sol", str(directory / f"{stem}.sol.json")]
+    report = ["report", "--dir", str(directory), "--out", str(directory / "out.report.txt")]
+    return [(main(argv), capsys.readouterr().err) for argv in (validate, report)]
 
 
 BAD_ELAPSED = "elapsed: expected a finite non-negative number of seconds, got "
+HUGE_FRACTION = "1" + "0" * 400 + "/3"  # non-integral and beyond the range of a float
+TINY_FRACTION = "1/1" + "0" * 900  # non-integral, and a float shows it as 0
+HUGE_FRACTION_CELL = "bound '1" + "0" * 36 + "..." + "0" * 36 + "/3' is beyond the range of a float"
+
+
+@pytest.mark.parametrize(
+    "meta, shift, validated, message",
+    [
+        # parse_solution refuses these, so fjs validate --sol exits 1 with the same message
+        ({"elapsed": "abc"}, 0, 1, BAD_ELAPSED + "'abc'"),
+        ({"elapsed": [1]}, 0, 1, BAD_ELAPSED + "[1]"),
+        ({"elapsed": None}, 0, 1, BAD_ELAPSED + "None"),
+        ({"elapsed": True}, 0, 1, BAD_ELAPSED + "True"),
+        ({"elapsed": float("nan")}, 0, 1, BAD_ELAPSED + "nan"),
+        ({"elapsed": -1}, 0, 1, BAD_ELAPSED + "-1"),
+        ({"elapsed": 10**400}, 0, 1, BAD_ELAPSED + "1" + "0" * 37 + "..." + "0" * 39),
+        ({"lower_bound": 12.7}, 0, 1, "lower_bound: expected int or 'a/b' string, got 12.7"),
+        ({"upper_bound": 8.0}, 0, 1, "upper_bound: expected int or 'a/b' string, got 8.0"),
+        # files whose claims hold, with a bound or gap that a report cell cannot show as a float
+        ({"lower_bound": HUGE_FRACTION}, 10**400, 0, HUGE_FRACTION_CELL),
+        (
+            {"status": "optimal", "lower_bound": HUGE_FRACTION, "upper_bound": HUGE_FRACTION},
+            Fraction(10**400, 3) - 8,
+            0,
+            HUGE_FRACTION_CELL,
+        ),
+        (
+            {"lower_bound": TINY_FRACTION},
+            0,
+            0,
+            "bound '1/1" + "0" * 34 + "..." + "0" * 38 + "' is not 0 but would show as 0 in a float",
+        ),
+        (
+            {"lower_bound": -(10**400)},
+            0,
+            0,
+            f"lower_bound {_echo(-(10**400))} and upper_bound 8: their gap is beyond the range of a float",
+        ),
+        (
+            {"lower_bound": -8 * 10**307},  # a gap of 1e307, which times 100 overflows
+            0,
+            0,
+            f"lower_bound {_echo(-8 * 10**307)} and upper_bound 8: their gap is beyond the range of a float",
+        ),
+    ],
+    ids=[
+        "elapsed-str", "elapsed-list", "elapsed-null", "elapsed-bool", "elapsed-nan", "elapsed-negative",
+        "elapsed-overflow", "float-lower", "float-upper", "lower-fraction-overflow", "optimal-upper-overflow",
+        "lower-underflow", "gap-overflow", "gap-times-100-overflow",
+    ],
+)
+def test_report_rejects_bad_meta_values(tmp_path, capsys, meta, shift, validated, message):
+    _write_ex1_solution(tmp_path, {"method": "est", "status": "feasible", **meta}, shift)
+    validate_err = f"fjs: {message}\n" if validated else ""
+    assert _both_commands(capsys, tmp_path, "ex1") == [(validated, validate_err), (1, f"fjs: {message}\n")]
+
+
+FEASIBLE_NEEDS = "status 'feasible' needs lower_bound <= upper_bound"
+OPTIMAL_NEEDS = "status 'optimal' needs lower_bound = upper_bound"
+BOUND_PAIR_NEEDS = "status 'bound-pair' needs lower_bound < upper_bound"
 
 
 @pytest.mark.parametrize(
     "meta, message",
     [
-        ({"elapsed": "abc"}, BAD_ELAPSED + "'abc'"),
-        ({"elapsed": [1]}, BAD_ELAPSED + "[1]"),
-        ({"elapsed": None}, BAD_ELAPSED + "None"),
-        ({"elapsed": True}, BAD_ELAPSED + "True"),
-        ({"elapsed": float("nan")}, BAD_ELAPSED + "nan"),
-        ({"elapsed": -1}, BAD_ELAPSED + "-1"),
-        ({"elapsed": 10**400}, BAD_ELAPSED + "1" + "0" * 37 + "..." + "0" * 39),
-        ({"lower_bound": 12.7}, "lower_bound: expected int or 'a/b' string, got 12.7"),
-        ({"upper_bound": 8.0}, "upper_bound: expected int or 'a/b' string, got 8.0"),
-        ({"lower_bound": 10**400}, "lower_bound: " + "1" + "0" * 37 + "..." + "0" * 39 + " is beyond the range of a float"),
-        (
-            {"lower_bound": "1" + "0" * 400 + "/3"},
-            "lower_bound: '1" + "0" * 36 + "..." + "0" * 36 + "/3' is beyond the range of a float",
-        ),
-        (
-            {"status": "optimal", "upper_bound": "1" + "0" * 400 + "/3"},
-            "upper_bound: '1" + "0" * 36 + "..." + "0" * 36 + "/3' is beyond the range of a float",
-        ),
-        (
-            {"status": "optimal", "upper_bound": "1/1" + "0" * 900},
-            "bound '1/1" + "0" * 34 + "..." + "0" * 38 + "' is not 0 but would show as 0 in a float",
-        ),
-        (
-            {"upper_bound": "1/1" + "0" * 900},
-            "lower_bound 8 and upper_bound '1/1" + "0" * 34 + "..." + "0" * 38
-            + "': their gap is beyond the range of a float",
-        ),
-        (
-            {"lower_bound": 10**308, "upper_bound": 1},
-            "lower_bound " + "1" + "0" * 37 + "..." + "0" * 39
-            + " and upper_bound 1: their gap is beyond the range of a float",
-        ),
+        ({"lower_bound": 10**400}, f"{FEASIBLE_NEEDS}, got {_echo(10**400)} and 8"),
+        ({"status": "optimal", "upper_bound": TINY_FRACTION}, f"upper_bound {_echo(TINY_FRACTION)} is not the makespan 8"),
+        ({"upper_bound": TINY_FRACTION}, f"upper_bound {_echo(TINY_FRACTION)} is not the makespan 8"),
+        ({"lower_bound": 10**308, "upper_bound": 1}, "upper_bound 1 is not the makespan 8"),
+        ({"upper_bound": "16/2", "lower_bound": "17/2"}, f"{FEASIBLE_NEEDS}, got '17/2' and 8"),
+        ({"status": "optimal", "lower_bound": "15/2"}, f"{OPTIMAL_NEEDS}, got '15/2' and 8"),
+        ({"status": "bound-pair"}, f"{BOUND_PAIR_NEEDS}, got 8 and 8"),
+        ({"status": "bound-pair", "lower_bound": 8, "upper_bound": 8}, f"{BOUND_PAIR_NEEDS}, got 8 and 8"),
     ],
     ids=[
-        "elapsed-str", "elapsed-list", "elapsed-null", "elapsed-bool", "elapsed-nan", "elapsed-negative",
-        "elapsed-overflow", "float-lower", "float-upper", "lower-overflow", "lower-fraction-overflow",
-        "optimal-upper-overflow", "optimal-upper-underflow", "gap-overflow", "gap-times-100-overflow",
+        "lower-overflow", "optimal-upper-underflow", "gap-overflow", "gap-times-100-overflow", "lower-above-upper",
+        "optimal-open", "bound-pair-defaults", "bound-pair-closed",
     ],
 )
-def test_report_rejects_bad_meta_values(tmp_path, capsys, meta, message):
+def test_a_claim_the_file_refutes_exits_1_from_both_commands(tmp_path, capsys, meta, message):
+    # The first four are the files that the report's own bound readers refused, before the claims were checked.
     _write_ex1_solution(tmp_path, {"method": "est", "status": "feasible", **meta})
-    assert main(["report", "--dir", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == f"fjs: {message}\n"
+    assert _both_commands(capsys, tmp_path, "ex1") == [(1, f"fjs: {message}\n")] * 2
+
+
+def test_report_prints_an_integral_bound_beyond_a_float_exactly(tmp_path, capsys):
+    _write_ex1_solution(tmp_path, {"method": "est", "status": "feasible", "lower_bound": 10**400}, 10**400)
+    assert _both_commands(capsys, tmp_path, "ex1") == [(0, ""), (0, "")]
+    row = (tmp_path / "out.report.txt").read_text().splitlines()[1]
+    assert f" [{10**400};{10**400 + 8}] 0.00% " in row
 
 
 def test_report_reads_exact_bounds_and_defaults_to_the_makespan(tmp_path):
@@ -666,6 +721,137 @@ def test_report_reads_exact_bounds_and_defaults_to_the_makespan(tmp_path):
         "Instance  Size     EST  Method  mks            CPU(s)\n"
         "EX1       1, 3, 2  8    est     [7.5;8] 6.25%  2.00\n"
     )
+
+
+def _dafjs_est_document(directory):
+    """``DAFJS-n3-m4-s3``'s instance file in ``directory`` and the document of
+    its ``fjs solve --method est`` solution (makespan 256, lower bound 207)."""
+    instance, sol_path = directory / "d.fjs.json", directory / "d.sol.json"
+    instance.write_text(serialize_instance(generate_dafjs(DafjsParams(3, 4, 3))))
+    assert main(["solve", "--method", "est", "--in", str(instance), "--out", str(sol_path)]) == 0
+    return json.loads(sol_path.read_text())
+
+
+@pytest.mark.parametrize(
+    "meta, fields, first_line",
+    [
+        ({"lower_bound": "abc"}, {}, "fjs: lower_bound: bad rational literal 'abc'"),
+        ({"elapsed": -1}, {}, "fjs: " + BAD_ELAPSED + "-1"),
+        (
+            {"status": "optimal", "lower_bound": 40, "upper_bound": 40},
+            {"starts": [[v, 0] for v in range(16)], "makespan": 40},
+            "DAFJS-n3-m4-s3: precedence: arc (0, 1): 0 + 93 > 0",
+        ),
+        ({"status": "optimal", "lower_bound": 100, "upper_bound": 100}, {},
+         "fjs: upper_bound 100 is not the makespan 256"),
+        (
+            {"status": "bound-pair", "lower_bound": 306, "upper_bound": 256},
+            {},
+            f"fjs: {BOUND_PAIR_NEEDS}, got 306 and 256",
+        ),
+        ({"status": "bound-pair", "lower_bound": 1, "upper_bound": 999}, {},
+         "fjs: upper_bound 999 is not the makespan 256"),
+    ],
+    ids=["lower-abc", "elapsed-negative", "all-starts-0", "optimal-100", "bound-pair-306-256", "bound-pair-1-999"],
+)
+def test_both_commands_refuse_a_forged_solution_alike(tmp_path, capsys, meta, fields, first_line):
+    # Each of these files passed one of the two commands while the other refused it.
+    document = _dafjs_est_document(tmp_path)
+    document["meta"].update(meta)
+    document.update(fields)
+    (tmp_path / "d.sol.json").write_text(json.dumps(document))
+    capsys.readouterr()
+    (validated, validate_err), reported = _both_commands(capsys, tmp_path, "d")
+    assert (validated, validate_err) == reported
+    assert validated == 1
+    assert validate_err.splitlines()[0] == first_line
+    assert len(validate_err.splitlines()) == (27 if fields else 1)  # 14 arcs, 12 overlaps and the makespan
+    assert not (tmp_path / "out.report.txt").exists()
+
+
+# A value a report cell cannot show as a float ends only fjs report; every other mutant ends both commands alike.
+CELL_LIMITS = ("is beyond the range of a float\n", "would show as 0 in a float\n")
+MUTANT_VALUES = (
+    0, 1, 7, 8, 9, 207, 212, 256, 300, -1, 2.5, -0.5, 8.0, float("nan"), float("inf"), True, None, [], {},
+    "8", "15/2", "512/2", "-3/4", "1/0", "abc", "1e3", "optimal", "bound-pair", "feasible",
+    10**400, -(10**400), HUGE_FRACTION, TINY_FRACTION,
+)
+
+
+def _mutant(document, rng):
+    """``document`` with one to three of its meta values, its makespan or one start replaced or removed."""
+    document = json.loads(json.dumps(document))
+    for _ in range(rng.randint(1, 3)):
+        value = rng.choice(MUTANT_VALUES)
+        kind = rng.choice(["lower_bound", "upper_bound", "elapsed", "status", "makespan", "start", "meta"])
+        if kind == "start":
+            document["starts"][rng.randrange(len(document["starts"]))][1] = value
+        elif kind == "makespan":
+            document["makespan"] = value
+        elif kind == "meta":
+            document["meta"] = value if rng.random() < 0.2 else {}
+        elif rng.random() < 0.2 and isinstance(document["meta"], dict):
+            document["meta"].pop(kind, None)
+        elif isinstance(document["meta"], dict):
+            document["meta"][kind] = value
+    return document
+
+
+def test_mutated_solutions_get_one_verdict_from_both_commands(tmp_path, capsys):
+    rng = random.Random(20261021)
+    bases = []
+    for stem, instance in (("ex1", make_ex1()), ("d", generate_dafjs(DafjsParams(3, 4, 3)))):
+        directory = tmp_path / stem
+        directory.mkdir()
+        path, sol_path = directory / f"{stem}.fjs.json", directory / f"{stem}.sol.json"
+        path.write_text(serialize_instance(instance))
+        for method in ("est", "bnb"):
+            assert main(["solve", "--method", method, "--in", str(path), "--out", str(sol_path)]) == 0
+            bases.append((directory, stem, json.loads(sol_path.read_text())))
+    capsys.readouterr()
+    verdicts = []
+    for _ in range(150):
+        for directory, stem, document in bases:
+            (directory / f"{stem}.sol.json").write_text(json.dumps(_mutant(document, rng)))
+            (validated, validate_err), (reported, report_err) = _both_commands(capsys, directory, stem)
+            if validated == 0 and reported == 1:
+                assert report_err.startswith("fjs: ") and report_err.endswith(CELL_LIMITS), report_err
+            else:
+                assert (validated, validate_err) == (reported, report_err)
+            verdicts.append(validated)
+    assert 0.1 < verdicts.count(0) / len(verdicts) < 0.9  # both verdicts are exercised
+    assert set(verdicts) == {0, 1}
+
+
+def _bnb_corpus():
+    """The instances of the benchmark's ``bnb`` workload."""
+    yfjs = [YfjsParams(3, 4, 3, 2, 3), YfjsParams(3, 5, 4, 2, 2), YfjsParams(3, 5, 4, 2, 3), YfjsParams(4, 5, 5, 3, 1)]
+    dafjs = [DafjsParams(3, 4, 2), DafjsParams(3, 5, 3), DafjsParams(3, 4, 3)]
+    return [*map(generate_yfjs, yfjs), *map(generate_dafjs, dafjs)]
+
+
+def test_every_solution_file_fjs_writes_passes_both_commands(tmp_path, capsys):
+    instances = _bnb_corpus() + [small_random_instance(seed) for seed in range(60)]  # and the oracle instances
+    for instance in instances:
+        stem = tmp_path / instance.name
+        path, written = f"{stem}.fjs.json", []
+        Path(path).write_text(serialize_instance(instance))
+        for method in ("est", "bnb"):
+            written.append(f"{stem}-{method}.sol.json")
+            assert main(["solve", "--method", method, "--in", path, "--out", written[-1]]) == 0
+        sol = parse_solution(Path(written[-1]).read_text(), instance)[0]
+        for model, encode in (("new", encode_compact), ("ooy", encode_machine_indexed)):
+            point = tmp_path / "point.json"
+            point.write_text(json.dumps({name: number_to_json(v) for name, v in encode(instance, sol).values.items()}))
+            written.append(f"{stem}-decode-{model}.sol.json")
+            assert main(["decode", "--model", model, "--in", path, "--point", str(point), "--out", written[-1]]) == 0
+        for sol_path in written:
+            assert main(["validate", "--in", path, "--sol", sol_path]) == 0, sol_path
+    capsys.readouterr()
+    out = tmp_path / "all.report.txt"
+    assert main(["report", "--dir", str(tmp_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(out.read_text().splitlines()) == 1 + 4 * len(instances)
 
 
 def test_validate_a_wrong_makespan_prints_one_issue(ex1_file, tmp_path, capsys):
@@ -843,10 +1029,14 @@ def test_readme_exit_code_table(tmp_path, monkeypatch, capsys, command, code, pr
     ex1 = make_ex1()
     late = json.loads(serialize_solution(ex1, EX1_SOL, tight_schedule(ex1, EX1_SOL)))
     late["makespan"] = 9
+    claim = {**late, "makespan": 8, "meta": {"upper_bound": 9}}
+    elapsed = {**claim, "meta": {"elapsed": -1}}
     trap = Instance.from_tables("trap", 2, {0: {1: 9, 2: 3}, 1: {2: 3}}, [])
     files = {
         "ex1.fjs.json": serialize_instance(ex1),
         "late.sol.json": json.dumps(late),
+        "claim.sol.json": json.dumps(claim),
+        "elapsed.sol.json": json.dumps(elapsed),
         "trap.fjs.json": serialize_instance(trap),
         "empty.json": "{}",
         "syntax.json": "{",
