@@ -67,9 +67,9 @@ def _read(path: str | Path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise FjsError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+        raise FjsError(f"{_printable(str(path))}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     except OSError as exc:
-        raise _UsageError(f"cannot read {path}") from exc
+        raise _UsageError(f"cannot read {_printable(str(path))}") from exc
 
 
 def _write(path: str | None, text: str) -> None:
@@ -204,8 +204,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for path in sorted(directory.glob("*.fjs.json")):
         instance = parse_instance(_read(path))
         if instance.name in instances:  # a solution names its instance, so a name must pick one file
-            name, first = _echo(instance.name), instances[instance.name][1]
-            raise _UsageError(f"{first} and {path.name}: two instance files named {name} in {directory}")
+            name, first = _echo(instance.name), _printable(instances[instance.name][1])
+            raise _UsageError(f"{first} and {_printable(path.name)}: two instance files named {name} in {directory}")
         instances[instance.name] = instance, path.name
     rows = []
     columns: dict[str, tuple] = {}  # the size and EST makespan of each instance a solution names
@@ -213,7 +213,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         document = solution_document(_read(path))
         name = document["instance"]
         if name not in instances:
-            raise _UsageError(f"{path.name}: no instance file named {_echo(name)} in {directory}")
+            raise _UsageError(f"{_printable(path.name)}: no instance file named {_echo(name)} in {directory}")
         instance = instances[name][0]
         sol, sched, meta = parse_solution(document, instance)
         del document  # only its meta is read from here on, so EST below does not run beside it

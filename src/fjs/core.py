@@ -132,14 +132,14 @@ def _printable(name: str) -> str:
 
 
 def _num_text(value: Rational) -> str:
-    """``str(value)``, except that an int, or a part of a Fraction, of more
+    """``str(value)``, except that an integer, or a part of a Fraction, of more
     digits than the interpreter turns into text is cut as ``_echo`` cuts it."""
     try:
         return str(value)
     except ValueError:
-        if isinstance(value, Fraction):
+        if value.denominator != 1:
             return f"{_num_text(value.numerator)}/{_num_text(value.denominator)}"
-        return _echo(value)
+        return _echo(int(value))
 
 
 @contextmanager
@@ -506,21 +506,25 @@ def _find_cycle(preds: Sequence[Sequence[int]], order: Sequence[int]) -> tuple[i
     return tuple(reversed(trail[pos[v]:]))
 
 
+def _assignment_faults(instance: Instance, assignment: Sequence[int]) -> list[str]:
+    """What breaks the rule of one eligible machine per operation: a length other
+    than the operation count alone, else each ineligible machine in id order."""
+    if len(assignment) != instance.n_ops:
+        return [f"assignment covers {len(assignment)} of {instance.n_ops} operations"]
+    eligible = instance.eligible
+    return [f"operation {v} on ineligible machine {k}" for v, k in enumerate(assignment) if k not in eligible[v]]
+
+
 def _selection_preds(instance: Instance, sol: SolutionPair) -> list[list[int]]:
     """Precedence predecessors plus the operation just before each one on its machine.
 
-    Raises SelectionError unless every operation has an eligible machine and
-    each machine's sequence lists exactly its operations once.  These arcs
-    reach what the full orientation reaches, and with positive times no
-    other same-machine pair is ever tight.
+    Checks only the sequences, of an assignment that ``_assignment_faults``
+    passes: raises SelectionError unless each machine's sequence lists exactly
+    its operations once.  These arcs reach what the full orientation reaches,
+    and with positive times no other same-machine pair is ever tight.
     """
     n = instance.n_ops
     f = sol.assignment
-    if len(f) != n:
-        raise SelectionError(f"assignment covers {len(f)} of {n} operations")
-    for v, k in enumerate(f):
-        if k not in instance.eligible[v]:
-            raise SelectionError(f"operation {v} assigned to ineligible machine {k}")
     sequences = sol.selection.sequences
     if len(sequences) != instance.machines:
         raise SelectionError(f"selection has {len(sequences)} sequences for {instance.machines} machines")
@@ -572,6 +576,8 @@ def tight_schedule(instance: Instance, sol: SolutionPair) -> Schedule:
     for a malformed selection and InadmissibleError, naming the cycle, when
     the selection and the precedence arcs close a cycle.
     """
+    for fault in _assignment_faults(instance, sol.assignment):
+        raise SelectionError(fault)
     preds = _selection_preds(instance, sol)
     p = [instance.ptime[v, k] for v, k in enumerate(sol.assignment)]
     finish = _longest_path(topological_order(instance.n_ops, preds), preds, p)
@@ -590,9 +596,11 @@ def certified_critical_path(
     chain back to time zero.  Ties break by lowest id.  Raises
     SelectionError for a malformed selection.
     """
+    f = sol.assignment
+    for fault in _assignment_faults(instance, f):
+        raise SelectionError(fault)
     if instance.n_ops == 0:
         return ()
-    f = sol.assignment
     preds = _selection_preds(instance, sol)
     finish = [start[v] + instance.ptime[v, f[v]] for v in instance.ops]
     path, tight = [], [finish.index(max(finish))]
@@ -635,16 +643,8 @@ def validate_solution(instance: Instance, sol: SolutionPair, sched: Schedule) ->
     operations.  The starts must follow the selection on each machine, or
     their own order (``selection_from_starts``) when it is malformed or cyclic.
     """
-    issues: list[ValidationIssue] = []
     f = sol.assignment
-    if len(f) != instance.n_ops:
-        issues.append(
-            ValidationIssue("assignment", f"assignment covers {len(f)} of {instance.n_ops} operations")
-        )
-    else:
-        for v, k in enumerate(f):
-            if k not in instance.eligible[v]:
-                issues.append(ValidationIssue("assignment", f"operation {v} on ineligible machine {k}"))
+    issues = [ValidationIssue("assignment", fault) for fault in _assignment_faults(instance, f)]
     if len(sched.start) != instance.n_ops:
         issues.append(
             ValidationIssue("schedule", f"schedule covers {len(sched.start)} of {instance.n_ops} operations")

@@ -37,6 +37,7 @@ from .core import (
     _DIGITS_BOUND,
     _echo,
     _ints_within,
+    _num_text,
     _printable,
 )
 
@@ -378,41 +379,28 @@ class ReportRow:
 
 
 def format_bound_cell(lower: Rational, upper: Rational) -> str:
-    """Render an open optimality gap as ``[lb;ub] gap%`` of the upper bound.
-
-    Raises SolutionError when the gap is beyond the range of a float.
-    """
+    """Render an open optimality gap as ``[lb;ub] gap%`` of the upper bound;
+    a gap beyond the range of a float is written exactly, as ``_num_text`` does."""
     try:
         gap = 0.0 if upper == 0 else float((upper - lower) / upper) * 100
     except OverflowError:
         gap = math.inf
-    if math.isinf(gap):
-        raise SolutionError(
-            f"lower_bound {_echo(number_to_json(lower))} and upper_bound {_echo(number_to_json(upper))}: "
-            "their gap is beyond the range of a float"
-        )
-    return f"[{_cell_num(lower)};{_cell_num(upper)}] {gap:.2f}%"
+    shown = _num_text(Fraction(upper - lower, upper) * 100) if math.isinf(gap) else f"{gap:.2f}"
+    return f"[{_cell_num(lower)};{_cell_num(upper)}] {shown}%"
 
 
 def _cell_num(value: Rational) -> str:
-    """An integer exactly, any other value as a float ``%g``.
-
-    Raises SolutionError for an integer of more digits than the interpreter
-    turns into text, and for a non-integral value that a float cannot show:
-    one beyond its range, or one so near 0 that it would show as ``0``.
-    """
+    """A non-integral value as a float ``%g`` where a float shows it, and every
+    other value exactly, as ``_num_text`` writes it: an integer, or ``a/b``
+    when the value is beyond a float's range or so near 0 that a float shows ``0``."""
     if isinstance(value, Fraction) and value.denominator != 1:
         try:
             shown = float(value)
         except OverflowError:
-            raise SolutionError(f"bound {_echo(number_to_json(value))} is beyond the range of a float") from None
-        if shown == 0:
-            raise SolutionError(f"bound {_echo(number_to_json(value))} is not 0 but would show as 0 in a float")
-        return f"{shown:g}"
-    try:
-        return str(int(value))
-    except ValueError:  # beyond the 4,300-digit limit on int-to-text
-        raise SolutionError(f"bound {_echo(int(value))} has too many digits to show") from None
+            shown = 0.0  # beyond a float's range: written exactly, as a value a float rounds to 0 is
+        if shown:
+            return f"{shown:g}"
+    return _num_text(value)
 
 
 def render_report(rows: Sequence[ReportRow]) -> str:
@@ -426,7 +414,8 @@ def render_report(rows: Sequence[ReportRow]) -> str:
             cell = _cell_num(row.upper_bound)
         else:
             cell = format_bound_cell(row.lower_bound, row.upper_bound)
-        body.append((_printable(row.name), size, _cell_num(row.est_makespan), row.method, cell, f"{row.elapsed:.2f}"))
+        method, elapsed = _printable(row.method), f"{row.elapsed:.2f}"
+        body.append((_printable(row.name), size, _cell_num(row.est_makespan), method, cell, elapsed))
     widths = [max(len(header[i]), *(len(line[i]) for line in body)) if body else len(header[i]) for i in range(6)]
     lines = ["  ".join(header[i].ljust(widths[i]) for i in range(6)).rstrip()]
     for line in body:

@@ -623,59 +623,62 @@ def _both_commands(capsys, directory, stem):
 BAD_ELAPSED = "elapsed: expected a finite non-negative number of seconds, got "
 HUGE_FRACTION = "1" + "0" * 400 + "/3"  # non-integral and beyond the range of a float
 TINY_FRACTION = "1/1" + "0" * 900  # non-integral, and a float shows it as 0
-HUGE_FRACTION_CELL = "bound '1" + "0" * 36 + "..." + "0" * 36 + "/3' is beyond the range of a float"
 
 
 @pytest.mark.parametrize(
-    "meta, shift, validated, message",
+    "meta, message",
     [
-        # parse_solution refuses these, so fjs validate --sol exits 1 with the same message
-        ({"elapsed": "abc"}, 0, 1, BAD_ELAPSED + "'abc'"),
-        ({"elapsed": [1]}, 0, 1, BAD_ELAPSED + "[1]"),
-        ({"elapsed": None}, 0, 1, BAD_ELAPSED + "None"),
-        ({"elapsed": True}, 0, 1, BAD_ELAPSED + "True"),
-        ({"elapsed": float("nan")}, 0, 1, BAD_ELAPSED + "nan"),
-        ({"elapsed": -1}, 0, 1, BAD_ELAPSED + "-1"),
-        ({"elapsed": 10**400}, 0, 1, BAD_ELAPSED + "1" + "0" * 37 + "..." + "0" * 39),
-        ({"lower_bound": 12.7}, 0, 1, "lower_bound: expected int or 'a/b' string, got 12.7"),
-        ({"upper_bound": 8.0}, 0, 1, "upper_bound: expected int or 'a/b' string, got 8.0"),
-        # files whose claims hold, with a bound or gap that a report cell cannot show as a float
-        ({"lower_bound": HUGE_FRACTION}, 10**400, 0, HUGE_FRACTION_CELL),
-        (
-            {"status": "optimal", "lower_bound": HUGE_FRACTION, "upper_bound": HUGE_FRACTION},
-            Fraction(10**400, 3) - 8,
-            0,
-            HUGE_FRACTION_CELL,
-        ),
-        (
-            {"lower_bound": TINY_FRACTION},
-            0,
-            0,
-            "bound '1/1" + "0" * 34 + "..." + "0" * 38 + "' is not 0 but would show as 0 in a float",
-        ),
-        (
-            {"lower_bound": -(10**400)},
-            0,
-            0,
-            f"lower_bound {_echo(-(10**400))} and upper_bound 8: their gap is beyond the range of a float",
-        ),
-        (
-            {"lower_bound": -8 * 10**307},  # a gap of 1e307, which times 100 overflows
-            0,
-            0,
-            f"lower_bound {_echo(-8 * 10**307)} and upper_bound 8: their gap is beyond the range of a float",
-        ),
+        # parse_solution refuses these, so both commands exit 1 with the same message
+        ({"elapsed": "abc"}, BAD_ELAPSED + "'abc'"),
+        ({"elapsed": [1]}, BAD_ELAPSED + "[1]"),
+        ({"elapsed": None}, BAD_ELAPSED + "None"),
+        ({"elapsed": True}, BAD_ELAPSED + "True"),
+        ({"elapsed": float("nan")}, BAD_ELAPSED + "nan"),
+        ({"elapsed": -1}, BAD_ELAPSED + "-1"),
+        ({"elapsed": 10**400}, BAD_ELAPSED + "1" + "0" * 37 + "..." + "0" * 39),
+        ({"lower_bound": 12.7}, "lower_bound: expected int or 'a/b' string, got 12.7"),
+        ({"upper_bound": 8.0}, "upper_bound: expected int or 'a/b' string, got 8.0"),
     ],
     ids=[
         "elapsed-str", "elapsed-list", "elapsed-null", "elapsed-bool", "elapsed-nan", "elapsed-negative",
-        "elapsed-overflow", "float-lower", "float-upper", "lower-fraction-overflow", "optimal-upper-overflow",
-        "lower-underflow", "gap-overflow", "gap-times-100-overflow",
+        "elapsed-overflow", "float-lower", "float-upper",
     ],
 )
-def test_report_rejects_bad_meta_values(tmp_path, capsys, meta, shift, validated, message):
+def test_report_rejects_bad_meta_values(tmp_path, capsys, meta, message):
+    _write_ex1_solution(tmp_path, {"method": "est", "status": "feasible", **meta})
+    assert _both_commands(capsys, tmp_path, "ex1") == [(1, f"fjs: {message}\n")] * 2
+
+
+@pytest.mark.parametrize(
+    "meta, shift, row",
+    [
+        # files whose claims hold, with a bound or gap that a float cannot show: the report writes it exactly
+        (
+            {"lower_bound": HUGE_FRACTION},
+            10**400,
+            f"[{HUGE_FRACTION};{10**400 + 8}] 66.67%",
+        ),
+        (
+            {"status": "optimal", "lower_bound": HUGE_FRACTION, "upper_bound": HUGE_FRACTION},
+            Fraction(10**400, 3) - 8,
+            HUGE_FRACTION,
+        ),
+        ({"lower_bound": TINY_FRACTION}, 0, f"[{TINY_FRACTION};8] 100.00%"),
+        ({"lower_bound": -(10**400)}, 0, f"[-1{'0' * 400};8] 125{'0' * 396}100%"),  # gap (8 + 10**400) / 8
+        (
+            {"lower_bound": -8 * 10**307},  # a gap of 1e307, which times 100 overflows
+            0,
+            f"[-8{'0' * 307};8] 1{'0' * 306}100%",
+        ),
+    ],
+    ids=[
+        "lower-fraction-overflow", "optimal-upper-overflow", "lower-underflow", "gap-overflow", "gap-times-100-overflow",
+    ],
+)
+def test_report_writes_a_value_a_float_cannot_show_exactly(tmp_path, capsys, meta, shift, row):
     _write_ex1_solution(tmp_path, {"method": "est", "status": "feasible", **meta}, shift)
-    validate_err = f"fjs: {message}\n" if validated else ""
-    assert _both_commands(capsys, tmp_path, "ex1") == [(validated, validate_err), (1, f"fjs: {message}\n")]
+    assert _both_commands(capsys, tmp_path, "ex1") == [(0, ""), (0, "")]
+    assert (tmp_path / "out.report.txt").read_text().splitlines()[1] == f"EX1       1, 3, 2  8    est     {row}  0.00"
 
 
 FEASIBLE_NEEDS = "status 'feasible' needs lower_bound <= upper_bound"
@@ -769,8 +772,6 @@ def test_both_commands_refuse_a_forged_solution_alike(tmp_path, capsys, meta, fi
     assert not (tmp_path / "out.report.txt").exists()
 
 
-# A value a report cell cannot show as a float ends only fjs report; every other mutant ends both commands alike.
-CELL_LIMITS = ("is beyond the range of a float\n", "would show as 0 in a float\n")
 MUTANT_VALUES = (
     0, 1, 7, 8, 9, 207, 212, 256, 300, -1, 2.5, -0.5, 8.0, float("nan"), float("inf"), True, None, [], {},
     "8", "15/2", "512/2", "-3/4", "1/0", "abc", "1e3", "optimal", "bound-pair", "feasible",
@@ -813,12 +814,9 @@ def test_mutated_solutions_get_one_verdict_from_both_commands(tmp_path, capsys):
     for _ in range(150):
         for directory, stem, document in bases:
             (directory / f"{stem}.sol.json").write_text(json.dumps(_mutant(document, rng)))
-            (validated, validate_err), (reported, report_err) = _both_commands(capsys, directory, stem)
-            if validated == 0 and reported == 1:
-                assert report_err.startswith("fjs: ") and report_err.endswith(CELL_LIMITS), report_err
-            else:
-                assert (validated, validate_err) == (reported, report_err)
-            verdicts.append(validated)
+            validated, reported = _both_commands(capsys, directory, stem)
+            assert validated == reported
+            verdicts.append(validated[0])
     assert 0.1 < verdicts.count(0) / len(verdicts) < 0.9  # both verdicts are exercised
     assert set(verdicts) == {0, 1}
 
@@ -1092,6 +1090,40 @@ def test_report_echoes_a_long_unknown_instance_name_cut(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("fjs: x.sol.json: no instance file named 'nnn")
     assert len(err.encode()) < 300
+
+
+def test_report_escapes_a_file_name_that_is_not_printable(ex1_file, tmp_path, capsys):
+    # a newline in a file name would otherwise start a forged line of the message
+    _write_unknown_name_solution(tmp_path, "nope")
+    (tmp_path / "x.sol.json").rename(tmp_path / "x\nfjs: forged.sol.json")
+    assert main(["report", "--dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"fjs: x\\nfjs: forged.sol.json: no instance file named 'nope' in {tmp_path}\n"
+    for name in ("a\n.fjs.json", "b\n.fjs.json"):
+        (tmp_path / name).write_text(ex1_file.read_text())
+    assert main(["report", "--dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"fjs: a\\n.fjs.json and b\\n.fjs.json: two instance files named 'EX1' in {tmp_path}\n"
+    )
+    latin1 = tmp_path / "latin1"
+    latin1.mkdir()
+    (latin1 / "x\nfjs: forged.sol.json").write_bytes(b"\xff")
+    assert main(["report", "--dir", str(latin1)]) == 1
+    assert capsys.readouterr().err == (
+        f"fjs: {latin1}/x\\nfjs: forged.sol.json: not UTF-8 text (invalid start byte at byte 0)\n"
+    )
+
+
+def test_report_escapes_a_method_that_is_not_printable(tmp_path, capsys):
+    # the method would otherwise write a second, forged row
+    document = _dafjs_est_document(tmp_path)
+    document["meta"].update(method="est\nFORGED  9, 9, 9  1  bnb  1", elapsed=0.5)
+    (tmp_path / "d.sol.json").write_text(json.dumps(document))
+    capsys.readouterr()
+    assert _both_commands(capsys, tmp_path, "d") == [(0, ""), (0, "")]
+    assert (tmp_path / "out.report.txt").read_text().splitlines() == [
+        "Instance        Size       EST  Method                           mks               CPU(s)",
+        f"DAFJS-n3-m4-s3  3, 4-7, 4  256  est\\nFORGED  9, 9, 9  1  bnb  1  [207;256] 19.14%  0.50",
+    ]
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])

@@ -6,6 +6,7 @@ import heapq
 import reprlib
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -162,7 +163,7 @@ class TestAdmissibility:
         "sol, message",
         [
             (SolutionPair((1, 1), Selection(((0, 1), (2,)))), "assignment covers 2 of 3 operations"),
-            (SolutionPair((2, 1, 2), Selection(((1,), (0, 2)))), "operation 0 assigned to ineligible machine 2"),
+            (SolutionPair((2, 1, 2), Selection(((1,), (0, 2)))), "operation 0 on ineligible machine 2"),
             (SolutionPair((1, 1, 2), Selection(((0, 1),))), "selection has 1 sequences for 2 machines"),
         ],
         ids=["assignment-length", "ineligible-machine", "sequence-count"],
@@ -239,6 +240,77 @@ class TestOneSortPerGraph:
         # the compact decoder sorts in tight_schedule; the machine-indexed one
         # hands the point's starts, which keep every arc, to validate_solution
         assert len(kahn_runs) == {"compact": 1, "machine_indexed": 0}[model]
+
+
+class _CountedRows(tuple):
+    """An instance's ``eligible`` rows that count the rows read."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        type(self).reads += 1
+        return super().__getitem__(v)
+
+
+class TestOneCheckPerRule:
+    """A call of ``validate_solution``, ``tight_schedule`` or
+    ``certified_critical_path`` checks the assignment once, reading each
+    operation's eligible machines once."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        import fjs.core
+
+        calls = []
+        faults = fjs.core._assignment_faults
+
+        def counted(instance, assignment):
+            calls.append(len(assignment))
+            return faults(instance, assignment)
+
+        monkeypatch.setattr(fjs.core, "_assignment_faults", counted)
+        monkeypatch.setattr(_CountedRows, "reads", 0)
+        return calls
+
+    @pytest.fixture
+    def counted_instance(self):
+        instance = generate_dafjs(DafjsParams(3, 4, 3))
+        object.__setattr__(instance, "eligible", _CountedRows(instance.eligible))
+        return instance
+
+    @pytest.mark.parametrize("call", ["validate_solution", "tight_schedule", "certified_critical_path"])
+    def test_a_valid_solution(self, counted_instance, checks, call):
+        from fjs.heuristic import earliest_start_heuristic
+
+        sol, sched = earliest_start_heuristic(counted_instance)
+        checks.clear()
+        _CountedRows.reads = 0
+        if call == "validate_solution":
+            assert validate_solution(counted_instance, sol, sched).ok
+        elif call == "tight_schedule":
+            assert tight_schedule(counted_instance, sol) == sched
+        else:
+            assert certified_critical_path(counted_instance, sol, sched.start)
+        assert checks == [counted_instance.n_ops]
+        assert _CountedRows.reads == counted_instance.n_ops
+
+    def test_an_ineligible_machine(self, ex1, checks):
+        sol = SolutionPair((2, 1, 2), Selection(((1,), (0, 2))))
+        report = validate_solution(ex1, sol, Schedule((0, 3, 3), 8))
+        assert [(i.kind, i.message) for i in report.issues] == [("assignment", "operation 0 on ineligible machine 2")]
+        for refuse in (partial(tight_schedule, ex1, sol), partial(certified_critical_path, ex1, sol, (0, 3, 3))):
+            with pytest.raises(SelectionError, match="^operation 0 on ineligible machine 2$"):
+                refuse()
+        assert checks == [3, 3, 3]
+
+    def test_an_empty_instance(self, checks):
+        empty = Instance("empty", 1, (), (), ())
+        sol = SolutionPair((1,), Selection(((),)))
+        for refuse in (partial(tight_schedule, empty, sol), partial(certified_critical_path, empty, sol, ())):
+            with pytest.raises(SelectionError, match="^assignment covers 1 of 0 operations$"):
+                refuse()
+        assert certified_critical_path(empty, SolutionPair((), sol.selection), ()) == ()
+        assert checks == [1, 1, 0]
 
 
 def _min_id_order(instance: Instance) -> tuple[int, ...]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from fjs.cli import main
 from fjs.core import (
+    MAX_DIGITS,
     Instance,
     InstanceError,
     Schedule,
@@ -21,6 +23,7 @@ from fjs.core import (
     validate_solution,
     weakly_connected_components,
     _echo,
+    _num_text,
 )
 from fjs.generate import DafjsParams, YfjsParams, generate_dafjs, generate_yfjs
 from fjs.io import (
@@ -37,6 +40,7 @@ from fjs.io import (
     serialize_instance,
     serialize_solution,
     solution_document,
+    _cell_num,
 )
 
 from conftest import make_ex1, random_admissible_solution, small_random_instance, traced
@@ -337,6 +341,16 @@ class TestNumbers:
             number_from_json(value, "x")
 
 
+# Ints of any size, and Fractions whose parts have at most MAX_DIGITS digits, from
+# far beyond a float's range to so near 0 that a float shows them as 0.
+_PARTS = st.builds(lambda m, e: m * 10**e, st.integers(1, 10**9), st.integers(0, MAX_DIGITS - 10))
+CELL_VALUES = (
+    st.integers()
+    | st.builds(lambda m, e: m * 10**e, st.integers(-(10**9), 10**9), st.integers(0, 5000))
+    | st.builds(lambda sign, a, b: Fraction(sign * a, b), st.sampled_from([1, -1]), _PARTS, _PARTS)
+)
+
+
 class TestReport:
     def test_gap_cell_formatting(self):
         assert format_bound_cell(859, 881) == "[859;881] 2.50%"
@@ -359,41 +373,88 @@ class TestReport:
         assert "3, 2-5, 4" in lines[2]
 
     @pytest.mark.parametrize(
-        "value, echo, fault",
+        "value, text",
         [
-            (Fraction(10**400, 3), "'1" + "0" * 36 + "..." + "0" * 36 + "/3'", "is beyond the range of a float"),
-            (Fraction(1, 10**900), "'1/1" + "0" * 34 + "..." + "0" * 38 + "'", "is not 0 but would show as 0 in a float"),
-            (Fraction(-1, 10**900), "'-1/1" + "0" * 33 + "..." + "0" * 38 + "'", "is not 0 but would show as 0 in a float"),
+            (Fraction(10**400, 3), "1" + "0" * 400 + "/3"),
+            (Fraction(1, 10**900), "1/1" + "0" * 900),
+            (Fraction(-1, 10**900), "-1/1" + "0" * 900),
         ],
         ids=["overflow", "underflow", "negative-underflow"],
     )
-    def test_a_bound_a_float_cannot_show_is_refused(self, value, echo, fault):
+    def test_a_bound_a_float_cannot_show_is_written_exactly(self, value, text):
         rows = [
             ReportRow("A", 1, 1, 1, 1, 10, "bnb", "optimal", 8, value, 0.0),
             ReportRow("A", 1, 1, 1, 1, 10, "bnb", "bound-pair", value, value, 0.0),
             ReportRow("A", 1, 1, 1, 1, value, "bnb", "optimal", 8, 8, 0.0),
         ]
-        for row in rows:
-            with pytest.raises(SolutionError) as caught:
-                render_report([row])
-            assert str(caught.value) == f"bound {echo} {fault}"
+        assert [render_report([row]).splitlines()[1] for row in rows] == [
+            f"A         1, 1, 1  10   bnb     {text}  0.00",
+            f"A         1, 1, 1  10   bnb     [{text};{text}] 0.00%  0.00",
+            f"A         1, 1, 1  {text}  bnb     8    0.00",
+        ]
 
-    def test_an_int_too_long_for_text_is_refused(self):
+    def test_an_int_too_long_for_text_is_cut(self):
         long = 10**5000  # past the interpreter's 4,300-digit limit on int-to-text
+        cut, cut_plus_1 = f"1{'0' * 37}...{'0' * 39}", f"1{'0' * 37}...{'0' * 38}1"
         rows = [
             ReportRow("A", 1, 1, 1, 1, long, "bnb", "optimal", 8, 8, 0.0),
             ReportRow("A", 1, 1, 1, 1, 10, "bnb", "optimal", 8, long, 0.0),
             ReportRow("A", 1, 1, 1, 1, 10, "bnb", "bound-pair", long, long + 1, 0.0),
             ReportRow("A", 1, 1, 1, 1, 10, "bnb", "bound-pair", 8, long, 0.0),
+            ReportRow("A", 1, 1, 1, 1, 10, "bnb", "bound-pair", 8, Fraction(long), 0.0),  # an integral Fraction
         ]
-        for row in rows:
-            with pytest.raises(SolutionError) as caught:
-                render_report([row])
-            assert str(caught.value) == f"bound 1{'0' * 37}...{'0' * 39} has too many digits to show"
+        assert [render_report([row]).splitlines()[1] for row in rows] == [
+            f"A         1, 1, 1  {cut}  bnb     8    0.00",
+            f"A         1, 1, 1  10   bnb     {cut}  0.00",
+            f"A         1, 1, 1  10   bnb     [{cut};{cut_plus_1}] 0.00%  0.00",
+            f"A         1, 1, 1  10   bnb     [8;{cut}] 100.00%  0.00",
+            f"A         1, 1, 1  10   bnb     [8;{cut}] 100.00%  0.00",
+        ]
+
+    def test_a_method_is_shown_escaped(self):
+        # a newline in a method would otherwise start a forged row
+        row = ReportRow("A", 1, 1, 1, 1, 10, "est\nB  1, 1, 1  1  bnb  1", "optimal", 8, 8, 0.0)
+        assert render_report([row]).splitlines() == [
+            "Instance  Size     EST  Method                      mks  CPU(s)",
+            "A         1, 1, 1  10   est\\nB  1, 1, 1  1  bnb  1  8    0.00",
+        ]
 
     def test_a_tiny_bound_a_float_can_show_is_rendered(self):
         row = ReportRow("A", 1, 1, 1, 1, 10, "bnb", "optimal", 8, Fraction(1, 10**320), 0.0)
         assert render_report([row]).splitlines()[1].split()[-2] == f"{1e-320:g}"
+
+    @given(CELL_VALUES)
+    @settings(max_examples=300, derandomize=True)
+    def test_a_number_cell_is_a_float_where_one_shows_it_else_exact(self, value):
+        text = _cell_num(value)
+        assert "\n" not in text
+        try:
+            shown = float(value)
+        except OverflowError:
+            shown = 0.0
+        if value != int(value):
+            assert text == (f"{shown:g}" if shown else f"{value.numerator}/{value.denominator}")
+        elif abs(value) < 10**4300:
+            assert text == str(int(value))
+        else:  # past the interpreter's 4,300-digit limit on int-to-text: cut as messages cut it
+            assert text == _echo(int(value))
+
+    @given(CELL_VALUES, CELL_VALUES)
+    @settings(max_examples=300, derandomize=True)
+    def test_a_gap_cell_is_a_float_where_one_shows_it_else_exact(self, lower, upper):
+        text = format_bound_cell(lower, upper)
+        assert "\n" not in text
+        bounds = f"[{_cell_num(lower)};{_cell_num(upper)}] "
+        assert text.startswith(bounds) and text.endswith("%")
+        try:
+            gap = 0.0 if upper == 0 else float((upper - lower) / upper) * 100
+        except OverflowError:
+            gap = math.inf
+        if math.isfinite(gap):
+            assert text == f"{bounds}{gap:.2f}%"
+        else:
+            assert text == f"{bounds}{_num_text(Fraction(upper - lower, upper) * 100)}%"
+            assert "..." in text or Fraction(text[len(bounds):-1]) == Fraction(upper - lower, upper) * 100
 
     def test_instance_size(self, ex1):
         assert instance_size(ex1) == (1, 3, 3, 2)
