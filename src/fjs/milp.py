@@ -392,20 +392,25 @@ def check_feasible(model: MilpModel, point: ModelPoint) -> ValidationReport:
     except KeyError:
         _expect_names(point, {var.name for var in model.variables})
         raise
+    # One comparison decides a row; the excess is computed only to word a violated row's issue.
     for name, terms, relation, rhs in model.constraints:
         lhs = 0
         for coef, var in terms:
             lhs += coef * values[var]
         if relation == "<=":
-            excess = lhs - rhs
+            if lhs > rhs:
+                issues.append(_row_issue(name, lhs, relation, rhs, lhs - rhs))
         elif relation == ">=":
-            excess = rhs - lhs
-        else:
-            excess = abs(lhs - rhs)
-        if excess > 0:
-            message = f"{name}: lhs {_num_text(lhs)} {relation} {_num_text(rhs)} violated by {_num_text(excess)}"
-            issues.append(ValidationIssue("constraint", message))
+            if lhs < rhs:
+                issues.append(_row_issue(name, lhs, relation, rhs, rhs - lhs))
+        elif lhs != rhs:
+            issues.append(_row_issue(name, lhs, relation, rhs, abs(lhs - rhs)))
     return ValidationReport(tuple(issues))
+
+
+def _row_issue(name: str, lhs: Rational, relation: str, rhs: Rational, excess: Rational) -> ValidationIssue:
+    message = f"{name}: lhs {_num_text(lhs)} {relation} {_num_text(rhs)} violated by {_num_text(excess)}"
+    return ValidationIssue("constraint", message)
 
 
 def encode_compact(instance: Instance, sol: SolutionPair) -> ModelPoint:
@@ -449,15 +454,10 @@ def encode_machine_indexed(instance: Instance, sol: SolutionPair) -> ModelPoint:
             values[x[v][k]] = 1 if on else 0
     for k, row in y.items():
         for (v, w), name in row.items():
-            if f[v] == k and f[w] == k:
-                bit = 1 if start[v] < start[w] else 0  # times are positive: the first to start runs first
-            elif f[v] != k and f[w] == k:
-                bit = 1
-            elif f[v] != k and f[w] != k:
-                bit = 1 if v > w else 0
+            if f[w] == k:  # times are positive: of two operations on k, the first to start runs first
+                values[name] = 1 if f[v] != k or start[v] < start[w] else 0
             else:
-                bit = 0
-            values[name] = bit
+                values[name] = 1 if f[v] != k and v > w else 0
     return ModelPoint(values)
 
 
@@ -481,7 +481,7 @@ def _expect_names(point: ModelPoint, expected: set[str]) -> None:
 
 
 def _binary(point: ModelPoint, name: str) -> int:
-    val = point[name]
+    val = point.values[name]
     if val == 0:
         return 0
     if val == 1:

@@ -7,6 +7,8 @@ over the instance data) rather than taken from the builders.
 from __future__ import annotations
 
 import gc
+import random
+import re
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -22,6 +24,7 @@ from fjs.core import (
     ValidationIssue,
     ValidationReport,
     certified_critical_path,
+    disjunctive_pairs,
     tight_schedule,
     validate_solution,
 )
@@ -406,22 +409,41 @@ class TestEncodeDecode:
         with pytest.raises(PointError, match=r"^non-integral binary y_2_1 = 1/2$"):
             decode_compact(ex1, ModelPoint(values))
 
-    def test_decode_reads_each_binary_at_most_once(self, monkeypatch):
+    @pytest.mark.parametrize("one", [Fraction(1), True], ids=["fraction", "bool"])
+    def test_an_off_machine_binary_equal_to_one_decodes_as_before(self, ex1, one):
+        values = {**encode_compact(ex1, EX1_SOL).values, "y_2_1": one}  # ops 1 and 2 on different machines
+        assert decode_compact(ex1, ModelPoint(values)) == decode_compact(ex1, encode_compact(ex1, EX1_SOL))
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [(Fraction(1, 2), "1/2"), (float("nan"), "nan"), ([1], "[1]")],
+        ids=["half", "nan", "unhashable"],
+    )
+    def test_a_faulty_off_machine_binary_is_named_in_walk_order(self, ex1, value, text):
+        """The walk over the off-machine binaries names the first faulty one in model order."""
+        values = {**encode_compact(ex1, EX1_SOL).values, "y_2_1": value}
+        with pytest.raises(PointError, match=rf"^non-integral binary y_2_1 = {re.escape(text)}$"):
+            decode_compact(ex1, ModelPoint(values))
+        values["y_1_2"] = [0]  # first in model order
+        with pytest.raises(PointError, match=r"^non-integral binary y_1_2 = \[0\]$"):
+            decode_compact(ex1, ModelPoint(values))
+
+    def test_decode_reads_each_binary_at_most_once(self):
+        """Reads are counted at the point's mapping, whichever code path makes them."""
+        reads = Counter()
+
+        class CountingValues(dict):
+            def __getitem__(self, name):
+                reads[name] += 1
+                return super().__getitem__(name)
+
         inst = small_random_instance(2, max_ops=7, max_machines=3, max_eligible=3)
         sol = random_admissible_solution(inst, 1)
-        reads = Counter()
-        binary = milp._binary
-
-        def counted(point, name):
-            reads[name] += 1
-            return binary(point, name)
-
-        monkeypatch.setattr(milp, "_binary", counted)
         compact = encode_compact(inst, sol)
-        decode_compact(inst, compact)
-        assert sorted(reads.elements()) == sorted(name for name in compact.values if name[0] in "xy")
+        decode_compact(inst, ModelPoint(CountingValues(compact.values)))
+        assert sorted(reads.elements()) == sorted(name for name in compact.values if name[0] in "xyz")
         reads.clear()
-        decode_machine_indexed(inst, encode_machine_indexed(inst, sol))
+        decode_machine_indexed(inst, ModelPoint(CountingValues(encode_machine_indexed(inst, sol).values)))
         assert any(name[0] == "y" for name in reads) and set(reads.values()) == {1}
 
     def test_machine_indexed_decode_rejects_edge_violation(self, ex1):
@@ -543,6 +565,113 @@ CODECS = [
     (build_machine_indexed_model, encode_machine_indexed, decode_machine_indexed),
 ]
 MODELS = [(build, encode) for build, encode, _ in CODECS]
+
+
+def reference_issues(model, point):
+    """``check_feasible``'s issues as first written: each row's excess is computed, then compared
+    with 0.  The exact rule it is kept to check, for ``int`` and ``Fraction`` values."""
+    issues = []
+    for name, _, lower, upper in model.variables:
+        val = point[name]
+        if val < lower:
+            issues.append(ValidationIssue("bound", f"{name} = {val} below lower bound {lower}"))
+        if upper is not None and val > upper:
+            issues.append(ValidationIssue("bound", f"{name} = {val} above upper bound {upper}"))
+    for name, terms, relation, rhs in model.constraints:
+        lhs = sum(coef * point[var] for coef, var in terms)
+        if relation == "<=":
+            excess = lhs - rhs
+        elif relation == ">=":
+            excess = rhs - lhs
+        else:
+            excess = abs(lhs - rhs)
+        if excess > 0:
+            issues.append(ValidationIssue("constraint", f"{name}: lhs {lhs} {relation} {rhs} violated by {excess}"))
+    return tuple(issues)
+
+
+def reference_bit(f, start, k, v, w):
+    """The machine-indexed binary "v before w on machine k" by its four cases, as first written."""
+    if f[v] == k and f[w] == k:
+        return 1 if start[v] < start[w] else 0
+    if f[v] != k and f[w] == k:
+        return 1
+    if f[v] != k and f[w] != k:
+        return 1 if v > w else 0
+    return 0
+
+
+def moved_points(point, seed, count=10):
+    """The point with all values as Fractions, ``count`` seeded values in turn moved by +-1 and
+    +-1/2, and z lowered by 1 and to 0."""
+    values = point.values
+    yield ModelPoint({name: Fraction(val) for name, val in values.items()})
+    for name in random.Random(seed).sample(sorted(values), min(count, len(values))):
+        for delta in (1, -1, Fraction(1, 2), Fraction(-1, 2)):
+            yield ModelPoint({**values, name: values[name] + delta})
+    for z in (values["z"] - 1, 0):
+        yield ModelPoint({**values, "z": z})
+
+
+class TestReferenceRules:
+    """``check_feasible`` decides a row with one comparison and ``encode_machine_indexed`` writes a
+    sequencing bit from two cases; both agree with the rules as first written."""
+
+    INSTANCES = [
+        make_ex1(),
+        generate_yfjs(YfjsParams(3, 4, 3, 2, 2)),
+        generate_dafjs(DafjsParams(2, 3, 4)),
+        *(small_random_instance(seed, max_ops=6, max_machines=3, max_eligible=3) for seed in range(4)),
+    ]
+
+    @pytest.mark.parametrize("instance", INSTANCES, ids=lambda instance: instance.name)
+    def test_check_feasible_gives_the_reference_issues(self, instance):
+        sol, sched = earliest_start_heuristic(instance)
+        L = default_horizon(instance, sched.makespan)
+        violated = 0
+        for seed, (build, encode) in enumerate(MODELS):
+            point = encode(instance, sol)
+            model = build(instance, L)
+            for checked in (model, with_fraction_rows(model, 3)):
+                for moved in moved_points(point, seed):
+                    issues = check_feasible(checked, moved).issues
+                    assert issues == reference_issues(checked, moved)
+                    violated += any(issue.kind == "constraint" for issue in issues)
+        assert violated
+
+    def test_each_machine_indexed_bit_follows_the_four_case_rule(self):
+        for seed in range(40):
+            inst = small_random_instance(seed, max_ops=8, max_machines=3, max_eligible=3)
+            for sub in range(3):
+                sol = random_admissible_solution(inst, seed * 31 + sub)
+                f, start = sol.assignment, tight_schedule(inst, sol).start
+                values = encode_machine_indexed(inst, sol).values
+                for k, pairs in disjunctive_pairs(inst).items():
+                    for v, w in pairs:
+                        bit = values[f"y_{v}_{w}_{k}"]
+                        assert type(bit) is int and bit == reference_bit(f, start, k, v, w), (inst.name, k, v, w)
+
+    def test_a_float_point_is_outside_the_exact_contract(self):
+        """Floats are not part of the exact contract; this pins what they give.  A NaN breaks an
+        equality row, which the subtract-then-compare rule let pass, and a float below an integer
+        bound that a float cannot hold breaks a >= row, which the subtraction rounded away."""
+        model = MilpModel(
+            "float",
+            (Variable("a", CONTINUOUS), Variable("b", CONTINUOUS)),
+            (),
+            (
+                LinearConstraint("le", ((1, "a"),), "<=", 1),
+                LinearConstraint("ge", ((1, "a"),), ">=", 1),
+                LinearConstraint("eq", ((1, "a"),), "=", 1),
+                LinearConstraint("past", ((1, "b"),), ">=", 2**53 + 1),
+            ),
+        )
+        point = ModelPoint({"a": float("nan"), "b": 2.0**53})
+        assert check_feasible(model, point).issues == (
+            ValidationIssue("constraint", "eq: lhs nan = 1 violated by nan"),
+            ValidationIssue("constraint", "past: lhs 9007199254740992.0 >= 9007199254740993 violated by 0.0"),
+        )
+        assert reference_issues(model, point) == ()
 
 
 class TestLayout:
