@@ -1,7 +1,7 @@
 """Command-line interface for batch generation, solving, emission, and reports.
 
 Exit codes: 0 success, 1 validation or decode failure, 2 usage or input
-error, 3 time limit hit with an open optimality gap.
+error, 3 time or node limit hit with an open optimality gap.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_est(instance: Instance, time_limit: float) -> tuple[SolutionPair, Schedule, str, dict]:
+def _run_est(instance: Instance, time_limit: float, node_limit: int | None) -> tuple[SolutionPair, Schedule, str, dict]:
     t0 = time.monotonic()
     sol, sched = earliest_start_heuristic(instance)
     elapsed = time.monotonic() - t0
@@ -100,8 +100,8 @@ def _run_est(instance: Instance, time_limit: float) -> tuple[SolutionPair, Sched
     return sol, sched, "feasible", meta
 
 
-def _run_bnb(instance: Instance, time_limit: float) -> tuple[SolutionPair, Schedule, str, dict]:
-    result = solve_branch_and_bound(instance, time_limit=time_limit)
+def _run_bnb(instance: Instance, time_limit: float, node_limit: int | None) -> tuple[SolutionPair, Schedule, str, dict]:
+    result = solve_branch_and_bound(instance, time_limit=time_limit, node_limit=node_limit)
     meta = {
         "lower_bound": result.lower_bound,
         "upper_bound": result.upper_bound,
@@ -121,8 +121,10 @@ SOLVERS = {"est": _run_est, "bnb": _run_bnb}
 def _cmd_solve(args: argparse.Namespace) -> int:
     if not args.time_limit > 0:
         raise _UsageError(f"--time-limit must be positive, got {args.time_limit}")
+    if args.node_limit is not None and args.node_limit < 1:
+        raise _UsageError(f"--node-limit must be at least 1, got {args.node_limit}")
     instance = parse_instance(_read(args.infile))
-    sol, sched, status, meta = SOLVERS[args.method](instance, args.time_limit)
+    sol, sched, status, meta = SOLVERS[args.method](instance, args.time_limit, args.node_limit)
     meta = {"method": args.method, "status": status, **meta}
     if args.out:
         _write(args.out, serialize_solution(instance, sol, sched, meta))
@@ -272,6 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=3600.0,
         help="positive number of seconds the search may run (default 3600); est stops after one pass",
+    )
+    solve.add_argument(
+        "--node-limit",
+        type=int,
+        help="number of nodes, at least 1, the search may expand (default: no limit); est ignores it",
     )
     solve.add_argument(
         "--threads", type=int, default=1, help="accepted and ignored: the search runs on one thread"

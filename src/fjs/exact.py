@@ -10,10 +10,19 @@ only grow, so two subtrees never share a partial schedule: none is built
 twice and no table of visited states is needed.  At least one child still
 leads to an optimum (see ``_Search.expand``), so exhausting the tree proves
 optimality.
+
+Nodes are chosen best first with depth-first plunging (Linderoth and
+Savelsbergh 1999): from the open node of least bound the search dives
+through least-bound children until the dive ends, then starts again from
+the least bound.  At most ``OPEN_NODE_CAP`` open nodes wait in that
+least-bound heap; beyond it they go on a stack that is searched depth first
+before the heap is touched again, which keeps the open set within
+``OPEN_NODE_CAP`` plus about the square of the operation count.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import time
@@ -40,6 +49,7 @@ STATUS_BOUND_PAIR = "bound-pair"
 
 BRUTE_FORCE_MAX_OPS = 9  # the caps of the brute-force oracle
 BRUTE_FORCE_MAX_ASSIGNMENTS = 100_000
+OPEN_NODE_CAP = 4096  # open nodes kept in the least-bound heap; more go on a depth-first stack
 
 
 class CapError(Exception):
@@ -123,11 +133,16 @@ class BnbNode(NamedTuple):
 
 
 class _Search:
-    """One depth-first branch-and-bound run, from its root to its result.
+    """One branch-and-bound run, from its root to its result.
 
-    ``_Search(instance, cutoff, deadline)`` pushes the root with its full
-    bound, with ``cutoff`` as the incumbent; ``run`` expands until the stack
-    empties or the deadline passes; ``open_bound`` and ``result`` report it.
+    ``_Search(instance, cutoff, deadline, node_limit)`` opens the root with
+    its full bound, with ``cutoff`` as the incumbent; ``run`` plunges from
+    the least-bound open node until no node is open, the deadline passes or
+    ``node_limit`` nodes are expanded; ``open_bound`` and ``result`` report
+    it.  Every open node carries its full bound.  The open nodes wait in a
+    heap keyed ``(bound, -sequence)``, least bound and then newest first, of
+    at most ``OPEN_NODE_CAP`` entries, and beyond it on an overflow stack;
+    ``_seed`` replaces them and ``_open_nodes`` lists them.
 
     The instance is read once, into zero-based tables: ``options[v]`` holds
     the ``(machine, time)`` pairs of operation v and ``ptime[v]`` the same as
@@ -140,9 +155,10 @@ class _Search:
     ``(1 << v, least time)`` of each operation only that machine can run.
     """
 
-    def __init__(self, instance: Instance, cutoff: Rational, deadline: float):
+    def __init__(self, instance: Instance, cutoff: Rational, deadline: float, node_limit: float = math.inf):
         self.instance = instance
         self.deadline = deadline
+        self.node_limit = node_limit
         n = instance.n_ops
         self.full_mask = (1 << n) - 1
         eligible = [tuple(k - 1 for k in row) for row in instance.eligible]
@@ -166,7 +182,27 @@ class _Search:
         self.best_value = cutoff
         self.best_leaf: tuple | None = None  # the decisions of the best leaf found
         ready, avail = (0,) * n, (0,) * instance.machines
-        self.stack = [BnbNode(self.lower_bound(ready, 0, avail), 0, ready, avail, None)]
+        self._seed([BnbNode(self.lower_bound(ready, 0, avail), 0, ready, avail, None)])
+
+    def _seed(self, nodes) -> None:
+        """Makes ``nodes`` the open nodes, in the order given."""
+        self._heap: list[tuple[Rational, int, BnbNode]] = []  # (bound, -sequence, node): least bound, then newest
+        self._stack: list[BnbNode] = []  # the overflow, depth first
+        self._sequence = itertools.count(0, -1)
+        self._open(nodes)
+
+    def _open(self, nodes) -> None:
+        """Opens ``nodes`` in order: into the heap while it holds fewer than ``OPEN_NODE_CAP``, then onto the stack."""
+        heap, stack, sequence = self._heap, self._stack, self._sequence
+        for node in nodes:
+            if len(heap) < OPEN_NODE_CAP:
+                heapq.heappush(heap, (node.lower_bound, next(sequence), node))
+            else:
+                stack.append(node)
+
+    def _open_nodes(self) -> list[BnbNode]:
+        """The open nodes: the heap's, in heap order, then the stack's, bottom first."""
+        return [entry[2] for entry in self._heap] + self._stack
 
     def lower_bound(self, ready, mask, avail, cutoff=math.inf) -> Rational:
         """Max of the path bound and the machine workload bound.
@@ -286,21 +322,38 @@ class _Search:
         return children
 
     def run(self) -> None:
-        """Expand nodes depth first until the stack empties or the deadline passes."""
-        stack = self.stack
-        while stack:
-            node = stack.pop()
-            if node.lower_bound >= self.best_value:
-                continue
-            if time.monotonic() > self.deadline:
-                stack.append(node)
-                return
-            self.nodes += 1
-            stack.extend(self.expand(node))
+        """Expand nodes until none is open, the deadline passes or the node limit is reached.
+
+        Each round takes an open node, from the stack while it holds any,
+        else the least-bound one from the heap, and plunges: it expands the
+        node and goes on with its least-bound child, the last one ``expand``
+        returns, opening the others.  A plunge ends at a node without
+        children or at one whose bound reaches the incumbent.  The dive finds
+        incumbents early, and each restart from the least bound leaves
+        unexpanded every node whose bound lies between the optimum and a
+        stale incumbent.  The node about to be expanded when the deadline
+        passes or the limit is reached stays open.  With ``OPEN_NODE_CAP``
+        at 0 every open node goes on the stack, and the search is depth
+        first.
+        """
+        heap, stack = self._heap, self._stack
+        deadline, node_limit = self.deadline, self.node_limit
+        while stack or heap:
+            node = stack.pop() if stack else heapq.heappop(heap)[2]
+            while node.lower_bound < self.best_value:
+                if time.monotonic() > deadline or self.nodes >= node_limit:
+                    stack.append(node)
+                    return
+                self.nodes += 1
+                children = self.expand(node)
+                if not children:
+                    break
+                node = children.pop()
+                self._open(children)
 
     def open_bound(self) -> Rational:
-        """The least of the incumbent and the bounds left on the stack, which is empty unless timed out."""
-        return min([self.best_value] + [node.lower_bound for node in self.stack])
+        """The least of the incumbent and the bounds of the open nodes, of which none is left unless stopped early."""
+        return min([self.best_value] + [node.lower_bound for node in self._open_nodes()])
 
     def result(self) -> tuple[SolutionPair, Schedule] | None:
         """The best leaf found and the schedule the search built for it, or
@@ -320,19 +373,25 @@ class _Search:
         return SolutionPair(tuple(assignment), selection), Schedule(tuple(start), self.best_value)
 
 
-def solve_branch_and_bound(instance: Instance, time_limit: float = 3600.0) -> SolveResult:
+def solve_branch_and_bound(
+    instance: Instance, time_limit: float = 3600.0, node_limit: int | None = None
+) -> SolveResult:
     """Exact branch and bound over forward-built active schedules.
 
     The incumbent is initialised with the earliest-start heuristic.  On
-    exhaustion the result is optimal; when the time limit strikes first, the
-    incumbent is returned together with the smallest lower bound among the
-    unexplored subtrees.
+    exhaustion the result is optimal; when the time limit strikes first, or
+    ``node_limit`` nodes have been expanded, the incumbent is returned
+    together with the smallest lower bound among the unexplored subtrees.
+    A node limit makes a stopped run repeat exactly.
     """
     if not time_limit > 0:  # also refuses NaN
         raise ValueError("time_limit must be positive")
+    if node_limit is not None and not node_limit >= 1:  # also refuses NaN
+        raise ValueError("node_limit must be at least 1")
     t0 = time.monotonic()
     est_sol, est_sched = earliest_start_heuristic(instance)
-    search = _Search(instance, est_sched.makespan, deadline=t0 + time_limit)
+    limit = math.inf if node_limit is None else node_limit
+    search = _Search(instance, est_sched.makespan, deadline=t0 + time_limit, node_limit=limit)
     search.run()
     elapsed = time.monotonic() - t0
     lower, upper = search.open_bound(), search.best_value

@@ -284,6 +284,33 @@ def test_solve_rejects_non_positive_time_limit(ex1_file, capsys, method, limit, 
     assert capsys.readouterr().err == f"fjs: --time-limit must be positive, got {shown}\n"
 
 
+@pytest.mark.parametrize("method", ["est", "bnb"])
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_solve_rejects_a_node_limit_below_1(ex1_file, capsys, method, limit):
+    code = main(["solve", "--method", method, "--node-limit", limit, "--in", str(ex1_file)])
+    assert code == 2
+    assert capsys.readouterr().err == f"fjs: --node-limit must be at least 1, got {limit}\n"
+
+
+def test_solve_node_limit_exit_code(ex1_file, tmp_path, capsys):
+    # DAFJS-n4-m5-s1 closes in 20,504 nodes: at 1,000 the limit strikes and
+    # the bounds are those of the library call with the same limit.
+    inst = generate_dafjs(DafjsParams(4, 5, 1))
+    path, out = tmp_path / "d.fjs.json", tmp_path / "d.sol.json"
+    path.write_text(serialize_instance(inst))
+    code = main(["solve", "--method", "bnb", "--node-limit", "1000", "--in", str(path), "--out", str(out)])
+    assert code == 3
+    expected = solve_branch_and_bound(inst, node_limit=1000)
+    assert expected.status == "bound-pair"
+    assert capsys.readouterr().out == f"{inst.name}: mks [{expected.lower_bound};{expected.upper_bound}] (bound-pair)\n"
+    meta = json.loads(out.read_text())["meta"]
+    assert (meta["nodes_explored"], meta["lower_bound"]) == (1000, expected.lower_bound)
+    # A limit the search does not reach, and est, which ignores it, exit 0.
+    assert main(["solve", "--method", "bnb", "--node-limit", "1000", "--in", str(ex1_file)]) == 0
+    assert main(["solve", "--method", "est", "--node-limit", "1", "--in", str(ex1_file)]) == 0
+    assert capsys.readouterr().out == "EX1: mks 8 (optimal)\nEX1: mks 8 (feasible)\n"
+
+
 def test_report_rejects_a_solution_file_that_is_not_an_object(ex1_file, tmp_path, capsys):
     bad = tmp_path / "bad.sol.json"
     bad.write_text("[]")

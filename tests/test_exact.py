@@ -62,6 +62,12 @@ def test_time_limit_must_be_positive(ex1):
         solve_branch_and_bound(ex1, time_limit=0)
 
 
+@pytest.mark.parametrize("limit", [0, -1, 0.5, math.nan])
+def test_node_limit_must_be_at_least_1(ex1, limit):
+    with pytest.raises(ValueError, match="^node_limit must be at least 1$"):
+        solve_branch_and_bound(ex1, node_limit=limit)
+
+
 def test_oracle_agreement_on_random_instances():
     kept_est = 0
     for seed in range(60):
@@ -150,36 +156,43 @@ def test_closes_instances_beyond_the_old_reach(instance, optimum, max_nodes):
 
 
 @pytest.mark.parametrize(
-    "instance, optimum, nodes",
+    "instance, optimum, nodes, depth_first_nodes",
     [
-        pytest.param(generate_yfjs(YfjsParams(3, 4, 3, 2, 3)), 544, 188, id="YFJS-n3-o4-m3-q2-s3"),
-        pytest.param(generate_yfjs(YfjsParams(3, 5, 4, 2, 2)), 715, 32, id="YFJS-n3-o5-m4-q2-s2"),
-        pytest.param(generate_yfjs(YfjsParams(3, 5, 4, 2, 3)), 564, 17, id="YFJS-n3-o5-m4-q2-s3"),
-        pytest.param(generate_dafjs(DafjsParams(3, 4, 2)), 239, 132, id="DAFJS-n3-m4-s2"),
-        pytest.param(generate_dafjs(DafjsParams(3, 5, 3)), 261, 25, id="DAFJS-n3-m5-s3"),
-        pytest.param(generate_yfjs(YfjsParams(4, 5, 5, 3, 1)), 537, 365, id="YFJS-n4-o5-m5-q3-s1"),
-        pytest.param(generate_dafjs(DafjsParams(3, 4, 3)), 212, 468, id="DAFJS-n3-m4-s3"),
+        pytest.param(generate_yfjs(YfjsParams(3, 4, 3, 2, 3)), 544, 188, 188, id="YFJS-n3-o4-m3-q2-s3"),
+        pytest.param(generate_yfjs(YfjsParams(3, 5, 4, 2, 2)), 715, 32, 32, id="YFJS-n3-o5-m4-q2-s2"),
+        pytest.param(generate_yfjs(YfjsParams(3, 5, 4, 2, 3)), 564, 17, 17, id="YFJS-n3-o5-m4-q2-s3"),
+        pytest.param(generate_dafjs(DafjsParams(3, 4, 2)), 239, 103, 132, id="DAFJS-n3-m4-s2"),
+        pytest.param(generate_dafjs(DafjsParams(3, 5, 3)), 261, 25, 25, id="DAFJS-n3-m5-s3"),
+        pytest.param(generate_yfjs(YfjsParams(4, 5, 5, 3, 1)), 537, 147, 365, id="YFJS-n4-o5-m5-q3-s1"),
+        pytest.param(generate_dafjs(DafjsParams(3, 4, 3)), 212, 288, 468, id="DAFJS-n3-m4-s3"),
     ],
 )
-def test_search_order_is_pinned_on_the_bnb_corpus(instance, optimum, nodes):
+def test_search_order_is_pinned_on_the_bnb_corpus(monkeypatch, instance, optimum, nodes, depth_first_nodes):
     # The `bnb` workload of perfbench/workloads.py (BNB_SOLVED + BNB_CAPPED):
-    # any change to branching, bounding or child order moves these counts.
-    result = solve_branch_and_bound(instance, time_limit=60)
-    assert (result.upper_bound, result.nodes_explored, result.status) == (optimum, nodes, "optimal")
+    # any change to branching, bounding, child order or node selection moves
+    # these counts.  With OPEN_NODE_CAP at 0 every open node goes on the
+    # overflow stack, and the search is the depth-first one it was before
+    # it plunged from the least bound.
+    for cap, expected in ((exact.OPEN_NODE_CAP, nodes), (0, depth_first_nodes)):
+        monkeypatch.setattr(exact, "OPEN_NODE_CAP", cap)
+        result = solve_branch_and_bound(instance, time_limit=60)
+        assert (result.upper_bound, result.nodes_explored, result.status) == (optimum, expected, "optimal"), cap
 
 
 @pytest.mark.parametrize(
-    "instance, assignment, sequences",
+    "instance, assignment, sequences, depth_first_sequences",
     [
         pytest.param(
             generate_yfjs(YfjsParams(3, 4, 3, 2, 3)),
             (3, 1, 1, 2, 1, 1, 1, 2, 1, 3, 2, 3),
             ((8, 5, 4, 6, 1, 2), (10, 7, 3), (0, 9, 11)),
+            None,
             id="YFJS-n3-o4-m3-q2-s3",
         ),
         pytest.param(
             generate_yfjs(YfjsParams(3, 5, 4, 2, 2)),
             (2, 4, 1, 3, 3, 2, 2, 2, 1, 1, 1, 4, 3, 1, 4),
+            ((10, 8, 13, 2, 9), (0, 5, 6, 7), (12, 3, 4), (11, 1, 14)),
             ((10, 8, 13, 2, 9), (5, 0, 6, 7), (12, 3, 4), (11, 1, 14)),
             id="YFJS-n3-o5-m4-q2-s2",
         ),
@@ -187,39 +200,51 @@ def test_search_order_is_pinned_on_the_bnb_corpus(instance, optimum, nodes):
             generate_yfjs(YfjsParams(3, 5, 4, 2, 3)),
             (3, 1, 4, 1, 2, 3, 2, 3, 1, 1, 1, 4, 4, 4, 4),
             ((10, 1, 8, 9, 3), (6, 4), (5, 0, 7), (11, 12, 2, 13, 14)),
+            None,
             id="YFJS-n3-o5-m4-q2-s3",
         ),
         pytest.param(
             generate_dafjs(DafjsParams(3, 4, 2)),
             (3, 2, 4, 3, 1, 4, 2, 2, 4, 3, 1, 1, 3, 3, 2),
             ((10, 11, 4), (7, 6, 1, 14), (9, 12, 0, 13, 3), (5, 8, 2)),
+            None,
             id="DAFJS-n3-m4-s2",
         ),
         pytest.param(
             generate_dafjs(DafjsParams(3, 5, 3)),
             (5, 1, 3, 1, 2, 4, 1, 4, 5, 2, 2, 4, 2, 2, 2, 1, 5, 3, 1, 4),
             ((15, 3, 1, 18, 6), (13, 14, 4, 9, 10, 12), (17, 2), (7, 5, 11, 19), (16, 0, 8)),
+            None,
             id="DAFJS-n3-m5-s3",
         ),
         pytest.param(
             generate_yfjs(YfjsParams(4, 5, 5, 3, 1)),
             (3, 2, 3, 1, 2, 5, 3, 2, 5, 3, 1, 4, 4, 4, 4, 5, 2, 4, 1, 3),
             ((10, 18, 3), (16, 1, 7, 4), (0, 2, 6, 19, 9), (11, 17, 12, 13, 14), (5, 15, 8)),
+            None,
             id="YFJS-n4-o5-m5-q3-s1",
         ),
         pytest.param(
             generate_dafjs(DafjsParams(3, 4, 3)),
             (3, 2, 2, 3, 1, 4, 2, 1, 3, 4, 4, 2, 2, 3, 4, 4),
             ((7, 4), (12, 2, 1, 6, 11), (0, 13, 3, 8), (5, 9, 10, 14, 15)),
+            None,
             id="DAFJS-n3-m4-s3",
         ),
     ],
 )
-def test_returned_solutions_are_pinned_on_the_bnb_corpus(instance, assignment, sequences):
+def test_returned_solutions_are_pinned_on_the_bnb_corpus(
+    monkeypatch, instance, assignment, sequences, depth_first_sequences
+):
     # The node counts above miss a change of incumbent or of the order of
     # equal-bound children that keeps the count: the returned leaf does not.
+    # Depth first (OPEN_NODE_CAP at 0) the leaf is the one the search
+    # returned before it plunged; None means the same leaf.
     result = solve_branch_and_bound(instance, time_limit=60)
     assert result.solution == SolutionPair(assignment, Selection(sequences))
+    monkeypatch.setattr(exact, "OPEN_NODE_CAP", 0)
+    result = solve_branch_and_bound(instance, time_limit=60)
+    assert result.solution == SolutionPair(assignment, Selection(depth_first_sequences or sequences))
 
 
 def test_timeout_returns_est_incumbent_and_sound_bounds():
@@ -293,17 +318,22 @@ def reference_lower_bound(instance, ready, mask, avail, end=least_end):
 
 
 class _Recording(exact._Search):
-    """Keeps every search it makes, each with every node it pushes."""
+    """Keeps every search it makes, each with every node it pushes and the most nodes open at once."""
 
     made: list[_Recording] = []
 
     def __init__(self, *args, **kwargs):
+        self.most_open = 0
         super().__init__(*args, **kwargs)
         self.pushed = []
         self.made.append(self)
 
+    def _open(self, nodes):
+        super()._open(nodes)
+        self.most_open = max(self.most_open, len(self._open_nodes()))
+
     def run(self):
-        self.pushed.extend(self.stack)  # the root
+        self.pushed.extend(self._open_nodes())  # the root
         super().run()
 
     def expand(self, node):
@@ -312,41 +342,50 @@ class _Recording(exact._Search):
         return children
 
 
-def _check_every_pushed_bound(monkeypatch, stale=None) -> int:
+SMALL_CAP = 2  # an open-node cap that the searches of the small instances overflow
+
+
+def _check_every_pushed_bound(monkeypatch, stale=None) -> list[int]:
     """Checks the bound of every node pushed on 43 small instances, under each cutoff too.
 
-    Returns how many nodes were checked.  With ``stale``, every entry of the
-    bound walk's scratch ``dp`` is set to it before each call.
+    Runs each search with the open-node cap as it is and with ``SMALL_CAP``,
+    and returns how many nodes were checked under each.  With ``stale``,
+    every entry of the bound walk's scratch ``dp`` is set to it before each
+    call.
     """
     monkeypatch.setattr(_Recording, "made", [])
     monkeypatch.setattr(exact, "_Search", _Recording)
-    pushed = 0
-    for seed in range(43):
-        inst = small_random_instance(seed, max_ops=12, max_machines=4, max_eligible=3)
-        assert solve_branch_and_bound(inst, 60).status == "optimal"
-        (search,) = _Recording.made
-        _Recording.made.clear()
+    checked = []
+    for cap in (exact.OPEN_NODE_CAP, SMALL_CAP):
+        monkeypatch.setattr(exact, "OPEN_NODE_CAP", cap)
+        pushed = 0
+        for seed in range(43):
+            inst = small_random_instance(seed, max_ops=12, max_machines=4, max_eligible=3)
+            assert solve_branch_and_bound(inst, 60).status == "optimal"
+            (search,) = _Recording.made
+            _Recording.made.clear()
 
-        def lower_bound(*args):
-            if stale is not None:
-                search.dp[:] = [stale] * inst.n_ops
-            return search.lower_bound(*args)
+            def lower_bound(*args):
+                if stale is not None:
+                    search.dp[:] = [stale] * inst.n_ops
+                return search.lower_bound(*args)
 
-        for node in search.pushed:
-            ready, mask, avail = node.ready_time, node.scheduled_mask, node.machine_avail
-            reference = reference_lower_bound(inst, ready, mask, avail)
-            assert node.lower_bound == lower_bound(ready, mask, avail) == reference, inst.name
-            low = max(avail)
-            for cutoff in {low, (low + reference) / Fraction(2), reference - 1, reference, reference + 1}:
-                bound = lower_bound(ready, mask, list(avail), cutoff)
-                assert (bound >= cutoff) == (reference >= cutoff), (inst.name, cutoff)
-                assert bound >= cutoff or bound == reference
-        pushed += len(search.pushed)
-    return pushed
+            for node in search.pushed:
+                ready, mask, avail = node.ready_time, node.scheduled_mask, node.machine_avail
+                reference = reference_lower_bound(inst, ready, mask, avail)
+                assert node.lower_bound == lower_bound(ready, mask, avail) == reference, inst.name
+                low = max(avail)
+                for cutoff in {low, (low + reference) / Fraction(2), reference - 1, reference, reference + 1}:
+                    bound = lower_bound(ready, mask, list(avail), cutoff)
+                    assert (bound >= cutoff) == (reference >= cutoff), (inst.name, cutoff)
+                    assert bound >= cutoff or bound == reference
+            pushed += len(search.pushed)
+        checked.append(pushed)
+    return checked
 
 
 def test_bound_matches_the_reference_on_every_pushed_node(monkeypatch):
-    assert _check_every_pushed_bound(monkeypatch) > 500
+    assert min(_check_every_pushed_bound(monkeypatch)) > 500
 
 
 class _Exhaustive(exact._Search):
@@ -359,7 +398,7 @@ class _Exhaustive(exact._Search):
 def best_completion(instance, node):
     """The least makespan of any schedule that extends ``node``, from a search of its subtree alone."""
     search = _Exhaustive(instance, math.inf, deadline=math.inf)
-    search.stack[:] = [node]
+    search._seed([node])
     search.run()
     return search.best_value
 
@@ -368,23 +407,26 @@ def test_every_pushed_bound_lies_between_the_weaker_bound_and_the_best_completio
     # Sound: no completion of a node ends before its bound.  At least as
     # strong as crediting each open operation with the least free time and
     # the least processing time, which may come from two machines.
+    # Under the open-node cap as it is and under a small one.
     monkeypatch.setattr(_Recording, "made", [])
     monkeypatch.setattr(exact, "_Search", _Recording)
-    checked = stronger = 0
-    for seed in range(40):
-        inst = small_random_instance(seed, max_ops=10, max_machines=4, max_eligible=3)
-        if seed % 2:
-            inst = replace(inst, times=tuple(tuple(Fraction(t, 7) for t in row) for row in inst.times))
-        assert solve_branch_and_bound(inst, 60).status == "optimal"
-        (search,) = _Recording.made
-        _Recording.made.clear()
-        for node in search.pushed:
-            ready, mask, avail = node.ready_time, node.scheduled_mask, node.machine_avail
-            weaker = reference_lower_bound(inst, ready, mask, avail, split_end)
-            assert weaker <= node.lower_bound <= best_completion(inst, node), inst.name
-            stronger += weaker < node.lower_bound
-        checked += len(search.pushed)
-    assert checked > 500 and stronger > 50, (checked, stronger)
+    for cap in (exact.OPEN_NODE_CAP, SMALL_CAP):
+        monkeypatch.setattr(exact, "OPEN_NODE_CAP", cap)
+        checked = stronger = 0
+        for seed in range(40):
+            inst = small_random_instance(seed, max_ops=10, max_machines=4, max_eligible=3)
+            if seed % 2:
+                inst = replace(inst, times=tuple(tuple(Fraction(t, 7) for t in row) for row in inst.times))
+            assert solve_branch_and_bound(inst, 60).status == "optimal"
+            (search,) = _Recording.made
+            _Recording.made.clear()
+            for node in search.pushed:
+                ready, mask, avail = node.ready_time, node.scheduled_mask, node.machine_avail
+                weaker = reference_lower_bound(inst, ready, mask, avail, split_end)
+                assert weaker <= node.lower_bound <= best_completion(inst, node), inst.name
+                stronger += weaker < node.lower_bound
+            checked += len(search.pushed)
+        assert checked > 500 and stronger > 50, (cap, checked, stronger)
 
 
 @pytest.mark.parametrize("stale", [10**9, Fraction(10**9, 7)], ids=["int", "fraction"])
@@ -410,6 +452,74 @@ def test_a_timed_out_run_reports_full_bounds(monkeypatch, seed, nodes):
     assert result.nodes_explored == nodes
     assert result.status == "bound-pair"
     assert result.lower_bound <= brute_force(inst).upper_bound <= result.upper_bound
-    left = [reference_lower_bound(inst, nd.ready_time, nd.scheduled_mask, nd.machine_avail) for nd in search.stack]
-    assert [nd.lower_bound for nd in search.stack] == left
+    open_nodes = search._open_nodes()
+    left = [reference_lower_bound(inst, nd.ready_time, nd.scheduled_mask, nd.machine_avail) for nd in open_nodes]
+    assert [nd.lower_bound for nd in open_nodes] == left
     assert result.lower_bound == min([result.upper_bound, *left])
+    # The node limit stops at the same node, alone or when the deadline strikes there too.
+    stopped = _outcome(result)
+    assert _outcome(solve_branch_and_bound(inst, 60, node_limit=nodes)) == stopped
+    with monkeypatch.context() as patch:
+        clock = itertools.count()
+        patch.setattr(exact.time, "monotonic", lambda: float(next(clock)))
+        both = solve_branch_and_bound(inst, time_limit=nodes + 0.5, node_limit=nodes)
+    assert _outcome(both) == stopped
+
+
+def _outcome(result: SolveResult) -> SolveResult:
+    """Everything a result holds but its wall time."""
+    return replace(result, elapsed=0)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 8])
+def test_every_optimum_holds_under_a_small_open_node_cap(monkeypatch, cap):
+    # Beyond the cap open nodes go on the overflow stack, which is searched
+    # depth first before the heap is popped again.
+    monkeypatch.setattr(_Recording, "made", [])
+    monkeypatch.setattr(exact, "_Search", _Recording)
+    monkeypatch.setattr(exact, "OPEN_NODE_CAP", cap)
+    overflowed = 0
+    for seed in range(60):
+        inst = small_random_instance(seed)
+        bb = solve_branch_and_bound(inst, 60)
+        (search,) = _Recording.made
+        _Recording.made.clear()
+        assert bb.status == "optimal"
+        assert bb.upper_bound == brute_force(inst).upper_bound, inst.name
+        assert validate_solution(inst, bb.solution, bb.schedule).ok, inst.name
+        overflowed += search.most_open > cap
+    assert overflowed > 0  # 13, 10 and 1 of the 60 searches at caps 1, 2 and 8
+
+
+def test_the_overflow_stack_bounds_the_open_set(monkeypatch):
+    # Once the heap holds OPEN_NODE_CAP nodes the rest go on a stack searched
+    # depth first: at most one group of siblings, fewer than n_ops, per depth.
+    monkeypatch.setattr(_Recording, "made", [])
+    monkeypatch.setattr(exact, "_Search", _Recording)
+    monkeypatch.setattr(exact, "OPEN_NODE_CAP", 64)
+    inst = generate_dafjs(DafjsParams(4, 6, 9))  # still open after 100,000 nodes
+    result = solve_branch_and_bound(inst, 60, node_limit=5000)
+    (search,) = _Recording.made
+    assert (result.status, result.nodes_explored) == ("bound-pair", 5000)
+    assert exact.OPEN_NODE_CAP < search.most_open <= exact.OPEN_NODE_CAP + inst.n_ops**2, search.most_open
+
+
+@pytest.mark.parametrize("instance", [generate_dafjs(DafjsParams(4, 6, 9)), generate_dafjs(DafjsParams(4, 5, 1))])
+def test_a_node_limit_repeats_exactly(instance):
+    first = solve_branch_and_bound(instance, 60, node_limit=2000)
+    assert (first.status, first.nodes_explored) == ("bound-pair", 2000)
+    assert first.lower_bound < first.upper_bound == first.schedule.makespan
+    assert _outcome(solve_branch_and_bound(instance, 60, node_limit=2000)) == _outcome(first)
+
+
+def test_a_node_limit_brackets_the_optimum():
+    for seed in range(60):
+        inst = small_random_instance(seed)
+        optimum = brute_force(inst).upper_bound
+        full = solve_branch_and_bound(inst, 60).nodes_explored
+        for limit in range(1, 21):
+            result = solve_branch_and_bound(inst, 60, node_limit=limit)
+            assert result.nodes_explored == min(limit, full), (inst.name, limit)
+            assert (result.status == "optimal") == (limit >= full), (inst.name, limit)
+            assert result.lower_bound <= optimum <= result.upper_bound == result.schedule.makespan, (inst.name, limit)
+            assert validate_solution(inst, result.solution, result.schedule).ok, (inst.name, limit)
