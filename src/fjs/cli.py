@@ -14,6 +14,8 @@ from pathlib import Path
 
 from . import __version__
 from .core import (
+    STATUS_BOUND_PAIR,
+    STATUS_FEASIBLE,
     FjsError,
     Instance,
     Schedule,
@@ -25,7 +27,7 @@ from .core import (
     validate_solution,
 )
 from .emit import write_lp, write_mps
-from .exact import STATUS_BOUND_PAIR, solve_branch_and_bound
+from .exact import solve_branch_and_bound
 from .generate import DafjsParams, YfjsParams, generate_dafjs, generate_yfjs
 from .heuristic import earliest_start_heuristic, earliest_start_selection
 from .io import (
@@ -97,7 +99,7 @@ def _run_est(instance: Instance, time_limit: float, node_limit: int | None) -> t
     sol, sched = earliest_start_heuristic(instance)
     elapsed = time.monotonic() - t0
     meta = {"lower_bound": makespan_lower_bound(instance), "upper_bound": sched.makespan, "elapsed": elapsed}
-    return sol, sched, "feasible", meta
+    return sol, sched, STATUS_FEASIBLE, meta
 
 
 def _run_bnb(instance: Instance, time_limit: float, node_limit: int | None) -> tuple[SolutionPair, Schedule, str, dict]:
@@ -192,7 +194,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         {name: number_from_json(value, name if len(name) <= 80 else _echo(name)) for name, value in raw.items()}
     )
     sol, sched = MODEL_DECODERS[args.model](instance, point)
-    meta = {"method": f"decode-{args.model}", "status": "feasible"}
+    meta = {"method": f"decode-{args.model}", "status": STATUS_FEASIBLE}
     _write(args.out, serialize_solution(instance, sol, sched, meta))
     print(f"{_printable(instance.name)}: decoded point, makespan {sched.makespan}")
     return 0

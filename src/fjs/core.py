@@ -172,6 +172,12 @@ an int into text."""
 
 _DIGITS_BOUND = 10**MAX_DIGITS  # the least int of more than MAX_DIGITS digits
 
+# The statuses of a solve, as solution files spell them: optimal has its bounds equal,
+# bound-pair has the lower bound below the upper, and feasible claims only a schedule.
+STATUS_OPTIMAL = "optimal"
+STATUS_BOUND_PAIR = "bound-pair"
+STATUS_FEASIBLE = "feasible"
+
 
 def check_time(value: object) -> Rational:
     """Validate a processing-time value: a positive int or Fraction whose

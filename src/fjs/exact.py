@@ -31,6 +31,8 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .core import (
+    STATUS_BOUND_PAIR,
+    STATUS_OPTIMAL,
     Instance,
     Rational,
     Schedule,
@@ -43,9 +45,6 @@ from .core import (
 from .heuristic import earliest_start_heuristic
 
 __all__ = ["SolveResult", "CapError", "brute_force", "solve_branch_and_bound"]
-
-STATUS_OPTIMAL = "optimal"
-STATUS_BOUND_PAIR = "bound-pair"
 
 BRUTE_FORCE_MAX_OPS = 9  # the caps of the brute-force oracle
 BRUTE_FORCE_MAX_ASSIGNMENTS = 100_000
@@ -382,12 +381,13 @@ def solve_branch_and_bound(
     exhaustion the result is optimal; when the time limit strikes first, or
     ``node_limit`` nodes have been expanded, the incumbent is returned
     together with the smallest lower bound among the unexplored subtrees.
-    A node limit makes a stopped run repeat exactly.
+    ``node_limit`` is None, for no limit, or an int of at least 1; a node
+    limit makes a stopped run repeat exactly.
     """
     if not time_limit > 0:  # also refuses NaN
         raise ValueError("time_limit must be positive")
-    if node_limit is not None and not node_limit >= 1:  # also refuses NaN
-        raise ValueError("node_limit must be at least 1")
+    if node_limit is not None and (not isinstance(node_limit, int) or isinstance(node_limit, bool) or node_limit < 1):
+        raise ValueError("node_limit must be an int of at least 1")
     t0 = time.monotonic()
     est_sol, est_sched = earliest_start_heuristic(instance)
     limit = math.inf if node_limit is None else node_limit

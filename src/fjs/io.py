@@ -25,6 +25,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
     MAX_DIGITS,
+    STATUS_BOUND_PAIR,
+    STATUS_OPTIMAL,
     FjsError,
     Instance,
     InstanceError,
@@ -354,7 +356,9 @@ def parse_solution(source: str | dict, instance: Instance) -> tuple[SolutionPair
     if upper != makespan:
         raise SolutionError(f"upper_bound {_echo(meta['upper_bound'])} is not the makespan {_echo(document['makespan'])}")
     status = meta.get("status")
-    relation, holds = ("=", eq) if status == "optimal" else ("<", lt) if status == "bound-pair" else ("<=", le)
+    relation, holds = (
+        ("=", eq) if status == STATUS_OPTIMAL else ("<", lt) if status == STATUS_BOUND_PAIR else ("<=", le)
+    )
     if not holds(lower, upper):
         shown = " and ".join(_echo(number_to_json(bound)) for bound in (lower, upper))
         raise SolutionError(f"status {_echo(status)} needs lower_bound {relation} upper_bound, got {shown}")
@@ -410,7 +414,7 @@ def render_report(rows: Sequence[ReportRow]) -> str:
     for row in rows:
         ops = str(row.ops_min) if row.ops_min == row.ops_max else f"{row.ops_min}-{row.ops_max}"
         size = f"{row.n_jobs}, {ops}, {row.machines}"
-        if row.status == "optimal":
+        if row.status == STATUS_OPTIMAL:
             cell = _cell_num(row.upper_bound)
         else:
             cell = format_bound_cell(row.lower_bound, row.upper_bound)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import itertools
 import json
 import random
 import shlex
@@ -14,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from fjs import cli, exact, heuristic
+from fjs import cli, heuristic
 from fjs.cli import main
 from fjs.exact import solve_branch_and_bound
 from fjs.generate import DafjsParams, YfjsParams, generate_dafjs, generate_yfjs
@@ -35,15 +34,24 @@ def ex1_file(tmp_path):
     return path
 
 
-def test_solve_bnb_prints_makespan(ex1_file, tmp_path, capsys):
-    out = tmp_path / "ex1.sol.json"
-    code = main(["solve", "--method", "bnb", "--in", str(ex1_file), "--out", str(out)])
+@pytest.mark.parametrize(
+    "instance, makespan, nodes",
+    [(make_ex1(), 8, 0), (generate_dafjs(DafjsParams(3, 4, 3)), 212, 288)],
+    ids=["ex1", "DAFJS-n3-m4-s3"],
+)
+def test_solve_bnb_prints_makespan(tmp_path, capsys, instance, makespan, nodes):
+    # EST's schedule closes EX1 at the root; DAFJS-n3-m4-s3's count pins the search order through the
+    # CLI: branching, bounds, child order and node selection.
+    path, out = tmp_path / "x.fjs.json", tmp_path / "x.sol.json"
+    path.write_text(serialize_instance(instance))
+    code = main(["solve", "--method", "bnb", "--in", str(path), "--out", str(out)])
     assert code == 0
-    assert "mks 8" in capsys.readouterr().out
-    sol, sched, meta = parse_solution(out.read_text(), make_ex1())
-    assert sched.makespan == 8
+    assert capsys.readouterr().out == f"{instance.name}: mks {makespan} (optimal)\n"
+    sol, sched, meta = parse_solution(out.read_text(), instance)
+    assert sched.makespan == makespan
     assert meta["status"] == "optimal"
-    assert meta["lower_bound"] == 8
+    assert meta["lower_bound"] == makespan
+    assert meta["nodes_explored"] == nodes
 
 
 def test_solve_bnb_ignores_threads(tmp_path, capsys):
@@ -67,17 +75,21 @@ def test_solve_est(ex1_file, tmp_path, capsys):
     assert meta["elapsed"] > 0  # measured, not a placeholder
 
 
-def test_solve_est_prints_its_makespan_when_the_bound_is_lower(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "inst, lower, upper",
+    [(generate_yfjs(YfjsParams(2, 3, 2, 2, 1)), 294, 365), (generate_dafjs(DafjsParams(3, 4, 3)), 207, 256)],
+    ids=["YFJS-n2-o3-m2-q2-s1", "DAFJS-n3-m4-s3"],
+)
+def test_solve_est_prints_its_makespan_when_the_bound_is_lower(tmp_path, capsys, inst, lower, upper):
     # Only bound-pair opens the summary cell and exits 3; est keeps a gap to its bound and is feasible.
-    inst = generate_yfjs(YfjsParams(2, 3, 2, 2, 1))
     path, out = tmp_path / "y.fjs.json", tmp_path / "y.sol.json"
     path.write_text(serialize_instance(inst))
     assert main(["solve", "--method", "est", "--in", str(path), "--out", str(out)]) == 0
-    assert capsys.readouterr().out == "YFJS-n2-o3-m2-q2-s1: mks 365 (feasible)\n"
+    assert capsys.readouterr().out == f"{inst.name}: mks {upper} (feasible)\n"
     _, _, meta = parse_solution(out.read_text(), inst)
     assert {key: meta[key] for key in meta if key != "elapsed"} == {
-        "lower_bound": 294,
-        "upper_bound": 365,
+        "lower_bound": lower,
+        "upper_bound": upper,
         "method": "est",
         "status": "feasible",
     }
@@ -1057,12 +1069,24 @@ def test_readme_exit_code_table(tmp_path, monkeypatch, capsys, command, code, pr
     claim = {**late, "makespan": 8, "meta": {"upper_bound": 9}}
     elapsed = {**claim, "meta": {"elapsed": -1}}
     trap = Instance.from_tables("trap", 2, {0: {1: 9, 2: 3}, 1: {2: 3}}, [])
+    string_time = json.loads(serialize_instance(ex1))
+    string_time["operations"][0]["times"][0][1] = "3"
+    # c's one machine runs 1, 2, 0 against the arc (0, 1)
+    c = Instance.from_tables("c", 1, {0: {1: 1}, 1: {1: 1}, 2: {1: 1}}, [(0, 1)])
+    cycle = {**late, "instance": "c", "assignment": [[v, 1] for v in range(3)], "makespan": 3}
+    cycle["starts"] = [[0, 2], [1, 0], [2, 1]]
+    # y_1_2 orders operation 1, on machine 1, against operation 2, on machine 2
+    half = {**encode_compact(ex1, EX1_SOL).values, "y_1_2": "1/2"}
     files = {
         "ex1.fjs.json": serialize_instance(ex1),
         "late.sol.json": json.dumps(late),
         "claim.sol.json": json.dumps(claim),
         "elapsed.sol.json": json.dumps(elapsed),
         "trap.fjs.json": serialize_instance(trap),
+        "string-time.fjs.json": json.dumps(string_time),
+        "c.fjs.json": serialize_instance(c),
+        "cycle.sol.json": json.dumps(cycle),
+        "half.json": json.dumps(half),
         "empty.json": "{}",
         "syntax.json": "{",
         "deep.json": "[" * 100_000,
@@ -1237,21 +1261,16 @@ def test_a_command_leaves_bounded_cyclic_garbage(ex1_file, tmp_path, restore_gc,
         assert _cyclic_garbage(argv) <= CYCLIC_GARBAGE_BOUND, argv[:3]
 
 
-def test_cyclic_garbage_does_not_grow_with_the_search(ex1_file, tmp_path, restore_gc, monkeypatch, capsys):
-    # DAFJS-n4-m6-s9 is still open after 100,000 nodes.  Around the capped
-    # run the clock reads 0 at the start and one more at each node the search
-    # would expand, so the deadline strikes after exactly 10,000 nodes.
+def test_cyclic_garbage_does_not_grow_with_the_search(ex1_file, tmp_path, restore_gc, capsys):
+    # DAFJS-n4-m6-s9 is still open after 100,000 nodes, so the node limit strikes after exactly 10,000.
     big = tmp_path / "big.fjs.json"
     big.write_text(serialize_instance(generate_dafjs(DafjsParams(4, 6, 9))))
     closed = _cyclic_garbage(["solve", "--method", "bnb", "--in", str(ex1_file), "--out", str(tmp_path / "a.sol.json")])
     capped_sol = tmp_path / "b.sol.json"
-    with monkeypatch.context() as patch:
-        clock = itertools.count()
-        patch.setattr(exact.time, "monotonic", lambda: float(next(clock)))
-        capped = _cyclic_garbage(
-            ["solve", "--method", "bnb", "--time-limit", "10000.5", "--in", str(big), "--out", str(capped_sol)]
-        )
-    assert "(bound-pair)" in capsys.readouterr().out  # the capped search stopped at its time limit
+    capped = _cyclic_garbage(
+        ["solve", "--method", "bnb", "--node-limit", "10000", "--in", str(big), "--out", str(capped_sol)]
+    )
+    assert "(bound-pair)" in capsys.readouterr().out  # the capped search stopped at its node limit
     assert json.loads(capped_sol.read_text())["meta"]["nodes_explored"] == 10_000
     assert closed == capped <= CYCLIC_GARBAGE_BOUND
 

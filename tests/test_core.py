@@ -48,9 +48,16 @@ from conftest import (
 )
 
 
+def machine_neighbour_arcs(sol):
+    """The arcs from each operation to the next on its machine.  With positive
+    times they give the same longest paths and tight predecessors as every
+    ordered same-machine pair."""
+    return {arc for seq in sol.selection.sequences for arc in zip(seq, seq[1:])}
+
+
 def all_paths_longest_start(instance, sol):
     """Independent oracle: max path length into each op by full enumeration."""
-    edges = set(instance.arcs) | set(sol.selection.pairs)
+    edges = set(instance.arcs) | machine_neighbour_arcs(sol)
     f = sol.assignment
     p = [instance.ptime[v, f[v]] for v in instance.ops]
     preds = {v: [u for (u, w) in edges if w == v] for v in instance.ops}
@@ -178,7 +185,7 @@ class TestAdmissibility:
         with pytest.raises(InadmissibleError) as err:
             tight_schedule(ex1, sol)
         cycle = err.value.cycle
-        edges = set(ex1.arcs) | set(sol.selection.pairs)
+        edges = set(ex1.arcs) | machine_neighbour_arcs(sol)
         closed = list(zip(cycle, cycle[1:])) + [(cycle[-1], cycle[0])]
         assert all(edge in edges for edge in closed)
 
@@ -399,7 +406,7 @@ class TestTightSchedule:
             rng = Xoshiro256StarStar(seed)
             f = sol.assignment
             p = [inst.ptime[v, f[v]] for v in inst.ops]
-            edges = set(inst.arcs) | set(sol.selection.pairs)
+            edges = set(inst.arcs) | machine_neighbour_arcs(sol)
             preds = {v: [u for (u, w) in edges if w == v] for v in inst.ops}
             order = sorted(inst.ops, key=lambda v: (sched.start[v], v))
             for _ in range(100):
@@ -418,7 +425,7 @@ class TestTightSchedule:
             sched = tight_schedule(inst, sol)
             f = sol.assignment
             p = [inst.ptime[v, f[v]] for v in inst.ops]
-            edges = set(inst.arcs) | set(sol.selection.pairs)
+            edges = set(inst.arcs) | machine_neighbour_arcs(sol)
             preds = {v: [u for (u, w) in edges if w == v] for v in inst.ops}
             for v in inst.ops:
                 if sched.start[v] != 0:

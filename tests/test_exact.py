@@ -62,9 +62,10 @@ def test_time_limit_must_be_positive(ex1):
         solve_branch_and_bound(ex1, time_limit=0)
 
 
-@pytest.mark.parametrize("limit", [0, -1, 0.5, math.nan])
+@pytest.mark.parametrize("limit", [0, -1, 0.5, math.nan, True, 1.5, math.inf])
 def test_node_limit_must_be_at_least_1(ex1, limit):
-    with pytest.raises(ValueError, match="^node_limit must be at least 1$"):
+    # None is the only "no limit"; a bool or a float is no count of nodes
+    with pytest.raises(ValueError, match="^node_limit must be an int of at least 1$"):
         solve_branch_and_bound(ex1, node_limit=limit)
 
 
